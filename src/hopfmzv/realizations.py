@@ -61,6 +61,7 @@ from .errors import (
 from .series import (
     LaurentSeries,
     constant,
+    convolve,
     series_add,
     series_diff,
     series_mul,
@@ -266,14 +267,7 @@ def op_delta(s: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 def _ps_mul(a, b):
     n = len(a)
-    out = [Fr(0)] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(n - i):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return tuple(out)
+    return tuple(convolve(a, b, n, [Fr(0)] * n))
 
 
 def li_J(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
@@ -383,15 +377,7 @@ def mul_bivariate(s1: BivariateSeries, s2: BivariateSeries) -> BivariateSeries:
     for a1 in range(1, A):  # a1 + a2 <= A with a2 >= 1
         r1 = s1.rows[a1 - 1]
         for a2 in range(1, A - a1 + 1):
-            r2 = s2.rows[a2 - 1]
-            target = rows[a1 + a2 - 1]
-            for b1 in range(Q + 1):
-                c1 = r1[b1]
-                if not c1:
-                    continue
-                for b2 in range(Q + 1 - b1):
-                    if r2[b2]:
-                        target[b1 + b2] += c1 * r2[b2]
+            convolve(r1, s2.rows[a2 - 1], Q + 1, rows[a1 + a2 - 1])
     return BivariateSeries(tuple(tuple(r) for r in rows))
 
 
@@ -428,14 +414,7 @@ def qchar_realization(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
 
 
 def _qpoly_mul(a, b, Q):
-    out = [Fr(0)] * (Q + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(min(len(b), Q + 1 - i)):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
+    return convolve(a, b, Q + 1, [Fr(0)] * (Q + 1))
 
 
 def qz_series(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:

@@ -1,9 +1,20 @@
 """Truncated Laurent series over exact rationals, with validity windows.
 
-A series is a pair (ord, coeffs): coeffs[i] is the coefficient of
-z**(ord + i).  Exponents below ord are known to vanish; exponents above
+A series is stored as integer numerators over one shared denominator, the
+form of FLINT's fmpq_poly: (ord, nums, den) stands for
 
-    valid_through = ord + len(coeffs) - 1
+    sum_i  nums[i] / den * z**(ord + i),
+
+with den > 0 and gcd(den, *nums) == 1, so the form is canonical and the
+integers stay as small as the values allow.  Every operation works on the
+integers and reduces once at the end; products are one integer convolution
+(`convolve`) with a single denominator product instead of a Fraction
+multiply-add per term.  The `coeffs` property and `coefficient` hand out
+`Fraction`s, so callers see exact rationals as before.
+
+Exponents below ord are known to vanish; exponents above
+
+    valid_through = ord + len(nums) - 1
 
 are *unknown*, and asking for one raises PrecisionExceeded instead of
 returning a silently wrong zero.  Derivative chains eat one exponent of
@@ -27,23 +38,14 @@ the caller (equal_on_window).  Tests never compare unknown regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import PrecisionExceeded
 
-try:  # compiled kernel if the optional extension built, else the pure twin
-    from . import _kernels as _kern  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernels_py as _kern
-
-KERNEL_BACKEND = _kern.BACKEND
-
 Fr = Fraction
-_ZERO = Fr(0)
 
 __all__ = [
-    "KERNEL_BACKEND",
     "LaurentSeries",
     "coefficient",
     "constant",
@@ -62,23 +64,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class LaurentSeries:
-    """ord + exact coefficient window; immutable and safe to share."""
+    """ord + exact coefficient window; immutable and safe to share.
+
+    `LaurentSeries(ord, coeffs)` takes Fractions or ints; the stored form is
+    `nums` (a tuple of ints) over the positive denominator `den`.
+    """
+
+    __slots__ = ("ord", "nums", "den")
 
     ord: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(c if isinstance(c, Fraction) else Fr(c) for c in self.coeffs),
-        )
+    def __new__(cls, ord: int, coeffs=()):
+        fracs = [c if isinstance(c, Fraction) else Fr(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        return _make(ord, [c.numerator * (den // c.denominator) for c in fracs], den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LaurentSeries is immutable; cannot set {name!r}")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fr(x, den) for x in self.nums)
 
     @property
     def valid_through(self) -> int:
-        return self.ord + len(self.coeffs) - 1
+        return self.ord + len(self.nums) - 1
 
     def coefficient(self, n: int) -> Fraction:
         return coefficient(self, n)
@@ -100,31 +114,71 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
+    def __reduce__(self):  # pickle and copy without __setattr__
+        return _make, (self.ord, self.nums, self.den)
+
     def __repr__(self):
         return f"LaurentSeries(ord={self.ord}, coeffs={self.coeffs!r})"
 
 
+def _make(ord_: int, nums, den: int) -> LaurentSeries:
+    """The series nums/den at ord, reduced by gcd(den, *nums); den > 0."""
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [x // g for x in nums]
+    s = object.__new__(LaurentSeries)
+    object.__setattr__(s, "ord", ord_)
+    object.__setattr__(s, "nums", tuple(nums))
+    object.__setattr__(s, "den", den)
+    return s
+
+
+def convolve(a, b, n, out=None):
+    """First n coefficients of the Cauchy product of coefficient vectors.
+
+    Zero entries are skipped (exact zeros are common in these series: odd
+    Bernoulli tails, parity gaps).  The products are added into `out` when
+    it is given (at least n slots), else into a fresh list of int zeros; a
+    caller working over Fractions passes Fraction zeros so that no int slot
+    survives.
+    """
+    if out is None:
+        out = [0] * n
+    nonzero_b = [(j, bj) for j, bj in enumerate(b[:n]) if bj]
+    for i, ai in enumerate(a[:n]):
+        if not ai:
+            continue
+        jmax = n - i
+        for j, bj in nonzero_b:
+            if j >= jmax:
+                break
+            out[i + j] += ai * bj
+    return out
+
+
 def zero_series(valid_through: int) -> LaurentSeries:
     """The zero series, known to vanish through the given exponent."""
-    return LaurentSeries(valid_through + 1, ())
+    return _make(valid_through + 1, (), 1)
 
 
 def monomial(exponent: int, coeff, valid_through: int) -> LaurentSeries:
     if valid_through < exponent:
         raise ValueError("window ends below the monomial's exponent")
+    c = Fr(coeff)
     pad = valid_through - exponent
-    return LaurentSeries(exponent, (Fr(coeff),) + (_ZERO,) * pad)
+    return _make(exponent, (c.numerator,) + (0,) * pad, c.denominator)
 
 
 def constant(value, valid_through: int) -> LaurentSeries:
     return monomial(0, value, valid_through)
 
 
-def _get(a: LaurentSeries, n: int) -> Fraction:
-    """Coefficient of z^n assuming n <= a.valid_through."""
+def _num(a: LaurentSeries, n: int) -> int:
+    """Numerator of z^n over a.den, assuming n <= a.valid_through."""
     if n < a.ord:
-        return _ZERO
-    return a.coeffs[n - a.ord]
+        return 0
+    return a.nums[n - a.ord]
 
 
 def coefficient(a: LaurentSeries, n: int) -> Fraction:
@@ -134,22 +188,31 @@ def coefficient(a: LaurentSeries, n: int) -> Fraction:
             f"coefficient of z^{n} requested but series is only valid "
             f"through z^{a.valid_through}"
         )
-    return _get(a, n)
+    return Fr(_num(a, n), a.den)
 
 
 def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     vt = min(a.valid_through, b.valid_through)
     lo = min(a.ord, b.ord)
     if vt < lo:
-        return LaurentSeries(vt + 1, ())
-    return LaurentSeries(lo, tuple(_get(a, n) + _get(b, n) for n in range(lo, vt + 1)))
+        return _make(vt + 1, (), 1)
+    den = lcm(a.den, b.den)
+    out = [0] * (vt - lo + 1)
+    for s in (a, b):
+        f = den // s.den
+        # exponents s.ord..vt; none when s.ord lies past the other's window
+        for i, x in enumerate(s.nums[: max(vt - s.ord + 1, 0)], s.ord - lo):
+            if x:
+                out[i] += x * f
+    return _make(lo, out, den)
 
 
 def series_scale(a: LaurentSeries, c) -> LaurentSeries:
     c = Fr(c)
     if c == 0:
-        return LaurentSeries(a.ord, (_ZERO,) * len(a.coeffs))
-    return LaurentSeries(a.ord, tuple(x * c for x in a.coeffs))
+        return _make(a.ord, (0,) * len(a.nums), 1)
+    p = c.numerator
+    return _make(a.ord, [x * p for x in a.nums], a.den * c.denominator)
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -157,31 +220,27 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     vt = min(a.valid_through + b.ord, b.valid_through + a.ord)
     n = vt - ord_ + 1
     if n <= 0:
-        return LaurentSeries(vt + 1, ())
-    return LaurentSeries(ord_, tuple(_kern.convolve(a.coeffs, b.coeffs, n)))
+        return _make(vt + 1, (), 1)
+    return _make(ord_, convolve(a.nums, b.nums, n), a.den * b.den)
 
 
 def series_diff(a: LaurentSeries) -> LaurentSeries:
     """Termwise d/dz; costs one exponent of validity."""
-    return LaurentSeries(
-        a.ord - 1, tuple((a.ord + i) * c for i, c in enumerate(a.coeffs))
+    return _make(
+        a.ord - 1, [(a.ord + i) * x for i, x in enumerate(a.nums)], a.den
     )
 
 
 def pole_part(a: LaurentSeries) -> LaurentSeries:
     """Strictly negative exponents of a; idempotent."""
-    return LaurentSeries(
-        a.ord,
-        tuple(c if a.ord + i < 0 else _ZERO for i, c in enumerate(a.coeffs)),
-    )
+    k = min(max(-a.ord, 0), len(a.nums))  # entries with exponent < 0
+    return _make(a.ord, a.nums[:k] + (0,) * (len(a.nums) - k), a.den)
 
 
 def regular_part(a: LaurentSeries) -> LaurentSeries:
     """a - pole_part(a): exponents >= 0 only."""
-    return LaurentSeries(
-        a.ord,
-        tuple(c if a.ord + i >= 0 else _ZERO for i, c in enumerate(a.coeffs)),
-    )
+    k = min(max(-a.ord, 0), len(a.nums))
+    return _make(a.ord, (0,) * k + a.nums[k:], a.den)
 
 
 def series_slice(a: LaurentSeries, valid_through: int) -> LaurentSeries:
@@ -192,8 +251,8 @@ def series_slice(a: LaurentSeries, valid_through: int) -> LaurentSeries:
             f"through z^{a.valid_through}"
         )
     if valid_through < a.ord:
-        return LaurentSeries(valid_through + 1, ())
-    return LaurentSeries(a.ord, a.coeffs[: valid_through - a.ord + 1])
+        return _make(valid_through + 1, (), 1)
+    return _make(a.ord, a.nums[: valid_through - a.ord + 1], a.den)
 
 
 def equal_on_window(a: LaurentSeries, b: LaurentSeries, min_overlap: int = 1) -> bool:
@@ -211,7 +270,9 @@ def equal_on_window(a: LaurentSeries, b: LaurentSeries, min_overlap: int = 1) ->
             f"only {max(hi - lo + 1, 0)} comparable exponents, "
             f"{min_overlap} required"
         )
-    return all(_get(a, n) == _get(b, n) for n in range(lo, hi + 1))
+    return all(
+        _num(a, n) * b.den == _num(b, n) * a.den for n in range(lo, hi + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

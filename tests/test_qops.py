@@ -119,3 +119,16 @@ def test_operator_route_realizes_qz():
     assert qchar_realization((1,), 10) == qz_series((1,), 10)
     assert qchar_realization((1, 1), 12) == qz_series((1, 1), 12)
     assert qchar_realization((0, 2), 10) == qz_series((0, 2), 10)
+
+
+def test_convolution_outputs_stay_fractions():
+    # int zeros in a Fraction convolution would turn into floats under J
+    outputs = [
+        li_J((2, 1, 3), 10),
+        qz_series((1, 2), 10),
+        qz_rational((2, 1), 10),
+        qchar_realization((1, 1), 8),
+        *mul_bivariate(y_bivariate(6, 6), op_Dq(y_bivariate(6, 6))).rows,
+    ]
+    for coeffs in outputs:
+        assert all(type(c) is Fr for c in coeffs)

@@ -1,12 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hopfmzv.errors import PrecisionExceeded
 from hopfmzv.realizations import x_series
 from hopfmzv.series import (
-    KERNEL_BACKEND,
     LaurentSeries,
     coefficient,
     constant,
@@ -154,15 +154,120 @@ def test_mul_distributes_over_add(a, b, c):
         assert equal_on_window(lhs, rhs)
 
 
-def test_kernel_backends_agree():
-    pytest.importorskip("hopfmzv._kernels")
-    from hopfmzv import _kernels, _kernels_py
-
-    a = tuple(Fr(i, 3) for i in range(-4, 8))
-    b = tuple(Fr(5 - i, 7) for i in range(10))
-    for n in (0, 1, 5, 12):
-        assert list(_kernels.convolve(a, b, n)) == list(_kernels_py.convolve(a, b, n))
+# -- plain-Fraction reference: (ord, list of Fractions), same window rules --
 
 
-def test_active_backend_is_reported():
-    assert KERNEL_BACKEND in ("compiled", "pure-python")
+def ref_vt(r):
+    return r[0] + len(r[1]) - 1
+
+
+def ref_get(r, n):
+    return Fr(0) if n < r[0] else r[1][n - r[0]]
+
+
+def ref_add(r, s):
+    vt, lo = min(ref_vt(r), ref_vt(s)), min(r[0], s[0])
+    if vt < lo:
+        return vt + 1, []
+    return lo, [ref_get(r, n) + ref_get(s, n) for n in range(lo, vt + 1)]
+
+
+def ref_mul(r, s):
+    lo = r[0] + s[0]
+    vt = min(ref_vt(r) + s[0], ref_vt(s) + r[0])
+    if vt < lo:
+        return vt + 1, []
+    return lo, [
+        sum((r[1][i] * s[1][m - i] for i in range(m + 1)), Fr(0))
+        for m in range(vt - lo + 1)
+    ]
+
+
+def ref_mask(r, keep):
+    return r[0], [c if keep(r[0] + i) else Fr(0) for i, c in enumerate(r[1])]
+
+
+def ref_slice(r, vt):
+    return (vt + 1, []) if vt < r[0] else (r[0], r[1][: vt - r[0] + 1])
+
+
+def assert_matches(s, r):
+    assert (s.ord, s.coeffs) == (r[0], tuple(r[1]))
+    for n in range(s.ord - 2, s.valid_through + 1):
+        assert coefficient(s, n) == ref_get(r, n)
+    with pytest.raises(PrecisionExceeded):
+        coefficient(s, s.valid_through + 1)
+
+
+# (ord, coefficients): the series under test and its reference are both built
+# from these, so the reference never reads the implementation's storage
+wide_series = st.tuples(
+    st.integers(min_value=-4, max_value=8),
+    st.lists(
+        st.one_of(
+            st.just(Fr(0)),
+            st.fractions(min_value=-50, max_value=50, max_denominator=60),
+        ),
+        max_size=7,
+    ),
+)
+scalars = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=12))
+
+
+@given(wide_series, wide_series, scalars, st.integers(-8, 12))
+@example((-2, [1, 2]), (3, [4, 5, 6]), Fr(1, 2), 0)  # b.ord past a's window
+@example((3, [4, 5, 6]), (-2, [1, 2]), 3, -5)  # a.ord past b's window
+@example((-3, [2, 0, 4, 6]), (0, []), 0, -3)  # empty window; scale by zero
+def test_operations_match_fraction_reference(ra, rb, c, vt):
+    ra, rb = (ra[0], [Fr(x) for x in ra[1]]), (rb[0], [Fr(x) for x in rb[1]])
+    a, b = LaurentSeries(*ra), LaurentSeries(*rb)
+    assert_matches(a, ra)
+    assert_matches(series_add(a, b), ref_add(ra, rb))
+    assert_matches(series_mul(a, b), ref_mul(ra, rb))
+    assert_matches(series_scale(a, c), (ra[0], [x * Fr(c) for x in ra[1]]))
+    assert_matches(
+        series_diff(a), (ra[0] - 1, [(ra[0] + i) * x for i, x in enumerate(ra[1])])
+    )
+    assert_matches(pole_part(a), ref_mask(ra, lambda n: n < 0))
+    assert_matches(regular_part(a), ref_mask(ra, lambda n: n >= 0))
+    if vt > a.valid_through:
+        with pytest.raises(PrecisionExceeded):
+            series_slice(a, vt)
+    else:
+        assert_matches(series_slice(a, vt), ref_slice(ra, vt))
+    hi, lo = min(ref_vt(ra), ref_vt(rb)), min(a.ord, b.ord)
+    if hi >= lo:
+        want = all(ref_get(ra, n) == ref_get(rb, n) for n in range(lo, hi + 1))
+        assert equal_on_window(a, b) == want
+    else:
+        with pytest.raises(PrecisionExceeded):
+            equal_on_window(a, b)
+
+
+def assert_canonical(s):
+    assert s.den > 0
+    assert gcd(s.den, *s.nums) == 1
+    assert all(type(x) is int for x in s.nums)
+    assert all(type(c) is Fraction for c in s.coeffs)
+    for n in range(s.ord - 1, s.valid_through + 1):
+        assert type(coefficient(s, n)) is Fraction
+
+
+@given(wide_series, wide_series, scalars, st.integers(-8, 12))
+def test_results_stay_canonical_fractions(ra, rb, c, vt):
+    a, b = LaurentSeries(*ra), LaurentSeries(*rb)
+    results = [
+        a,
+        series_add(a, b),
+        series_mul(a, b),
+        series_scale(a, c),
+        series_diff(a),
+        pole_part(a),
+        regular_part(a),
+        series_from_json(series_to_json(a)),
+        series_slice(a, min(vt, a.valid_through)),
+        monomial(-1, c, 3),
+        zero_series(vt),
+    ]
+    for s in results:
+        assert_canonical(s)
