@@ -11,8 +11,8 @@ t^m/m! gives the convolution recurrence
     sum_{j=0}^{N-1} binom(N, j) B_j = N        (N >= 1),
 
 which determines B_{N-1} from its predecessors.  Values are cached; the cache
-is the only shared mutable state in the package's numeric core and is guarded
-by a lock so concurrent character evaluations can share it.
+is the only shared mutable state in the package's numeric core and is held
+under a lock so concurrent character evaluations can share it.
 """
 
 from __future__ import annotations

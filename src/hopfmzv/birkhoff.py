@@ -17,7 +17,7 @@ character: lambda = 0 for phi (the polylogarithm limit), lambda = -1 for psi
 
 Renormalized values:
   * zeta_plus(k) reads the constant term of phi_plus at the word of
-    (-k_1, ..., -k_n); a window through z^1 suffices.
+    (-k_1, ..., -k_n), from a table whose rows end at z^0.
   * qzeta_plus(k) reads (-1)^{|k|} times the z^{|k|} coefficient of psi_plus
     (|k| = k_1 + ... + k_n, the cost of the (1-q)^{-|k|} rescaling before
     q -> 1); all lower coefficients must vanish, enforced here.
@@ -34,15 +34,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coproduct import reduced_coproduct
-from .errors import DepthOne, NonvanishingLowerTerm, PrecisionExceeded
-from .realizations import default_guard, phi, psi
+from .errors import DepthOne, NonvanishingLowerTerm
+from .realizations import phi, psi
 from .series import (
     LaurentSeries,
-    constant,
     pole_part,
     regular_part,
     series_add,
     series_mul,
+    series_pad,
     series_scale,
 )
 from .words import depth, indices_to_word
@@ -70,29 +70,48 @@ _KINDS = {
 class CharacterTable:
     """Memoized Birkhoff data (chi, chi_bar, chi_minus, chi_plus) per word.
 
-    Thread-safe: a single lock guards the memo, and the recursion only ever
-    descends to strictly shorter words, so re-entry terminates.
+    Every row is valid through exactly z^prec.  A counterterm
+    chi_minus(w) = -pi(chi_bar(w)) is an exact Laurent polynomial once
+    chi_bar(w) is known through z^-1, so each one is computed once at that
+    window and memoized; read further out, its coefficients are known zeros.
+    A bar term c * chi_minus(w') * chi(w'') is then valid through P when
+    chi(w'') is taken through P - ord(chi_minus(w')) and the counterterm is
+    padded to P - ord(chi(w'')).
+
+    Thread-safe: a single lock protects the memos, and the recursion only
+    ever descends to strictly shorter words, so re-entry terminates.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        *,
-        prec: int = 1,
-        lam: Fraction | None = None,
-        guard: int | None = None,
-    ):
+    def __init__(self, kind: str, *, prec: int = 1, lam: Fraction | None = None):
         if kind not in _KINDS:
             raise ValueError(f"unknown character kind {kind!r}")
         char, default_lam = _KINDS[kind]
         self.kind = kind
         self.prec = prec
         self.lam = default_lam if lam is None else Fraction(lam)
-        self.guard = default_guard() if guard is None else guard
         self._char = char
-        self._unit = constant(1, prec + self.guard + 32)
         self._memo: dict[str, tuple[LaurentSeries, ...]] = {}
+        self._minus: dict[str, LaurentSeries] = {}
         self._lock = threading.RLock()
+
+    def _bar(self, w: str, P: int) -> tuple[LaurentSeries, LaurentSeries]:
+        """chi(w) and chi_bar(w), both valid through exactly z^P."""
+        chi = self._char(w, P)
+        bar = chi
+        for (w1, w2), c in reduced_coproduct(w, self.lam).items():
+            minus1 = self._counterterm(w1)
+            chi2 = self._char(w2, P - minus1.ord)
+            term = series_mul(series_pad(minus1, P - chi2.ord), chi2)
+            bar = series_add(bar, series_scale(term, c))
+        return chi, bar
+
+    def _counterterm(self, w: str) -> LaurentSeries:
+        with self._lock:
+            minus = self._minus.get(w)
+            if minus is None:
+                bar = self._bar(w, -1)[1]
+                minus = self._minus[w] = series_scale(pole_part(bar), -1)
+            return minus
 
     def _entry(self, w: str) -> tuple[LaurentSeries, ...]:
         with self._lock:
@@ -100,18 +119,12 @@ class CharacterTable:
             if hit is not None:
                 return hit
             if w == "":
-                row = (self._unit, self._unit, self._unit, self._unit)
+                unit = self._char("", self.prec)
+                row = (unit, unit, unit, unit)
             else:
-                chi = self._char(w, self.prec, guard=self.guard)
-                bar = chi
-                for (w1, w2), c in reduced_coproduct(w, self.lam).items():
-                    minus1 = self._entry(w1)[2]
-                    bar = series_add(
-                        bar, series_scale(series_mul(minus1, self._char(w2, self.prec, guard=self.guard)), c)
-                    )
+                chi, bar = self._bar(w, self.prec)
                 minus = series_scale(pole_part(bar), -1)
-                plus = regular_part(bar)
-                row = (chi, bar, minus, plus)
+                row = (chi, bar, minus, regular_part(bar))
             self._memo[w] = row
             return row
 
@@ -156,26 +169,18 @@ def _validate_indices(k: tuple[int, ...]) -> tuple[int, ...]:
     return k
 
 
-def zeta_plus(k: tuple[int, ...], *, guard: int | None = None) -> RenormValue:
+def zeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized multiple zeta value at (-k_1, ..., -k_n).
 
     Constant term of phi_plus at the corresponding word.
     """
     k = _validate_indices(k)
-    w = indices_to_word(k)
-    g = default_guard() if guard is None else guard
-    last: PrecisionExceeded | None = None
-    for attempt_guard in (g, 2 * g, 4 * g):
-        try:
-            table = CharacterTable("phi", prec=1, guard=attempt_guard)
-            value = table.chi_plus(w).coefficient(0)
-            return RenormValue(k, value, "phi-constant-term")
-        except PrecisionExceeded as exc:  # pragma: no cover - generous plans
-            last = exc
-    raise last  # pragma: no cover
+    table = CharacterTable("phi", prec=0)
+    value = table.chi_plus(indices_to_word(k)).coefficient(0)
+    return RenormValue(k, value, "phi-constant-term")
 
 
-def qzeta_plus(k: tuple[int, ...], *, guard: int | None = None) -> RenormValue:
+def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized q-side value at (-k_1, ..., -k_n) after the q -> 1 limit.
 
     Reads (-1)^{|k|} [z^{|k|}] psi_plus; coefficients below z^{|k|} must
@@ -184,24 +189,16 @@ def qzeta_plus(k: tuple[int, ...], *, guard: int | None = None) -> RenormValue:
     k = _validate_indices(k)
     w = indices_to_word(k)
     weight_sum = sum(k)
-    g = default_guard() if guard is None else guard
-    last: PrecisionExceeded | None = None
-    for attempt_guard in (g, 2 * g, 4 * g):
-        try:
-            table = CharacterTable("psi", prec=weight_sum + 2, guard=attempt_guard)
-            plus = table.chi_plus(w)
-            for m in range(weight_sum):
-                c = plus.coefficient(m)
-                if c != 0:
-                    raise NonvanishingLowerTerm(
-                        f"psi_plus({w!r}) has z^{m} coefficient {c} != 0; "
-                        f"the q -> 1 limit does not exist at this vector"
-                    )
-            value = (-1) ** weight_sum * plus.coefficient(weight_sum)
-            return RenormValue(k, value, "psi-rescaled-limit")
-        except PrecisionExceeded as exc:  # pragma: no cover - generous plans
-            last = exc
-    raise last  # pragma: no cover
+    plus = CharacterTable("psi", prec=weight_sum).chi_plus(w)
+    for m in range(weight_sum):
+        c = plus.coefficient(m)
+        if c != 0:
+            raise NonvanishingLowerTerm(
+                f"psi_plus({w!r}) has z^{m} coefficient {c} != 0; "
+                f"the q -> 1 limit does not exist at this vector"
+            )
+    value = (-1) ** weight_sum * plus.coefficient(weight_sum)
+    return RenormValue(k, value, "psi-rescaled-limit")
 
 
 def zeta_plus_via_primitives(k: tuple[int, ...]) -> RenormValue:

@@ -9,7 +9,10 @@ and extended multiplicatively (componentwise concatenation of tensor legs)
 over a word; terms in which either leg ends in d are then dropped — that
 projection modulo the trailing-d ideal is the ground truth and makes the
 admissible words a coalgebra basis.  coproduct_recursive implements exactly
-this and is authoritative.
+this and is authoritative; it reads the word from the right, so each leg's
+last letter is the first it receives, and drops a leg that would end in d
+as soon as it takes that d.  At integral lambda (phi uses 0, psi uses -1) it
+counts in ints and converts only the kept coefficients to Fractions.
 
 coproduct_combinatorial is the verified second implementation: writing the
 word as w = d^{n_1 - 1} y ... d^{n_k - 1} y of weight n, with y at positions
@@ -64,30 +67,24 @@ def _canonical(acc: dict) -> tuple:
 
 @lru_cache(maxsize=None)
 def _coproduct_recursive(w: str, lam: Fraction) -> tuple:
-    pairs: dict = {("", ""): Fr(1)}
-    for ch in w:
-        if ch == "y":
-            branches = ((("y", ""), Fr(1)), (("", "y"), Fr(1)))
-        else:
-            branches = (
-                (("d", ""), Fr(1)),
-                (("", "d"), Fr(1)),
-                (("d", "d"), lam),
-            )
+    lam_c = lam.numerator if lam.denominator == 1 else lam  # int when integral
+    pairs: dict = {("", ""): 1}
+    for ch in reversed(w):  # legs grow leftwards; an empty leg takes no d
         nxt: dict = {}
         for (l, r), c in pairs.items():
-            for (dl, dr), b in branches:
-                if b == 0:
-                    continue
-                key = (l + dl, r + dr)
-                nxt[key] = nxt.get(key, Fr(0)) + c * b
+            if ch == "y":
+                grown = [("y" + l, r, c), (l, "y" + r, c)]
+            else:
+                grown = [("d" + l, r, c)] if l else []
+                if r:
+                    grown.append((l, "d" + r, c))
+                    if l and lam_c:
+                        grown.append(("d" + l, "d" + r, c * lam_c))
+            for gl, gr, gc in grown:
+                key = (gl, gr)
+                nxt[key] = nxt.get(key, 0) + gc
         pairs = nxt
-    acc = {
-        (l, r): c
-        for (l, r), c in pairs.items()
-        if is_admissible(l) and is_admissible(r)
-    }
-    return _canonical(acc)
+    return _canonical({key: Fr(c) for key, c in pairs.items()})
 
 
 def coproduct_recursive(w: str, lam) -> TensorSum:

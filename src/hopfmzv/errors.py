@@ -17,8 +17,9 @@ class LambdaZero(ValueError):
 class PrecisionExceeded(ArithmeticError):
     """A coefficient beyond a series' validity horizon was requested.
 
-    Signals that the precision planner must re-run with a larger window;
-    never returns a silently wrong value.
+    Raised instead of returning a silently wrong value.  The characters and
+    the Birkhoff tables plan their windows exactly, so from them it means a
+    broken invariant, not a window to widen and retry.
     """
 
 

@@ -15,10 +15,12 @@ z-side characters (exact Laurent series in the regulator z):
   the same double sum reorganized through the finite alternating-binomial
   constants C, with psi(w) = sum_m prod_i B_{m_i}/m_i! * C * z^{sum(m) - n}.
 
-Both characters go through a precision planner: a request for exponents
-through P on word w generates atoms valid through P + wt(w) + sum(k) + guard
-(guard defaults to 4, override with HOPFMZV_GUARD), and retries once with a
-doubled guard before surfacing PrecisionExceeded.
+Both characters are planned exactly.  An atom window through V holds V + 2
+coefficients from z^{-1}, and series_diff and series_mul keep that length,
+so a character's window ends at its order plus V + 1.  phi(w) has order
+-wt(w), so phi(w, P) builds its atoms through V = P + wt(w) - 1; psi(w) has
+order -dpt(w), so psi(w, P) needs V = P + dpt(w) - 1.  Either is valid
+through exactly P; anything else is a PrecisionExceeded bug, not a retry.
 
 t-side (one-variable polylogarithm realization): J divides the m-th
 coefficient by m, delta multiplies by m, J o delta = delta o J = Id on power
@@ -44,7 +46,6 @@ mero_depth1 / mero_depth2 are the closed-form continuation oracles
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,14 +67,14 @@ from .series import (
     series_diff,
     series_mul,
     series_scale,
+    zero_series,
 )
-from .words import is_admissible, weight, word_to_indices
+from .words import depth, is_admissible, weight, word_to_indices
 
 Fr = Fraction
 
 __all__ = [
     "BivariateSeries",
-    "default_guard",
     "eval_t_eq_q",
     "li_J",
     "li_nested",
@@ -86,7 +87,6 @@ __all__ = [
     "op_Pq",
     "op_delta",
     "phi",
-    "plan_valid_through",
     "psi",
     "psi_C",
     "psi_factor",
@@ -97,26 +97,6 @@ __all__ = [
     "y_bivariate",
     "y_powerseries",
 ]
-
-
-# ---------------------------------------------------------------------------
-# precision planning
-# ---------------------------------------------------------------------------
-
-
-def default_guard() -> int:
-    return int(os.environ.get("HOPFMZV_GUARD", "4"))
-
-
-def plan_valid_through(P: int, w: str, guard: int | None = None) -> int:
-    """Window for the atoms of a character evaluation targeting exponent P.
-
-    Pole order is bounded by wt(w), each derivative costs one exponent, and
-    the guard absorbs the slack of products against partially eroded factors.
-    """
-    g = default_guard() if guard is None else guard
-    ks = word_to_indices(w) if w else ()
-    return P + weight(w) + sum(ks) + g
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +121,24 @@ def x_series(valid_through: int) -> LaurentSeries:
     return series_scale(psi_factor(1, valid_through), -1)
 
 
+def _exact(name: str, w: str, P: int, s: LaurentSeries) -> LaurentSeries:
+    if s.valid_through != P:
+        raise PrecisionExceeded(
+            f"{name}({w!r}) came out valid through z^{s.valid_through}, "
+            f"planned z^{P}"
+        )
+    return s
+
+
 @lru_cache(maxsize=None)
-def _phi_planned(w: str, P: int, guard: int) -> LaurentSeries:
-    V = plan_valid_through(P, w, guard)
+def _phi_planned(w: str, P: int) -> LaurentSeries:
+    wt = weight(w)
+    if P < -wt:  # below the leading pole z^{-wt(w)}
+        return zero_series(P)
     if w == "":
-        return constant(1, V)
+        return constant(1, P)
     ks = word_to_indices(w)
-    x = x_series(V)
+    x = x_series(P + wt - 1)
     acc = x
     for _ in range(ks[-1]):
         acc = series_diff(acc)
@@ -158,28 +149,22 @@ def _phi_planned(w: str, P: int, guard: int) -> LaurentSeries:
     return acc
 
 
-def phi(w: str, P: int, *, guard: int | None = None) -> LaurentSeries:
-    """The polylogarithm-limit character, valid through exponent >= P."""
+def phi(w: str, P: int) -> LaurentSeries:
+    """The polylogarithm-limit character, valid through exactly z^P."""
     if not is_admissible(w):
         raise NotAdmissible(f"phi needs an admissible word, got {w!r}")
-    g = default_guard() if guard is None else guard
-    s = _phi_planned(w, P, g)
-    if s.valid_through < P:  # pragma: no cover - plan is generous at desk scale
-        s = _phi_planned(w, P, 2 * g + 4)
-        if s.valid_through < P:
-            raise PrecisionExceeded(
-                f"phi({w!r}) reached z^{s.valid_through} < requested z^{P}"
-            )
-    return s
+    return _exact("phi", w, P, _phi_planned(w, P))
 
 
 @lru_cache(maxsize=None)
-def _psi_planned(w: str, P: int, guard: int) -> LaurentSeries:
-    V = plan_valid_through(P, w, guard)
+def _psi_planned(w: str, P: int) -> LaurentSeries:
+    n = depth(w)
+    if P < -n:  # below the leading pole z^{-dpt(w)}
+        return zero_series(P)
     if w == "":
-        return constant(1, V)
+        return constant(1, P)
     ks = word_to_indices(w)
-    n = len(ks)
+    V = P + n - 1
     total: LaurentSeries | None = None
 
     def descend(j: int, lsum: int, coeff: Fraction, prod: LaurentSeries | None):
@@ -199,19 +184,11 @@ def _psi_planned(w: str, P: int, guard: int) -> LaurentSeries:
     return total
 
 
-def psi(w: str, P: int, *, guard: int | None = None) -> LaurentSeries:
-    """The modified q-value character at q = exp(z), valid through >= P."""
+def psi(w: str, P: int) -> LaurentSeries:
+    """The modified q-value character at q = exp(z), valid through exactly z^P."""
     if not is_admissible(w):
         raise NotAdmissible(f"psi needs an admissible word, got {w!r}")
-    g = default_guard() if guard is None else guard
-    s = _psi_planned(w, P, g)
-    if s.valid_through < P:  # pragma: no cover - plan is generous at desk scale
-        s = _psi_planned(w, P, 2 * g + 4)
-        if s.valid_through < P:
-            raise PrecisionExceeded(
-                f"psi({w!r}) reached z^{s.valid_through} < requested z^{P}"
-            )
-    return s
+    return _exact("psi", w, P, _psi_planned(w, P))
 
 
 def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:

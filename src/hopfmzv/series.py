@@ -57,6 +57,7 @@ __all__ = [
     "series_diff",
     "series_from_json",
     "series_mul",
+    "series_pad",
     "series_scale",
     "series_slice",
     "series_to_json",
@@ -253,6 +254,18 @@ def series_slice(a: LaurentSeries, valid_through: int) -> LaurentSeries:
     if valid_through < a.ord:
         return _make(valid_through + 1, (), 1)
     return _make(a.ord, a.nums[: valid_through - a.ord + 1], a.den)
+
+
+def series_pad(a: LaurentSeries, valid_through: int) -> LaurentSeries:
+    """a on the window through valid_through, reading zeros past a's window.
+
+    Only for a series whose terms past its window are known to vanish, such
+    as a counterterm (a pole part known through z^-1).
+    """
+    if valid_through <= a.valid_through:
+        return series_slice(a, valid_through)
+    pad = (0,) * (valid_through - a.valid_through)
+    return _make(a.ord, a.nums + pad, a.den)
 
 
 def equal_on_window(a: LaurentSeries, b: LaurentSeries, min_overlap: int = 1) -> bool:

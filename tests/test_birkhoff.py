@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfmzv.birkhoff import (
     CharacterTable,
@@ -15,8 +16,9 @@ from hopfmzv.birkhoff import (
     zeta_plus_via_primitives,
 )
 from hopfmzv.errors import DepthOne
+from hopfmzv.realizations import mero_depth2
 from hopfmzv.series import equal_on_window, series_add
-from hopfmzv.words import admissible_words
+from hopfmzv.words import admissible_words, depth, word_to_indices
 
 Fr = Fraction
 
@@ -65,6 +67,16 @@ def test_plus_part_is_pole_free():
     for w in ("dy", "ddy", "dydy", "dyddy"):
         plus = table.chi_plus(w)
         assert all(plus.coefficient(n) == 0 for n in range(plus.ord, 0)), w
+
+
+def test_rows_are_valid_through_prec():
+    for kind in ("phi", "psi"):
+        for prec in (1, 3):
+            table = CharacterTable(kind, prec=prec)
+            for w in admissible_words(7):
+                for name in ("chi", "chi_bar", "chi_minus", "chi_plus"):
+                    s = getattr(table, name)(w)
+                    assert s.valid_through >= prec, (kind, prec, w, name)
 
 
 def test_zeta_plus_literals():
@@ -133,3 +145,37 @@ def test_table_is_thread_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         for w, v in pool.map(probe, jobs):
             assert v == reference[w], w
+
+
+def test_depth_two_matches_the_closed_form_through_weight_25():
+    for total in range(1, 26, 2):
+        for a in range(total + 1):
+            k = (a, total - a)
+            assert zeta_plus(k).value == mero_depth2(*k), k
+
+
+def test_primitive_route_agrees_on_every_word_to_weight_8():
+    for w in admissible_words(8):
+        if depth(w) >= 2:
+            k = word_to_indices(w)
+            assert zeta_plus(k).value == zeta_plus_via_primitives(k).value, w
+
+
+@st.composite
+def _vectors(draw, max_weight=12):
+    """Index vectors of depth 2-4 whose word has weight <= max_weight."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    budget = max_weight - n
+    k = []
+    for _ in range(n):
+        k.append(draw(st.integers(min_value=0, max_value=budget)))
+        budget -= k[-1]
+    return tuple(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vectors())
+def test_three_routes_agree(k):
+    value = zeta_plus(k).value
+    assert qzeta_plus(k).value == value
+    assert zeta_plus_via_primitives(k).value == value

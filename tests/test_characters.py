@@ -10,13 +10,13 @@ from hopfmzv.realizations import (
     mero_depth1,
     mero_depth2,
     phi,
-    plan_valid_through,
     psi,
     psi_C,
     psi_factor,
     x_series,
 )
 from hopfmzv.series import equal_on_window, series_from_json, series_mul, series_slice
+from hopfmzv.words import admissible_words
 
 Fr = Fraction
 
@@ -106,10 +106,12 @@ def test_requested_window_is_honoured():
         s.coefficient(s.valid_through + 1)
 
 
-def test_plan_grows_with_weight_and_indices():
-    assert plan_valid_through(1, "y", 0) == 1 + 1 + 0
-    assert plan_valid_through(2, "ddydy", 0) == 2 + 5 + 3
-    assert plan_valid_through(2, "ddydy", 4) == 2 + 5 + 3 + 4
+def test_plan_is_exact():
+    words = list(admissible_words(8, include_empty=True))
+    for P in (-1, 0, 3, 14):
+        for w in words:
+            assert phi(w, P).valid_through == P, (w, P)
+            assert psi(w, P).valid_through == P, (w, P)
 
 
 def test_depth1_closed_form():

@@ -141,6 +141,14 @@ def test_birkhoff_block():
     ]
 
 
+def test_birkhoff_rows_reach_the_requested_window():
+    r = run_cli("birkhoff", "dyddydy", "--kind", "phi", "--prec", "3")
+    assert r.returncode == 0, r.stderr
+    plus = [ln for ln in r.stdout.splitlines() if ln.startswith("chi_plus")]
+    assert plus[0].startswith("chi_plus  = 1/576 ")  # zeta_plus((1, 2, 1))
+    assert plus[0].endswith("+ O(z^4)")
+
+
 def test_verify_suite_runs_clean():
     r = run_cli("verify", "--suite", "rota-baxter")
     assert r.returncode == 0

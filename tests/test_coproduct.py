@@ -123,4 +123,6 @@ def test_inadmissible_words_rejected():
 )
 def test_recursive_equals_combinatorial(k, lam):
     w = indices_to_word(k)
-    assert coproduct_recursive(w, lam) == coproduct_combinatorial(w, lam)
+    recursive = coproduct_recursive(w, lam)
+    assert recursive == coproduct_combinatorial(w, lam)
+    assert all(type(c) is Fraction for c in recursive.values())
