@@ -52,9 +52,6 @@ Fr = Fraction
 __all__ = [
     "CharacterTable",
     "RenormValue",
-    "birkhoff_minus",
-    "birkhoff_plus",
-    "bogoliubov_bar",
     "qzeta_plus",
     "zeta_plus",
     "zeta_plus_via_primitives",
@@ -139,18 +136,6 @@ class CharacterTable:
 
     def chi_plus(self, w: str) -> LaurentSeries:
         return self._entry(w)[3]
-
-
-def bogoliubov_bar(table: CharacterTable, w: str) -> LaurentSeries:
-    return table.chi_bar(w)
-
-
-def birkhoff_minus(table: CharacterTable, w: str) -> LaurentSeries:
-    return table.chi_minus(w)
-
-
-def birkhoff_plus(table: CharacterTable, w: str) -> LaurentSeries:
-    return table.chi_plus(w)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .errors import (
     PrecisionExceeded,
     TruncationMismatch,
 )
-from .rationals import rat_from_str, rat_to_str
 from .realizations import li_J, phi, psi, qz_series
 from .series import LaurentSeries, series_slice, series_to_json
 from .shuffle import shuffle_lambda, shuffle_zero
@@ -81,11 +80,11 @@ def _format_terms(pairs) -> str:
     for i, (label, c) in enumerate(pairs):
         mag = abs(c)
         if not label:
-            body = rat_to_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = label
         else:
-            body = f"{rat_to_str(mag)}*{label}"
+            body = f"{mag}*{label}"
         if i == 0:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -120,13 +119,13 @@ def _powerseries_json(coeffs, var: str) -> dict:
     return {
         "var": var,
         "trunc": len(coeffs) - 1,
-        "coeffs": [rat_to_str(c) for c in coeffs],
+        "coeffs": [str(c) for c in coeffs],
     }
 
 
 def _print_tensorsum(t: dict) -> None:
     for (l, r), c in sorted(t.items(), key=lambda kv: (word_key(kv[0][0]), word_key(kv[0][1]))):
-        print(f"{rat_to_str(c)}  {l or 'e'} (x) {r or 'e'}")
+        print(f"{c}  {l or 'e'} (x) {r or 'e'}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
 
 def _cmd_zeta_plus(args) -> int:
     k = tuple(-a for a in args.args)
-    print(rat_to_str(zeta_plus(k).value))
+    print(zeta_plus(k).value)
     return 0
 
 
@@ -186,7 +185,7 @@ def _load_table_reference(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     entries = json.loads(text)
-    return {tuple(e["k"]): rat_from_str(e["value"]) for e in entries}
+    return {tuple(e["k"]): Fraction(e["value"]) for e in entries}
 
 
 def _cmd_table(args) -> int:
@@ -197,14 +196,14 @@ def _cmd_table(args) -> int:
             "depth": args.depth,
             "max_k": args.max_k,
             "entries": [
-                {"k": list(k), "value": rat_to_str(v)} for k, v in computed
+                {"k": list(k), "value": str(v)} for k, v in computed
             ],
         }
         print(json.dumps(payload, indent=2))
     if args.check is None:
         if not args.json:
             for k, v in computed:
-                print(f"k={k}  {rat_to_str(v)}")
+                print(f"k={k}  {v}")
         return 0
     reference = _load_table_reference(args.check)
     failures = 0
@@ -212,12 +211,12 @@ def _cmd_table(args) -> int:
         ref = reference.get(k)
         if ref is None:
             failures += 1
-            print(f"FAIL k={k}  computed {rat_to_str(v)}, missing from reference")
+            print(f"FAIL k={k}  computed {v}, missing from reference")
         elif ref != v:
             failures += 1
-            print(f"FAIL k={k}  computed {rat_to_str(v)}, reference {rat_to_str(ref)}")
+            print(f"FAIL k={k}  computed {v}, reference {ref}")
         else:
-            print(f"PASS k={k}  {rat_to_str(v)}")
+            print(f"PASS k={k}  {v}")
     total = len(computed)
     print(f"checked {total} entries: {total - failures} pass, {failures} fail")
     return 1 if failures else 0

@@ -37,7 +37,6 @@ series-valued maps over the full coproduct.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import NotAdmissible
@@ -45,6 +44,7 @@ from .series import LaurentSeries, series_add, series_mul, series_scale
 from .words import (
     TensorSum,
     is_admissible,
+    memo,
     word_key,
     word_to_indices,
 )
@@ -65,7 +65,7 @@ def _canonical(acc: dict) -> tuple:
     return tuple(((l, r), acc[(l, r)]) for l, r in ordered if acc[(l, r)] != 0)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _coproduct_recursive(w: str, lam: Fraction) -> tuple:
     lam_c = lam.numerator if lam.denominator == 1 else lam  # int when integral
     pairs: dict = {("", ""): 1}
@@ -94,7 +94,7 @@ def coproduct_recursive(w: str, lam) -> TensorSum:
     return dict(_coproduct_recursive(w, Fr(lam)))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _coproduct_combinatorial(w: str, lam: Fraction) -> tuple:
     n = len(w)
     ypos = {i + 1 for i, ch in enumerate(w) if ch == "y"}

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .bernoulli import bernoulli
@@ -69,7 +68,7 @@ from .series import (
     series_scale,
     zero_series,
 )
-from .words import depth, is_admissible, weight, word_to_indices
+from .words import depth, is_admissible, memo, weight, word_to_indices
 
 Fr = Fraction
 
@@ -104,7 +103,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def psi_factor(level: int, valid_through: int) -> LaurentSeries:
     """f(level * z) with f(u) = sum_{m>=0} B_m/m! u^{m-1}; residue 1/level."""
     if level < 1:
@@ -130,7 +129,7 @@ def _exact(name: str, w: str, P: int, s: LaurentSeries) -> LaurentSeries:
     return s
 
 
-@lru_cache(maxsize=None)
+@memo
 def _phi_planned(w: str, P: int) -> LaurentSeries:
     wt = weight(w)
     if P < -wt:  # below the leading pole z^{-wt(w)}
@@ -156,7 +155,7 @@ def phi(w: str, P: int) -> LaurentSeries:
     return _exact("phi", w, P, _phi_planned(w, P))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _psi_planned(w: str, P: int) -> LaurentSeries:
     n = depth(w)
     if P < -n:  # below the leading pole z^{-dpt(w)}

@@ -1,19 +1,23 @@
-"""Shuffle products on words.
+"""Shuffle products on words: one recursion, three d-rules.
 
-Three products live here.
+Every product here is the same word recursion, memoized once in _shuffle:
 
-shuffle_lambda — the deformed shuffle for lambda != 0:
     (P1)  e is the unit;
     (P2)  yu x v = u x yv = y(u x v)         (pull a leading y out front);
-    (P3)  du x dv = (1/lambda)[d(u x v) - du x v - u x dv].
-Every P3 branch strictly decreases total length, so the recursion terminates;
-results are memoized on (u, v, lambda).  The raw result lives in the free
-algebra on {d, y}; project=True additionally drops words ending in d, i.e.
-lands in the admissible-word basis.
 
-shuffle_zero — the lambda = 0 product on representatives.  Rule (P2) is
-unchanged; when both words start with d the naive rule does not shrink, so
-the left word is written d^k y w (k >= 1) and expanded by the iterated form
+and when neither word starts with y, a rule expands u x v into terms
+(prefix, left, right, coeff), meaning the sum of coeff * prefix(left x right).
+The three rules:
+
+_lam_rule — the deformed shuffle for lambda != 0 (shuffle_lambda):
+    (P3)  du x dv = (1/lambda)[d(u x v) - du x v - u x dv].
+Every P3 branch strictly decreases total length, so the recursion terminates.
+The raw result lives in the free algebra on {d, y}; project=True additionally
+drops words ending in d, i.e. lands in the admissible-word basis.
+
+_zero_rule — the lambda = 0 product on representatives (shuffle_zero).  When
+both words start with d the naive rule does not shrink, so the left word is
+written d^k y w (k >= 1) and expanded by the iterated form
 
     d^k y w x dv = d( sum_{i=0}^{k-1} (-1)^i [d^{k-1-i} y w x d^{i+1} v] )
                    + (-1)^k y(w x d^{k+1} v),
@@ -25,9 +29,10 @@ d(u x v) - du x v - u x dv.  Semantic equality at lambda = 0 is therefore
 certified through the character realization (see the birkhoff verify suite),
 never asserted on representatives.
 
-ordinary_shuffle / sho_positive / phi_iso — the positive-sector comparison:
-the textbook shuffle on binary words (letters '0', '1'), the {j, y}-product
-given by (i) y-pull and (ii) ju x jv = j(u x jv) + j(ju x v), and the
+_interleave — u_0(u' x v) + v_0(u x v'), for the positive-sector comparison:
+ordinary_shuffle is the textbook shuffle on binary words (letters '0' and
+'1', so the y-pull never fires), sho_positive the {j, y}-product given by
+(i) y-pull and (ii) ju x jv = j(u x jv) + j(ju x v), and phi_iso the
 isomorphism 0^{a_1} 1 ... 0^{a_n} 1 |-> j^{a_1+1} y ... j^{a_n+1} y between
 them.
 """
@@ -35,10 +40,9 @@ them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import LambdaZero
-from .words import WordSum, project_T, word_key, ws_add
+from .words import WordSum, memo, project_T, word_key, ws_add
 
 Fr = Fraction
 
@@ -51,36 +55,50 @@ __all__ = [
 ]
 
 
-def _canonical(acc: dict) -> tuple:
-    return tuple((w, acc[w]) for w in sorted(acc, key=word_key) if acc[w] != 0)
-
-
-def _bump(acc: dict, w: str, c: Fraction) -> None:
-    acc[w] = acc.get(w, Fr(0)) + c
-
-
-@lru_cache(maxsize=None)
-def _shuffle_lambda(u: str, v: str, lam: Fraction) -> tuple:
+# Callers pass all four arguments positionally: lru_cache keys
+# _shuffle(u, v, rule) and _shuffle(u, v, rule, None) as different entries.
+@memo
+def _shuffle(u: str, v: str, rule, lam) -> tuple:
     if not u:
         return ((v, Fr(1)),)
     if not v:
         return ((u, Fr(1)),)
-    acc: dict = {}
     if u[0] == "y":
-        for w, c in _shuffle_lambda(u[1:], v, lam):
-            _bump(acc, "y" + w, c)
+        terms = (("y", u[1:], v, 1),)
     elif v[0] == "y":
-        for w, c in _shuffle_lambda(u, v[1:], lam):
-            _bump(acc, "y" + w, c)
-    else:  # both start with d
-        inv = 1 / lam
-        for w, c in _shuffle_lambda(u[1:], v[1:], lam):
-            _bump(acc, "d" + w, c * inv)
-        for w, c in _shuffle_lambda(u, v[1:], lam):
-            _bump(acc, w, -c * inv)
-        for w, c in _shuffle_lambda(u[1:], v, lam):
-            _bump(acc, w, -c * inv)
-    return _canonical(acc)
+        terms = (("y", u, v[1:], 1),)
+    else:
+        terms = rule(u, v, lam)
+    acc: dict = {}
+    for prefix, left, right, coeff in terms:
+        for w, c in _shuffle(left, right, rule, lam):
+            w = prefix + w
+            # most terms carry coeff 1: skip a Fraction product for each of them
+            acc[w] = acc.get(w, Fr(0)) + (c if coeff == 1 else coeff * c)
+    return tuple((w, acc[w]) for w in sorted(acc, key=word_key) if acc[w] != 0)
+
+
+def _lam_rule(u: str, v: str, lam: Fraction) -> tuple:
+    inv = 1 / lam
+    return (("d", u[1:], v[1:], inv), ("", u, v[1:], -inv), ("", u[1:], v, -inv))
+
+
+def _zero_rule(u: str, v: str, lam: None) -> tuple:
+    if "y" not in u:
+        return ()  # pure d-power annihilates against a d-initial word
+    k = u.index("y")
+    w_tail = u[k + 1 :]  # u == d^k y w_tail
+    v_tail = v[1:]  # v == d v_tail
+    terms = [
+        ("d", "d" * (k - 1 - i) + "y" + w_tail, "d" * (i + 1) + v_tail, (-1) ** i)
+        for i in range(k)
+    ]
+    terms.append(("y", w_tail, "d" * (k + 1) + v_tail, (-1) ** k))
+    return tuple(terms)
+
+
+def _interleave(u: str, v: str, lam: None) -> tuple:
+    return ((u[0], u[1:], v, 1), (v[0], u, v[1:], 1))
 
 
 def shuffle_lambda(u: str, v: str, lam, *, project: bool = False) -> WordSum:
@@ -88,92 +106,26 @@ def shuffle_lambda(u: str, v: str, lam, *, project: bool = False) -> WordSum:
     lam = Fr(lam)
     if lam == 0:
         raise LambdaZero("the deformed shuffle divides by lambda; use shuffle_zero")
-    out = dict(_shuffle_lambda(u, v, lam))
+    out = dict(_shuffle(u, v, _lam_rule, lam))
     return project_T(out) if project else out
-
-
-@lru_cache(maxsize=None)
-def _shuffle_zero(u: str, v: str) -> tuple:
-    if not u:
-        return ((v, Fr(1)),)
-    if not v:
-        return ((u, Fr(1)),)
-    acc: dict = {}
-    if u[0] == "y":
-        for w, c in _shuffle_zero(u[1:], v):
-            _bump(acc, "y" + w, c)
-    elif v[0] == "y":
-        for w, c in _shuffle_zero(u, v[1:]):
-            _bump(acc, "y" + w, c)
-    else:  # both start with d
-        if "y" not in u:
-            return ()  # pure d-power annihilates against a d-initial word
-        k = 0
-        while u[k] == "d":
-            k += 1
-        w_tail = u[k + 1 :]  # u == d^k y w_tail
-        v_tail = v[1:]  # v == d v_tail
-        for i in range(k):
-            sign = Fr(-1) ** i
-            left = "d" * (k - 1 - i) + "y" + w_tail
-            right = "d" * (i + 1) + v_tail
-            for t, c in _shuffle_zero(left, right):
-                _bump(acc, "d" + t, sign * c)
-        sign = Fr(-1) ** k
-        for t, c in _shuffle_zero(w_tail, "d" * (k + 1) + v_tail):
-            _bump(acc, "y" + t, sign * c)
-    return _canonical(acc)
 
 
 def shuffle_zero(u: str, v: str, *, project: bool = False) -> WordSum:
     """lambda = 0 product on representatives (see module docstring)."""
-    out = dict(_shuffle_zero(u, v))
+    out = dict(_shuffle(u, v, _zero_rule, None))
     return project_T(out) if project else out
-
-
-@lru_cache(maxsize=None)
-def _ordinary(u: str, v: str) -> tuple:
-    if not u:
-        return ((v, Fr(1)),)
-    if not v:
-        return ((u, Fr(1)),)
-    acc: dict = {}
-    for w, c in _ordinary(u[1:], v):
-        _bump(acc, u[0] + w, c)
-    for w, c in _ordinary(u, v[1:]):
-        _bump(acc, v[0] + w, c)
-    return _canonical(acc)
 
 
 def ordinary_shuffle(u: str, v: str) -> WordSum:
     """Textbook shuffle product; letters are '0' and '1'."""
-    return dict(_ordinary(u, v))
-
-
-@lru_cache(maxsize=None)
-def _sho_positive(u: str, v: str) -> tuple:
-    if not u:
-        return ((v, Fr(1)),)
-    if not v:
-        return ((u, Fr(1)),)
-    acc: dict = {}
-    if u[0] == "y":
-        for w, c in _sho_positive(u[1:], v):
-            _bump(acc, "y" + w, c)
-    elif v[0] == "y":
-        for w, c in _sho_positive(u, v[1:]):
-            _bump(acc, "y" + w, c)
-    else:  # both start with j
-        for w, c in _sho_positive(u, v[1:]):
-            _bump(acc, "j" + w, c)
-        for w, c in _sho_positive(u[1:], v):
-            _bump(acc, "j" + w, c)
-    return _canonical(acc)
+    if any(ch not in "01" for ch in u + v):
+        raise ValueError(f"{u!r} x {v!r}: ordinary_shuffle takes binary words")
+    return dict(_shuffle(u, v, _interleave, None))
 
 
 def sho_positive(u: str, v: str) -> WordSum:
     """Product on {j, y}-words by y-pull and ju x jv = j(u x jv) + j(ju x v)."""
-    return dict(_sho_positive(u, v))
+    return dict(_shuffle(u, v, _interleave, None))
 
 
 def phi_iso(w: str) -> str:

@@ -16,6 +16,7 @@ first, then letterwise with d < y — which plain (len(w), w) delivers since
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -26,13 +27,19 @@ Fr = Fraction
 WordSum = dict  # word -> Fraction
 TensorSum = dict  # (word, word) -> Fraction
 
+# Every process-wide memo (products, coproducts, characters) is declared with
+# @memo, so each keeps at most MEMO_ENTRIES results however long the process
+# lives.  The bound is above every per-process count the benchmark workloads
+# reach, so none of them evicts.
+MEMO_ENTRIES = 1 << 14
+memo = lru_cache(maxsize=MEMO_ENTRIES)
+
 __all__ = [
     "admissible_words",
     "depth",
     "indices_to_word",
     "is_admissible",
     "parse_word",
-    "prepend",
     "project_T",
     "tensorsum_from_json",
     "tensorsum_to_json",
@@ -90,10 +97,6 @@ def word_to_indices(w: str) -> tuple[int, ...]:
 def project_T(s: WordSum) -> WordSum:
     """Drop every word ending in d (projection modulo the trailing-d ideal)."""
     return {w: c for w, c in s.items() if is_admissible(w)}
-
-
-def prepend(letter: str, s: WordSum) -> WordSum:
-    return {letter + w: c for w, c in s.items()}
 
 
 def ws_add(*sums: WordSum) -> WordSum:

@@ -47,6 +47,18 @@ def test_degenerate_product_worked_examples():
     assert shuffle_zero("y", "ddy") == {"yddy": Fr(1)}
     assert shuffle_zero("dy", "dy") == {"dydy": Fr(1), "yddy": Fr(-1)}
     assert shuffle_zero("dy", "ddy") == {"dyddy": Fr(1), "ydddy": Fr(-1)}
+    # the iterated branch with k >= 2 on the left
+    assert shuffle_zero("ddy", "dy") == {
+        "ddydy": Fr(1),
+        "dyddy": Fr(-2),
+        "ydddy": Fr(1),
+    }
+    assert shuffle_zero("dddy", "ddy") == {
+        "dddyddy": Fr(1),
+        "ddydddy": Fr(-3),
+        "dyddddy": Fr(3),
+        "ydddddy": Fr(-1),
+    }
 
 
 def test_degenerate_product_annihilates_pure_d():
@@ -75,6 +87,8 @@ def test_ordinary_shuffle_counts():
     assert ordinary_shuffle("01", "1") == {"011": Fr(2), "101": Fr(1)}
     # |shuffle of disjoint-ish words| adds up to binom(4, 2) = 6 terms
     assert sum(ordinary_shuffle("01", "01").values()) == 6
+    with pytest.raises(ValueError):
+        ordinary_shuffle("1", "y")  # y would be pulled, not interleaved
 
 
 def test_phi_iso_block_encoding():

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hopfmzv import coproduct, realizations, shuffle
 from hopfmzv.errors import NotAdmissible
 from hopfmzv.words import (
+    MEMO_ENTRIES,
     admissible_words,
     depth,
     indices_to_word,
@@ -83,3 +85,22 @@ def test_wordsum_json_round_trip():
     words = [t["word"] for t in obj["terms"]]
     assert words == sorted(words, key=word_key)
     assert wordsum_from_json(obj) == s
+
+
+def test_every_process_wide_memo_is_bounded():
+    caches = {
+        name: fn
+        for mod in (realizations, shuffle, coproduct)
+        for name, fn in vars(mod).items()
+        if hasattr(fn, "cache_info")
+    }
+    assert set(caches) == {
+        "psi_factor",
+        "_phi_planned",
+        "_psi_planned",
+        "_shuffle",
+        "_coproduct_recursive",
+        "_coproduct_combinatorial",
+    }
+    for name, fn in caches.items():
+        assert fn.cache_info().maxsize == MEMO_ENTRIES, name
