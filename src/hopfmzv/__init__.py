@@ -32,6 +32,7 @@ from .errors import (
 from .realizations import mero_depth1, mero_depth2, phi, psi
 from .series import LaurentSeries
 from .shuffle import shuffle_lambda, shuffle_zero
+from .words import clear_caches
 
 __version__ = "0.1.0"
 
@@ -49,6 +50,7 @@ __all__ = [
     "TruncationMismatch",
     "__version__",
     "bernoulli",
+    "clear_caches",
     "coproduct_combinatorial",
     "coproduct_recursive",
     "mero_depth1",

@@ -11,8 +11,7 @@ projection modulo the trailing-d ideal is the ground truth and makes the
 admissible words a coalgebra basis.  coproduct_recursive implements exactly
 this and is authoritative; it reads the word from the right, so each leg's
 last letter is the first it receives, and drops a leg that would end in d
-as soon as it takes that d.  At integral lambda (phi uses 0, psi uses -1) it
-counts in ints and converts only the kept coefficients to Fractions.
+as soon as it takes that d.
 
 coproduct_combinatorial is the verified second implementation: writing the
 word as w = d^{n_1 - 1} y ... d^{n_k - 1} y of weight n, with y at positions
@@ -25,6 +24,10 @@ over nonempty J contained in S, avoiding the y positions, with
 max(J) < n_1 + ... + n_{k-1} — and an explicit admissibility filter on the
 augmented right leg (the doubled d-positions of J can otherwise leave it
 ending in d).  The two constructions are asserted equal in the verify suite.
+
+Both routes count in ints at integral lambda (phi uses 0, psi uses -1, the
+verify suite also 3), in Fractions otherwise, and convert the kept
+coefficients to Fractions once, at the end.
 
 reduced_coproduct strips the two group-like terms e (x) w and w (x) e; every
 remaining leg is nonempty admissible with depth between 1 and dpt(w) - 1,
@@ -96,6 +99,7 @@ def coproduct_recursive(w: str, lam) -> TensorSum:
 
 @memo
 def _coproduct_combinatorial(w: str, lam: Fraction) -> tuple:
+    lam_c = lam.numerator if lam.denominator == 1 else lam  # int when integral
     n = len(w)
     ypos = {i + 1 for i, ch in enumerate(w) if ch == "y"}
     blocks = word_to_indices(w) if w else ()
@@ -118,8 +122,8 @@ def _coproduct_combinatorial(w: str, lam: Fraction) -> tuple:
             if not is_admissible(right):
                 continue
             key = (left, right)
-            acc[key] = acc.get(key, Fr(0)) + 1
-            if lam == 0:
+            acc[key] = acc.get(key, 0) + 1
+            if lam_c == 0:
                 continue
             j_candidates = [p for p in S if p not in ypos and p <= threshold - 1]
             for jsize in range(1, len(j_candidates) + 1):
@@ -129,8 +133,8 @@ def _coproduct_combinatorial(w: str, lam: Fraction) -> tuple:
                     if not is_admissible(aug_right):
                         continue
                     key = (left, aug_right)
-                    acc[key] = acc.get(key, Fr(0)) + lam**jsize
-    return _canonical(acc)
+                    acc[key] = acc.get(key, 0) + lam_c**jsize
+    return _canonical({key: Fr(c) for key, c in acc.items()})
 
 
 def coproduct_combinatorial(w: str, lam) -> TensorSum:

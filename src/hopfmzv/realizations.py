@@ -30,7 +30,11 @@ sum_{m>=1} t^m, li_nested is the brute-force nested sum oracle.
 q-side: bivariate truncations of t*Q[[t, q]] with the dilation E_q
 (t^a q^b -> t^a q^{a+b}), the difference D_q = Id - E_q, and its inverse
 P_q (rowwise multiplication by 1/(1 - q^a)), a Rota-Baxter operator of
-weight -1.  qz_series sums the modified nested q-value
+weight -1.  The modified q-values below have integer coefficients, and
+qz_series and qz_rational compute them in ints throughout; mul_bivariate,
+like the t-side product _ps_mul, convolves integer numerators over one
+common denominator.  All of them return Fractions.  qz_series sums the
+modified nested q-value
 
     sum_{m_1 > ... > m_n > 0} q^{m_1} (1-q^{m_1})^{k_1} ... (1-q^{m_n})^{k_n}
 
@@ -62,6 +66,7 @@ from .series import (
     LaurentSeries,
     constant,
     convolve,
+    numerators_over_lcm,
     series_add,
     series_diff,
     series_mul,
@@ -220,6 +225,7 @@ def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:
 # t-side: power series in t, J and delta, polylogarithms
 # ---------------------------------------------------------------------------
 # A power series truncated at t^T is a tuple of T+1 Fractions (index = power).
+# Products go through integer numerators over one common denominator.
 
 
 def y_powerseries(T: int) -> tuple[Fraction, ...]:
@@ -243,7 +249,10 @@ def op_delta(s: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 def _ps_mul(a, b):
     n = len(a)
-    return tuple(convolve(a, b, n, [Fr(0)] * n))
+    na, da = numerators_over_lcm(a)
+    nb, db = numerators_over_lcm(b)
+    d = da * db
+    return tuple(Fr(x, d) for x in convolve(na, nb, n))
 
 
 def li_J(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
@@ -346,15 +355,24 @@ def op_Pq(s: BivariateSeries) -> BivariateSeries:
     return BivariateSeries(tuple(rows))
 
 
+def _int_rows(s: BivariateSeries, A: int, Q: int) -> tuple[list[list[int]], int]:
+    """Rows 1..A through q^Q as integer numerators over one denominator."""
+    flat, den = numerators_over_lcm([c for row in s.rows[:A] for c in row[: Q + 1]])
+    return [flat[i : i + Q + 1] for i in range(0, len(flat), Q + 1)], den
+
+
 def mul_bivariate(s1: BivariateSeries, s2: BivariateSeries) -> BivariateSeries:
     A = min(s1.t_truncation, s2.t_truncation)
     Q = min(s1.q_truncation, s2.q_truncation)
-    rows = [[Fr(0)] * (Q + 1) for _ in range(A)]
+    rows1, d1 = _int_rows(s1, A, Q)
+    rows2, d2 = _int_rows(s2, A, Q)
+    rows = [[0] * (Q + 1) for _ in range(A)]
     for a1 in range(1, A):  # a1 + a2 <= A with a2 >= 1
-        r1 = s1.rows[a1 - 1]
+        r1 = rows1[a1 - 1]
         for a2 in range(1, A - a1 + 1):
-            convolve(r1, s2.rows[a2 - 1], Q + 1, rows[a1 + a2 - 1])
-    return BivariateSeries(tuple(tuple(r) for r in rows))
+            convolve(r1, rows2[a2 - 1], Q + 1, rows[a1 + a2 - 1])
+    d = d1 * d2
+    return BivariateSeries(tuple(tuple(Fr(x, d) for x in r) for r in rows))
 
 
 def eval_t_eq_q(s: BivariateSeries) -> tuple[Fraction, ...]:
@@ -389,10 +407,6 @@ def qchar_realization(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
     return eval_t_eq_q(acc)
 
 
-def _qpoly_mul(a, b, Q):
-    return convolve(a, b, Q + 1, [Fr(0)] * (Q + 1))
-
-
 def qz_series(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
     """Modified nested q-sum at arguments (-k_1, ..., -k_n), to q^Q.
 
@@ -403,34 +417,33 @@ def qz_series(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
         raise ValueError("index vector must have length >= 1")
     n = len(k)
 
-    def binom_poly(m: int, e: int):
+    def binom_poly(m: int, e: int) -> list[int]:
         # (1 - q^m)^e truncated at Q
-        out = [Fr(0)] * (Q + 1)
+        out = [0] * (Q + 1)
         for i in range(e + 1):
             if i * m > Q:
                 break
-            out[i * m] = Fr(comb(e, i) * (-1) ** i)
+            out[i * m] = comb(e, i) * (-1) ** i
         return out
 
     # layer[m] = sum over admissible (m_j, ..., m_n) with m_j = m
-    layer = [binom_poly(m, k[n - 1]) if m else [Fr(0)] * (Q + 1) for m in range(Q + 1)]
+    layer = [binom_poly(m, k[n - 1]) if m else [0] * (Q + 1) for m in range(Q + 1)]
     for j in range(n - 2, -1, -1):
-        partial = [[Fr(0)] * (Q + 1) for _ in range(Q + 1)]
-        run = [Fr(0)] * (Q + 1)
+        partial = [[0] * (Q + 1) for _ in range(Q + 1)]
+        run = [0] * (Q + 1)
         for m in range(1, Q + 1):
-            partial[m] = list(run)
+            partial[m] = run
             run = [x + y for x, y in zip(run, layer[m])]
         layer = [
-            _qpoly_mul(binom_poly(m, k[j]), partial[m], Q) if m else [Fr(0)] * (Q + 1)
+            convolve(binom_poly(m, k[j]), partial[m], Q + 1) if m else [0] * (Q + 1)
             for m in range(Q + 1)
         ]
-    total = [Fr(0)] * (Q + 1)
+    total = [0] * (Q + 1)
     for m in range(1, Q + 1):
         row = layer[m]
         for b in range(Q + 1 - m):
-            if row[b]:
-                total[m + b] += row[b]  # the outer factor q^{m_1}
-    return tuple(total)
+            total[m + b] += row[b]  # the outer factor q^{m_1}
+    return tuple(Fr(x) for x in total)
 
 
 def qz_rational(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
@@ -444,29 +457,27 @@ def qz_rational(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
         raise ValueError("index vector must have length >= 1")
     n = len(k)
 
-    def geom_factor(L: int):
-        out = [Fr(0)] * (Q + 1)
+    def geom_factor(L: int) -> list[int]:
+        out = [0] * (Q + 1)
         for i in range(L, Q + 1, L):
-            out[i] = Fr(-1)
+            out[i] = -1
         return out
 
-    total = [Fr(0)] * (Q + 1)
+    total = [0] * (Q + 1)
 
-    def descend(j: int, lsum: int, coeff: Fraction, prod):
-        nonlocal total
+    def descend(j: int, lsum: int, coeff: int, prod):
         if j == n:
             for i, c in enumerate(prod):
-                if c:
-                    total[i] += coeff * c
+                total[i] += coeff * c
             return
         for l in range(k[j] + 1):
             c = coeff * comb(k[j], l) * (-1) ** (l + 1)
             factor = geom_factor(lsum + l + 1)
-            nxt = factor if prod is None else _qpoly_mul(prod, factor, Q)
+            nxt = factor if prod is None else convolve(prod, factor, Q + 1)
             descend(j + 1, lsum + l, c, nxt)
 
-    descend(0, 0, Fr(1), None)
-    return tuple(total)
+    descend(0, 0, 1, None)
+    return tuple(Fr(x) for x in total)
 
 
 # ---------------------------------------------------------------------------

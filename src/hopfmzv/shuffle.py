@@ -101,8 +101,15 @@ def _interleave(u: str, v: str, lam: None) -> tuple:
     return ((u[0], u[1:], v, 1), (v[0], u, v[1:], 1))
 
 
+def _check_letters(u: str, v: str, alphabet: str, name: str) -> None:
+    # the recursion reads any non-y letter as the rule's other letter
+    if any(ch not in alphabet for ch in u + v):
+        raise ValueError(f"{u!r} x {v!r}: {name} takes words over {alphabet!r}")
+
+
 def shuffle_lambda(u: str, v: str, lam, *, project: bool = False) -> WordSum:
     """Deformed shuffle of two words; LambdaZero routes lambda = 0 away."""
+    _check_letters(u, v, "dy", "shuffle_lambda")
     lam = Fr(lam)
     if lam == 0:
         raise LambdaZero("the deformed shuffle divides by lambda; use shuffle_zero")
@@ -112,19 +119,20 @@ def shuffle_lambda(u: str, v: str, lam, *, project: bool = False) -> WordSum:
 
 def shuffle_zero(u: str, v: str, *, project: bool = False) -> WordSum:
     """lambda = 0 product on representatives (see module docstring)."""
+    _check_letters(u, v, "dy", "shuffle_zero")
     out = dict(_shuffle(u, v, _zero_rule, None))
     return project_T(out) if project else out
 
 
 def ordinary_shuffle(u: str, v: str) -> WordSum:
     """Textbook shuffle product; letters are '0' and '1'."""
-    if any(ch not in "01" for ch in u + v):
-        raise ValueError(f"{u!r} x {v!r}: ordinary_shuffle takes binary words")
+    _check_letters(u, v, "01", "ordinary_shuffle")
     return dict(_shuffle(u, v, _interleave, None))
 
 
 def sho_positive(u: str, v: str) -> WordSum:
     """Product on {j, y}-words by y-pull and ju x jv = j(u x jv) + j(ju x v)."""
+    _check_letters(u, v, "jy", "sho_positive")
     return dict(_shuffle(u, v, _interleave, None))
 
 

@@ -30,12 +30,26 @@ TensorSum = dict  # (word, word) -> Fraction
 # Every process-wide memo (products, coproducts, characters) is declared with
 # @memo, so each keeps at most MEMO_ENTRIES results however long the process
 # lives.  The bound is above every per-process count the benchmark workloads
-# reach, so none of them evicts.
+# reach, so none of them evicts.  memo also records each cache, so that
+# clear_caches() empties all of them.
 MEMO_ENTRIES = 1 << 14
-memo = lru_cache(maxsize=MEMO_ENTRIES)
+_MEMOS: list = []
+
+
+def memo(fn):
+    cached = lru_cache(maxsize=MEMO_ENTRIES)(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+def clear_caches() -> None:
+    """Empty every cache declared with @memo; later calls recompute."""
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 __all__ = [
     "admissible_words",
+    "clear_caches",
     "depth",
     "indices_to_word",
     "is_admissible",

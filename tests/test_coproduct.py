@@ -124,5 +124,7 @@ def test_inadmissible_words_rejected():
 def test_recursive_equals_combinatorial(k, lam):
     w = indices_to_word(k)
     recursive = coproduct_recursive(w, lam)
-    assert recursive == coproduct_combinatorial(w, lam)
+    combinatorial = coproduct_combinatorial(w, lam)
+    assert recursive == combinatorial
     assert all(type(c) is Fraction for c in recursive.values())
+    assert all(type(c) is Fraction for c in combinatorial.values())

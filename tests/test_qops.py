@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hopfmzv.errors import NonzeroConstantTerm, TruncationMismatch
 from hopfmzv.realizations import (
+    BivariateSeries,
+    _ps_mul,
     eval_t_eq_q,
     li_J,
     li_nested,
@@ -39,7 +42,10 @@ def test_li_closed_forms():
 
 def test_li_double_index_is_the_nested_sum():
     for k in [(1, 1), (2, 1), (0, 0), (-1, 2), (1, -2, 0)]:
-        assert li_J(k, 12) == li_nested(k, 12)
+        for T in (0, 1, 2, 12):
+            got = li_J(k, T)
+            assert got == li_nested(k, T)
+            assert all(type(c) is Fr for c in got)
 
 
 def test_li_nested_literal():
@@ -122,7 +128,8 @@ def test_operator_route_realizes_qz():
 
 
 def test_convolution_outputs_stay_fractions():
-    # int zeros in a Fraction convolution would turn into floats under J
+    # the routes compute in ints; an int handed out would turn into a float
+    # under J, so every coefficient must come back as a Fraction
     outputs = [
         li_J((2, 1, 3), 10),
         qz_series((1, 2), 10),
@@ -132,3 +139,103 @@ def test_convolution_outputs_stay_fractions():
     ]
     for coeffs in outputs:
         assert all(type(c) is Fr for c in coeffs)
+
+
+# ------------------------------------------- common-denominator products
+
+# numerators over mixed denominators; most values are not integers
+fractions = st.builds(Fr, st.integers(-9, 9), st.integers(1, 12))
+
+
+def _ps_mul_reference(a, b):
+    n = len(a)
+    out = [Fr(0)] * n
+    for i in range(n):
+        for j in range(min(n - i, len(b))):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def _bivariate_reference(s1, s2):
+    A = min(s1.t_truncation, s2.t_truncation)
+    Q = min(s1.q_truncation, s2.q_truncation)
+    out = [[Fr(0)] * (Q + 1) for _ in range(A)]
+    for a1 in range(1, A + 1):
+        for a2 in range(1, A - a1 + 1):
+            for b1 in range(Q + 1):
+                for b2 in range(Q + 1 - b1):
+                    out[a1 + a2 - 1][b1 + b2] += (
+                        s1.rows[a1 - 1][b1] * s2.rows[a2 - 1][b2]
+                    )
+    return tuple(tuple(r) for r in out)
+
+
+@st.composite
+def power_series_pairs(draw):
+    T = draw(st.sampled_from([0, 1, 2, 5]))
+    vec = st.lists(fractions, min_size=T + 1, max_size=T + 1).map(tuple)
+    return draw(vec), draw(vec)
+
+
+@st.composite
+def bivariate_pairs(draw):
+    Q = draw(st.integers(0, 3))
+
+    def series(A):
+        row = st.lists(fractions, min_size=Q + 1, max_size=Q + 1).map(tuple)
+        rows = draw(st.lists(row, min_size=A, max_size=A))
+        return BivariateSeries(tuple(rows))
+
+    return series(draw(st.sampled_from([0, 1, 2, 4]))), series(
+        draw(st.sampled_from([0, 1, 2, 4]))
+    )
+
+
+@example(((Fr(1, 2), Fr(1, 3)), (Fr(1, 5), Fr(2, 7))))
+@given(power_series_pairs())
+def test_ps_mul_matches_a_fraction_double_loop(pair):
+    a, b = pair
+    got = _ps_mul(a, b)
+    assert got == _ps_mul_reference(a, b)
+    assert all(type(c) is Fr for c in got)
+
+
+@example(
+    (
+        BivariateSeries(((Fr(1, 2), Fr(1, 3)), (Fr(3, 4), Fr(0)))),
+        BivariateSeries(((Fr(2, 5), Fr(1, 7)), (Fr(1), Fr(5, 6)))),
+    )
+)
+@given(bivariate_pairs())
+def test_mul_bivariate_matches_a_fraction_double_loop(pair):
+    s1, s2 = pair
+    got = mul_bivariate(s1, s2).rows
+    assert got == _bivariate_reference(s1, s2)
+    assert all(type(c) is Fr for row in got for c in row)
+
+
+# ----------------------------------------------- brute-force q-oracle
+
+
+def _qz_brute_force(k, Q):
+    """sum over m_1 > ... > m_n > 0 of q^{m_1} prod (1 - q^{m_i})^{k_i}."""
+    total = [0] * (Q + 1)
+    for ms in combinations(range(Q, 0, -1), len(k)):  # m_1 > ... > m_n
+        poly = [0] * (Q + 1)
+        poly[ms[0]] = 1
+        for m, e in zip(ms, k):
+            for _ in range(e):  # multiply by (1 - q^m), highest power first
+                for b in range(Q, m - 1, -1):
+                    poly[b] -= poly[b - m]
+        total = [t + p for t, p in zip(total, poly)]
+    return tuple(total)
+
+
+def test_both_q_routes_equal_the_direct_sum():
+    for n in (1, 2, 3):
+        for k in product(range(3), repeat=n):
+            want = _qz_brute_force(k, 12)
+            for route in (qz_series, qz_rational):
+                got = route(k, 12)
+                assert got == want, (route.__name__, k)
+                assert all(type(c) is Fr for c in got)

@@ -38,6 +38,16 @@ def test_d_rule_at_two():
     assert shuffle_lambda("dy", "dy", Fr(2)) == {"dyy": Fr(1, 2), "ydy": Fr(-1)}
 
 
+def test_letters_outside_the_alphabet_are_rejected():
+    # the recursion would read x as d and return a meaningless sum
+    with pytest.raises(ValueError):
+        shuffle_lambda("xy", "dy", -1)
+    with pytest.raises(ValueError):
+        shuffle_zero("xy", "dy")
+    with pytest.raises(ValueError):
+        sho_positive("jy", "dy")
+
+
 def test_lambda_zero_is_rejected_by_the_generic_rule():
     with pytest.raises(LambdaZero):
         shuffle_lambda("dy", "dy", 0)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import hopfmzv
 from hopfmzv import coproduct, realizations, shuffle
 from hopfmzv.errors import NotAdmissible
 from hopfmzv.words import (
@@ -87,13 +88,17 @@ def test_wordsum_json_round_trip():
     assert wordsum_from_json(obj) == s
 
 
-def test_every_process_wide_memo_is_bounded():
-    caches = {
+def _process_wide_memos() -> dict:
+    return {
         name: fn
         for mod in (realizations, shuffle, coproduct)
         for name, fn in vars(mod).items()
         if hasattr(fn, "cache_info")
     }
+
+
+def test_every_process_wide_memo_is_bounded():
+    caches = _process_wide_memos()
     assert set(caches) == {
         "psi_factor",
         "_phi_planned",
@@ -104,3 +109,16 @@ def test_every_process_wide_memo_is_bounded():
     }
     for name, fn in caches.items():
         assert fn.cache_info().maxsize == MEMO_ENTRIES, name
+
+
+def test_clear_caches_empties_every_memo():
+    before = hopfmzv.zeta_plus((1, 2, 1))
+    hopfmzv.qzeta_plus((1, 2))
+    hopfmzv.shuffle_lambda("dy", "ddy", -1)
+    hopfmzv.coproduct_combinatorial("dydy", 0)
+    caches = _process_wide_memos()
+    assert all(fn.cache_info().currsize > 0 for fn in caches.values())
+    hopfmzv.clear_caches()
+    for name, fn in caches.items():
+        assert fn.cache_info().currsize == 0, name
+    assert hopfmzv.zeta_plus((1, 2, 1)) == before
