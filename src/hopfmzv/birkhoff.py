@@ -29,7 +29,6 @@ Renormalized values:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,12 +39,12 @@ from .series import (
     LaurentSeries,
     pole_part,
     regular_part,
-    series_add,
     series_mul,
     series_pad,
     series_scale,
+    series_sum,
 )
-from .words import depth, indices_to_word
+from .words import depth, indices_to_word, memo
 
 Fr = Fraction
 
@@ -64,78 +63,70 @@ _KINDS = {
 }
 
 
+# Both memos look the character up in _KINDS on every miss rather than
+# binding it at import, so a caller that rebinds _KINDS is seen.
+@memo
+def _counterterm(kind: str, w: str) -> LaurentSeries:
+    """chi_minus(w) = -pi(chi_bar(w)) for a nonempty admissible word.
+
+    An exact Laurent polynomial once chi_bar(w) is known through z^-1, so it
+    is computed once at that window, whatever window is asked for later;
+    read further out, its coefficients are known zeros.  That z^-1 bar is
+    not memoized: only its pole part is ever read again.
+    """
+    return series_scale(pole_part(_bar.__wrapped__(kind, w, -1)), -1)
+
+
+@memo
+def _bar(kind: str, w: str, P: int) -> LaurentSeries:
+    """chi_bar(w) for a nonempty admissible word, valid through exactly z^P.
+
+    A bar term c * chi_minus(w') * chi(w'') is valid through P when chi(w'')
+    is taken through P - ord(chi_minus(w')) and the counterterm is padded to
+    P - ord(chi(w'')).
+    """
+    char, lam = _KINDS[kind]
+
+    def terms():
+        yield 1, char(w, P)
+        for (w1, w2), c in reduced_coproduct(w, lam).items():
+            minus1 = _counterterm(kind, w1)
+            chi2 = char(w2, P - minus1.ord)
+            yield c, series_mul(series_pad(minus1, P - chi2.ord), chi2)
+
+    return series_sum(terms())
+
+
 class CharacterTable:
-    """Memoized Birkhoff data (chi, chi_bar, chi_minus, chi_plus) per word.
+    """The Birkhoff data (chi, chi_bar, chi_minus, chi_plus) of one kind.
 
-    Every row is valid through exactly z^prec.  A counterterm
-    chi_minus(w) = -pi(chi_bar(w)) is an exact Laurent polynomial once
-    chi_bar(w) is known through z^-1, so each one is computed once at that
-    window and memoized; read further out, its coefficients are known zeros.
-    A bar term c * chi_minus(w') * chi(w'') is then valid through P when
-    chi(w'') is taken through P - ord(chi_minus(w')) and the counterterm is
-    padded to P - ord(chi(w'')).
-
-    Thread-safe: a single lock protects the memos, and the recursion only
-    ever descends to strictly shorter words, so re-entry terminates.
+    Every row is valid through exactly z^prec; the empty word's rows are all
+    chi("", prec).  The table holds no state of its own: chi_bar and the
+    counterterms are process-wide memos shared by every table of the kind,
+    so a second table (or a second zeta_plus call) reuses them.
     """
 
-    def __init__(self, kind: str, *, prec: int = 1, lam: Fraction | None = None):
+    def __init__(self, kind: str, *, prec: int = 1):
         if kind not in _KINDS:
             raise ValueError(f"unknown character kind {kind!r}")
-        char, default_lam = _KINDS[kind]
         self.kind = kind
         self.prec = prec
-        self.lam = default_lam if lam is None else Fraction(lam)
-        self._char = char
-        self._memo: dict[str, tuple[LaurentSeries, ...]] = {}
-        self._minus: dict[str, LaurentSeries] = {}
-        self._lock = threading.RLock()
 
-    def _bar(self, w: str, P: int) -> tuple[LaurentSeries, LaurentSeries]:
-        """chi(w) and chi_bar(w), both valid through exactly z^P."""
-        chi = self._char(w, P)
-        bar = chi
-        for (w1, w2), c in reduced_coproduct(w, self.lam).items():
-            minus1 = self._counterterm(w1)
-            chi2 = self._char(w2, P - minus1.ord)
-            term = series_mul(series_pad(minus1, P - chi2.ord), chi2)
-            bar = series_add(bar, series_scale(term, c))
-        return chi, bar
-
-    def _counterterm(self, w: str) -> LaurentSeries:
-        with self._lock:
-            minus = self._minus.get(w)
-            if minus is None:
-                bar = self._bar(w, -1)[1]
-                minus = self._minus[w] = series_scale(pole_part(bar), -1)
-            return minus
-
-    def _entry(self, w: str) -> tuple[LaurentSeries, ...]:
-        with self._lock:
-            hit = self._memo.get(w)
-            if hit is not None:
-                return hit
-            if w == "":
-                unit = self._char("", self.prec)
-                row = (unit, unit, unit, unit)
-            else:
-                chi, bar = self._bar(w, self.prec)
-                minus = series_scale(pole_part(bar), -1)
-                row = (chi, bar, minus, regular_part(bar))
-            self._memo[w] = row
-            return row
+    @property
+    def lam(self) -> Fraction:
+        return _KINDS[self.kind][1]
 
     def chi(self, w: str) -> LaurentSeries:
-        return self._entry(w)[0]
+        return _KINDS[self.kind][0](w, self.prec)
 
     def chi_bar(self, w: str) -> LaurentSeries:
-        return self._entry(w)[1]
+        return _bar(self.kind, w, self.prec) if w else self.chi(w)
 
     def chi_minus(self, w: str) -> LaurentSeries:
-        return self._entry(w)[2]
+        return series_scale(pole_part(self.chi_bar(w)), -1) if w else self.chi(w)
 
     def chi_plus(self, w: str) -> LaurentSeries:
-        return self._entry(w)[3]
+        return regular_part(self.chi_bar(w)) if w else self.chi(w)
 
 
 @dataclass(frozen=True)

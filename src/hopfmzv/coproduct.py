@@ -43,14 +43,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import NotAdmissible
-from .series import LaurentSeries, series_add, series_mul, series_scale
-from .words import (
-    TensorSum,
-    is_admissible,
-    memo,
-    word_key,
-    word_to_indices,
-)
+from .series import LaurentSeries, series_mul, series_sum
+from .words import TensorSum, is_admissible, memo, word_to_indices
 
 Fr = Fraction
 
@@ -63,9 +57,9 @@ __all__ = [
 ]
 
 
-def _canonical(acc: dict) -> tuple:
-    ordered = sorted(acc, key=lambda p: (word_key(p[0]), word_key(p[1])))
-    return tuple(((l, r), acc[(l, r)]) for l, r in ordered if acc[(l, r)] != 0)
+def _kept(acc: dict) -> tuple:
+    # insertion order: every consumer sums exactly or sorts for printing
+    return tuple((key, Fr(c)) for key, c in acc.items() if c)
 
 
 @memo
@@ -87,7 +81,7 @@ def _coproduct_recursive(w: str, lam: Fraction) -> tuple:
                 key = (gl, gr)
                 nxt[key] = nxt.get(key, 0) + gc
         pairs = nxt
-    return _canonical({key: Fr(c) for key, c in pairs.items()})
+    return _kept(pairs)
 
 
 def coproduct_recursive(w: str, lam) -> TensorSum:
@@ -134,7 +128,7 @@ def _coproduct_combinatorial(w: str, lam: Fraction) -> tuple:
                         continue
                     key = (left, aug_right)
                     acc[key] = acc.get(key, 0) + lam_c**jsize
-    return _canonical({key: Fr(c) for key, c in acc.items()})
+    return _kept(acc)
 
 
 def coproduct_combinatorial(w: str, lam) -> TensorSum:
@@ -167,13 +161,10 @@ def reduced_coproduct(w: str, lam, *, method: str = "recursive") -> TensorSum:
 
 def star(f, g, w: str, lam) -> LaurentSeries:
     """Convolution (f * g)(w) = sum f(w_1) g(w_2) over the full coproduct."""
-    total = None
-    for (w1, w2), c in coproduct_recursive(w, lam).items():
-        term = series_scale(series_mul(f(w1), g(w2)), c)
-        total = term if total is None else series_add(total, term)
-    if total is None:  # pragma: no cover - full coproduct is never empty
-        raise ValueError("empty coproduct")
-    return total
+    return series_sum(
+        (c, series_mul(f(w1), g(w2)))
+        for (w1, w2), c in coproduct_recursive(w, lam).items()
+    )
 
 
 def tensor_shuffle(t1: TensorSum, t2: TensorSum, shuffle_fn) -> TensorSum:

@@ -67,10 +67,10 @@ from .series import (
     constant,
     convolve,
     numerators_over_lcm,
-    series_add,
     series_diff,
     series_mul,
     series_scale,
+    series_sum,
     zero_series,
 )
 from .words import depth, is_admissible, memo, weight, word_to_indices
@@ -169,23 +169,18 @@ def _psi_planned(w: str, P: int) -> LaurentSeries:
         return constant(1, P)
     ks = word_to_indices(w)
     V = P + n - 1
-    total: LaurentSeries | None = None
 
-    def descend(j: int, lsum: int, coeff: Fraction, prod: LaurentSeries | None):
-        nonlocal total
+    def descend(j: int, lsum: int, coeff: int, prod: LaurentSeries | None):
         if j == n:
-            term = series_scale(prod, coeff)
-            total = term if total is None else series_add(total, term)
+            yield coeff, prod
             return
         for l in range(ks[j] + 1):
             c = coeff * comb(ks[j], l) * (-1) ** (l + 1)
             factor = psi_factor(lsum + l + 1, V)
             nxt = factor if prod is None else series_mul(prod, factor)
-            descend(j + 1, lsum + l, c, nxt)
+            yield from descend(j + 1, lsum + l, c, nxt)
 
-    descend(0, 0, Fr(1), None)
-    assert total is not None
-    return total
+    return series_sum(descend(0, 0, 1, None))
 
 
 def psi(w: str, P: int) -> LaurentSeries:
@@ -237,7 +232,7 @@ def op_J(s: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Divide the m-th coefficient by m (weight-0 Rota-Baxter operator)."""
     if s[0] != 0:
         raise NonzeroConstantTerm("J needs a vanishing constant term")
-    return (Fr(0),) + tuple(c / m for m, c in enumerate(s[1:], start=1))
+    return (Fr(0),) + tuple(Fr(c) / m for m, c in enumerate(s[1:], start=1))
 
 
 def op_delta(s: tuple[Fraction, ...]) -> tuple[Fraction, ...]:

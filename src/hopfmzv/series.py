@@ -60,6 +60,7 @@ __all__ = [
     "series_pad",
     "series_scale",
     "series_slice",
+    "series_sum",
     "series_to_json",
     "zero_series",
 ]
@@ -101,7 +102,7 @@ class LaurentSeries:
         return series_add(self, other)
 
     def __sub__(self, other):
-        return series_add(self, series_scale(other, -1))
+        return series_sum(((1, self), (-1, other)))
 
     def __neg__(self):
         return series_scale(self, -1)
@@ -204,19 +205,48 @@ def coefficient(a: LaurentSeries, n: int) -> Fraction:
 
 
 def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    vt = min(a.valid_through, b.valid_through)
-    lo = min(a.ord, b.ord)
-    if vt < lo:
-        return _make(vt + 1, (), 1)
-    den = lcm(a.den, b.den)
-    out = [0] * (vt - lo + 1)
-    for s in (a, b):
-        f = den // s.den
-        # exponents s.ord..vt; none when s.ord lies past the other's window
+    return series_sum(((1, a), (1, b)))
+
+
+def series_sum(terms) -> LaurentSeries:
+    """sum c * s over an iterable of (c, s) pairs, reduced once at the end.
+
+    The terms stream into one vector of integer numerators over the running
+    lcm of their denominators, so no intermediate series is built.  As for
+    add, the result starts at the lowest ord and is valid through the
+    smallest valid_through; a zero c still narrows the window.  Raises
+    ValueError on an empty iterable.
+    """
+    lo = vt = None
+    den, out = 1, []
+    for c, s in terms:
+        if lo is None:
+            lo, vt = s.ord, s.valid_through
+            out = [0] * (vt - lo + 1)
+        if s.ord < lo:  # before the cut below: vt - (old lo) + 1 may be < 0
+            out[:0] = [0] * (lo - s.ord)
+            lo = s.ord
+        if s.valid_through < vt:
+            vt = s.valid_through
+            del out[vt - lo + 1 :]
+        if not isinstance(c, (int, Fraction)):
+            c = Fr(c)
+        if not c:
+            continue
+        sden = s.den * c.denominator
+        common = lcm(den, sden)
+        if common != den:
+            f = common // den
+            out = [x * f for x in out]
+            den = common
+        f = common // sden * c.numerator
+        # exponents s.ord..vt; none when s.ord lies past the window
         for i, x in enumerate(s.nums[: max(vt - s.ord + 1, 0)], s.ord - lo):
             if x:
                 out[i] += x * f
-    return _make(lo, out, den)
+    if lo is None:
+        raise ValueError("series_sum of no terms")
+    return _make(lo, out, den)  # vt == lo - 1 leaves the empty window at lo
 
 
 def series_scale(a: LaurentSeries, c) -> LaurentSeries:

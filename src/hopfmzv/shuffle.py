@@ -117,11 +117,10 @@ def shuffle_lambda(u: str, v: str, lam, *, project: bool = False) -> WordSum:
     return project_T(out) if project else out
 
 
-def shuffle_zero(u: str, v: str, *, project: bool = False) -> WordSum:
+def shuffle_zero(u: str, v: str) -> WordSum:
     """lambda = 0 product on representatives (see module docstring)."""
     _check_letters(u, v, "dy", "shuffle_zero")
-    out = dict(_shuffle(u, v, _zero_rule, None))
-    return project_T(out) if project else out
+    return dict(_shuffle(u, v, _zero_rule, None))
 
 
 def ordinary_shuffle(u: str, v: str) -> WordSum:

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import chain, product
 from math import factorial
 
 from .bernoulli import bernoulli
@@ -69,7 +70,7 @@ from .realizations import (
     x_series,
 )
 from .realizations import _ps_mul  # package-internal; fine for the suite
-from .series import equal_on_window, series_add, series_mul, series_scale, zero_series
+from .series import equal_on_window, series_mul, series_scale, series_sum, zero_series
 from .shuffle import (
     map_wordsum,
     ordinary_shuffle,
@@ -78,7 +79,15 @@ from .shuffle import (
     shuffle_lambda,
     shuffle_zero,
 )
-from .words import admissible_words, depth, indices_to_word, weight, word_to_indices
+from .words import (
+    admissible_words,
+    depth,
+    indices_to_word,
+    weight,
+    word_to_indices,
+    ws_add,
+    ws_scale,
+)
 
 Fr = Fraction
 
@@ -92,28 +101,14 @@ __all__ = ["SUITES", "run_all", "run_suite", "suite_names"]
 # ---------------------------------------------------------------------------
 
 
-def _dropz(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v != 0}
+def _linear(f, s: dict) -> dict:
+    """sum c * f(key) over s: f extended linearly (f returns a word sum)."""
+    return ws_add(*(ws_scale(f(key), c) for key, c in s.items()))
 
 
-def _ws_merge(acc: dict, items, scale=Fr(1)) -> None:
-    for k, v in items:
-        acc[k] = acc.get(k, Fr(0)) + scale * v
-
-
-def _shuffle_sum(s: dict, t: str, lam) -> dict:
-    """(word sum) shuffled against a single word."""
-    acc: dict = {}
-    for w, c in s.items():
-        _ws_merge(acc, shuffle_lambda(w, t, lam).items(), c)
-    return _dropz(acc)
-
-
-def _cop_of_sum(s: dict, lam) -> dict:
-    acc: dict = {}
-    for w, c in s.items():
-        _ws_merge(acc, coproduct_recursive(w, lam).items(), c)
-    return _dropz(acc)
+def _total(P: int, terms):
+    """sum c * s over (c, s) terms; an empty sum is zero_series(P)."""
+    return series_sum(chain([(1, zero_series(P))], terms))
 
 
 def _all_words(max_len: int, min_len: int = 1):
@@ -178,7 +173,7 @@ def _check_coassoc():
                 for (b1, b2), c2 in coproduct_recursive(b, lam).items():
                     key = (a, b1, b2)
                     right[key] = right.get(key, Fr(0)) + c * c2
-            if _dropz(left) != _dropz(right):
+            if ws_add(left) != ws_add(right):
                 return False, f"not coassociative at w={w!r}, lambda={lam}"
     return True, ""
 
@@ -201,12 +196,9 @@ def _check_counit():
     return True, ""
 
 
-def _realize_phi(s: dict, P: int = 12):
-    """phi applied linearly to a word sum (ground truth modulo L_-)."""
-    acc = zero_series(P)
-    for w, c in s.items():
-        acc = series_add(acc, series_scale(phi(w, P), c))
-    return acc
+def _realize(char, s: dict, P: int = 12):
+    """A character applied linearly to a word sum (phi: ground truth modulo L_-)."""
+    return _total(P, ((c, char(w, P)) for w, c in s.items()))
 
 
 def _check_shuffle_comm():
@@ -217,8 +209,8 @@ def _check_shuffle_comm():
     # lambda = 0 yields representatives modulo the defect ideal, so the two
     # orders may differ as word sums; equality is semantic, through phi.
     for u, v in _unordered_pairs_total_weight(6):
-        lhs = _realize_phi(shuffle_zero(u, v))
-        rhs = _realize_phi(shuffle_zero(v, u))
+        lhs = _realize(phi, shuffle_zero(u, v))
+        rhs = _realize(phi, shuffle_zero(v, u))
         if not equal_on_window(lhs, rhs, 6):
             return False, f"u={u!r}, v={v!r}, lambda=0 (phi-realized)"
     return True, ""
@@ -229,23 +221,21 @@ def _check_shuffle_assoc():
         for u in admissible_words(4):
             for v in admissible_words(5 - weight(u)):
                 for t in admissible_words(6 - weight(u) - weight(v)):
-                    lhs = _shuffle_sum(shuffle_lambda(u, v, lam), t, lam)
-                    rhs: dict = {}
-                    for w, c in shuffle_lambda(v, t, lam).items():
-                        _ws_merge(rhs, shuffle_lambda(u, w, lam).items(), c)
-                    if lhs != _dropz(rhs):
+                    lhs = _linear(
+                        lambda w: shuffle_lambda(w, t, lam), shuffle_lambda(u, v, lam)
+                    )
+                    rhs = _linear(
+                        lambda w: shuffle_lambda(u, w, lam), shuffle_lambda(v, t, lam)
+                    )
+                    if lhs != rhs:
                         return False, f"u={u!r}, v={v!r}, t={t!r}, lambda={lam}"
     # lambda = 0: representatives again, so associate through phi
     for u in admissible_words(3):
         for v in admissible_words(4 - weight(u)):
             for t in admissible_words(6 - weight(u) - weight(v)):
-                left: dict = {}
-                for w, c in shuffle_zero(u, v).items():
-                    _ws_merge(left, shuffle_zero(w, t).items(), c)
-                right: dict = {}
-                for w, c in shuffle_zero(v, t).items():
-                    _ws_merge(right, shuffle_zero(u, w).items(), c)
-                if not equal_on_window(_realize_phi(left), _realize_phi(right), 6):
+                left = _linear(lambda w: shuffle_zero(w, t), shuffle_zero(u, v))
+                right = _linear(lambda w: shuffle_zero(u, w), shuffle_zero(v, t))
+                if not equal_on_window(_realize(phi, left), _realize(phi, right), 6):
                     return False, f"u={u!r}, v={v!r}, t={t!r}, lambda=0"
     return True, ""
 
@@ -253,13 +243,15 @@ def _check_shuffle_assoc():
 def _check_bialgebra():
     for lam in _LAMS_SH:
         for u, v in _unordered_pairs_total_weight(6):
-            lhs = _cop_of_sum(shuffle_lambda(u, v, lam), lam)
+            lhs = _linear(
+                lambda w: coproduct_recursive(w, lam), shuffle_lambda(u, v, lam)
+            )
             rhs = tensor_shuffle(
                 coproduct_recursive(u, lam),
                 coproduct_recursive(v, lam),
                 lambda a, b: shuffle_lambda(a, b, lam),
             )
-            if lhs != _dropz(rhs):
+            if lhs != rhs:
                 return False, f"u={u!r}, v={v!r}, lambda={lam}"
     return True, ""
 
@@ -268,10 +260,10 @@ def _check_squaring():
     # m o Delta(w) = 2^dpt(w) w, exactly, for every lambda != 0
     for lam in _LAMS_SH:
         for w in admissible_words(6):
-            acc: dict = {}
-            for (a, b), c in coproduct_recursive(w, lam).items():
-                _ws_merge(acc, shuffle_lambda(a, b, lam).items(), c)
-            if _dropz(acc) != {w: Fr(2 ** depth(w))}:
+            acc = _linear(
+                lambda ab: shuffle_lambda(*ab, lam), coproduct_recursive(w, lam)
+            )
+            if acc != {w: Fr(2 ** depth(w))}:
                 return False, f"m o Delta != 2^dpt at w={w!r}, lambda={lam}"
     return True, ""
 
@@ -306,13 +298,11 @@ def _check_independent_minus_one():
         elif v[0] == "y":
             out = {"y" + w: c for w, c in rec(u, v[1:]).items()}
         else:
-            acc: dict = {}
-            _ws_merge(acc, rec(u[1:], v).items())
-            _ws_merge(acc, rec(u, v[1:]).items())
-            _ws_merge(
-                acc, {"d" + w: c for w, c in rec(u[1:], v[1:]).items()}.items(), Fr(-1)
+            out = ws_add(
+                rec(u[1:], v),
+                rec(u, v[1:]),
+                ws_scale({"d" + w: c for w, c in rec(u[1:], v[1:]).items()}, -1),
             )
-            out = _dropz(acc)
         memo[key] = out
         return out
 
@@ -331,8 +321,8 @@ def _check_positive_sector():
         for v in binaries:
             if len(u) + len(v) > 6:
                 continue
-            lhs = _dropz(map_wordsum(phi_iso, ordinary_shuffle(u, v)))
-            rhs = _dropz(sho_positive(phi_iso(u), phi_iso(v)))
+            lhs = map_wordsum(phi_iso, ordinary_shuffle(u, v))
+            rhs = sho_positive(phi_iso(u), phi_iso(v))
             if lhs != rhs:
                 return False, f"u={u!r}, v={v!r}"
     return True, ""
@@ -411,31 +401,12 @@ def _check_star_reconstruction():
     return True, ""
 
 
-def _check_phi_character():
-    char = lambda u: phi(u, 14)  # noqa: E731
+def _check_character(char, product):
+    # char(u) char(v) = char(u x v) for the product matching the character
     for u, v in _unordered_pairs_total_weight(6):
-        rhs = None
-        for w, c in shuffle_zero(u, v).items():
-            t = series_scale(char(w), c)
-            rhs = t if rhs is None else series_add(rhs, t)
-        if rhs is None:
-            rhs = zero_series(8)
-        if not equal_on_window(series_mul(char(u), char(v)), rhs, 6):
-            return False, f"phi not multiplicative at u={u!r}, v={v!r}"
-    return True, ""
-
-
-def _check_psi_character():
-    char = lambda u: psi(u, 14)  # noqa: E731
-    for u, v in _unordered_pairs_total_weight(6):
-        rhs = None
-        for w, c in shuffle_lambda(u, v, Fr(-1)).items():
-            t = series_scale(char(w), c)
-            rhs = t if rhs is None else series_add(rhs, t)
-        if rhs is None:
-            rhs = zero_series(8)
-        if not equal_on_window(series_mul(char(u), char(v)), rhs, 6):
-            return False, f"psi not multiplicative at u={u!r}, v={v!r}"
+        lhs = series_mul(char(u, 14), char(v, 14))
+        if not equal_on_window(lhs, _realize(char, product(u, v), 14), 6):
+            return False, f"{char.__name__} not multiplicative at u={u!r}, v={v!r}"
     return True, ""
 
 
@@ -475,9 +446,13 @@ def _check_renorm_relations_qzeta():
 def _check_kstar_primitive():
     char = lambda u: phi(u, 14)  # noqa: E731
     for w in admissible_words(6):
-        acc = zero_series(8)
-        for (w1, w2), c in reduced_coproduct(w, Fr(0)).items():
-            acc = series_add(acc, series_scale(series_mul(char(w1), char(w2)), c))
+        acc = _total(
+            8,
+            (
+                (c, series_mul(char(w1), char(w2)))
+                for (w1, w2), c in reduced_coproduct(w, Fr(0)).items()
+            ),
+        )
         rhs = series_scale(char(w), 2 ** depth(w) - 2)
         if not equal_on_window(acc, rhs, 6):
             return False, f"K * K identity fails at w={w!r}"
@@ -538,8 +513,16 @@ def _suite_birkhoff():
     return [
         ("minus-polar-plus-regular-and-bar", _check_split_shapes),
         ("convolution-reconstruction", _check_star_reconstruction),
-        ("phi-multiplicative-on-shuffle0", _check_phi_character),
-        ("psi-multiplicative-on-shuffle-minus1", _check_psi_character),
+        (
+            "phi-multiplicative-on-shuffle0",
+            partial(_check_character, phi, shuffle_zero),
+        ),
+        (
+            "psi-multiplicative-on-shuffle-minus1",
+            partial(
+                _check_character, psi, lambda u, v: shuffle_lambda(u, v, Fr(-1))
+            ),
+        ),
         ("renormalized-relations-zeta", _check_renorm_relations_zeta),
         ("renormalized-relations-qzeta", _check_renorm_relations_qzeta),
         ("kstar-primitive-identity", _check_kstar_primitive),

@@ -128,14 +128,12 @@ def ws_scale(s: WordSum, c) -> WordSum:
     return {w: cv * c for w, cv in s.items()}
 
 
-def admissible_words(
-    max_weight: int, min_weight: int = 1, include_empty: bool = False
-) -> Iterator[str]:
-    """Nonempty admissible words of weight in [min_weight, max_weight],
-    in canonical order; the empty word first if requested."""
+def admissible_words(max_weight: int, *, include_empty: bool = False) -> Iterator[str]:
+    """Nonempty admissible words of weight at most max_weight, in canonical
+    order; the empty word first if requested."""
     if include_empty:
         yield ""
-    for n in range(max(min_weight, 1), max_weight + 1):
+    for n in range(1, max_weight + 1):
         for prefix in product("dy", repeat=n - 1):
             yield "".join(prefix) + "y"
 

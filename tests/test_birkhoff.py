@@ -6,8 +6,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfmzv import clear_caches
 from hopfmzv.birkhoff import (
     CharacterTable,
+    _counterterm,
     qzeta_plus,
     zeta_plus,
     zeta_plus_via_primitives,
@@ -144,6 +146,17 @@ def test_table_is_thread_safe():
             assert v == reference[w], w
 
 
+def test_counterterms_are_shared_across_calls():
+    first = zeta_plus((1, 2, 1))
+    misses = _counterterm.cache_info().misses
+    assert zeta_plus((1, 2, 1)) == first
+    assert _counterterm.cache_info().misses == misses
+    clear_caches()
+    assert _counterterm.cache_info().currsize == 0
+    assert zeta_plus((1, 2, 1)) == first
+    assert _counterterm.cache_info().currsize > 0
+
+
 def test_depth_two_matches_the_closed_form_through_weight_25():
     for total in range(1, 26, 2):
         for a in range(total + 1):
@@ -151,8 +164,8 @@ def test_depth_two_matches_the_closed_form_through_weight_25():
             assert zeta_plus(k).value == mero_depth2(*k), k
 
 
-def test_primitive_route_agrees_on_every_word_to_weight_8():
-    for w in admissible_words(8):
+def test_primitive_route_agrees_on_every_word_to_weight_9():
+    for w in admissible_words(9):
         if depth(w) >= 2:
             k = word_to_indices(w)
             assert zeta_plus(k).value == zeta_plus_via_primitives(k).value, w

@@ -149,6 +149,35 @@ def test_birkhoff_rows_reach_the_requested_window():
     assert plus[0].endswith("+ O(z^4)")
 
 
+def _series(ord_, coeffs):
+    return {"ord": ord_, "valid_through": ord_ + len(coeffs) - 1, "coeffs": coeffs}
+
+
+def test_birkhoff_psi_json_golden():
+    r = run_cli("birkhoff", "ddydy", "--kind", "psi", "--json")
+    assert r.returncode == 0, r.stderr
+    want = {
+        "word": "ddydy",
+        "kind": "psi",
+        "chi": _series(-2, ["13/36", "1/8", "-1/48", "0", "1/2880"]),
+        "chi_bar": _series(-2, ["-13/36", "0", "0", "0", "0"]),
+        "chi_minus": _series(-2, ["13/36", "0", "0", "0", "0"]),
+        "chi_plus": _series(-2, ["0", "0", "0", "0", "0"]),
+    }
+    assert r.stdout == json.dumps(want, indent=2) + "\n"
+
+
+def test_birkhoff_empty_word_golden():
+    r = run_cli("birkhoff", "", "--kind", "phi")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (
+        "chi       = 1 + O(z^3)\n"
+        "chi_bar   = 1 + O(z^3)\n"
+        "chi_minus = 1 + O(z^3)\n"
+        "chi_plus  = 1 + O(z^3)\n"
+    )
+
+
 def test_verify_suite_runs_clean():
     r = run_cli("verify", "--suite", "rota-baxter")
     assert r.returncode == 0

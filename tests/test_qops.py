@@ -61,6 +61,16 @@ def test_J_and_delta_guard_the_constant_term():
         op_delta((Fr(2), Fr(1)))
 
 
+def test_J_keeps_int_input_exact():
+    for s, want in [
+        ((0, 1, 2), (0, 1, 1)),
+        ((0, 1, 1, 1), (0, 1, Fr(1, 2), Fr(1, 3))),
+    ]:
+        got = op_J(s)
+        assert got == want
+        assert all(type(c) is Fraction for c in got)
+
+
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8))
 def test_delta_inverts_J(tail):
     s = (Fr(0),) + tuple(Fr(c) for c in tail)

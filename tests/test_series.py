@@ -20,6 +20,7 @@ from hopfmzv.series import (
     series_mul,
     series_scale,
     series_slice,
+    series_sum,
     series_to_json,
     zero_series,
 )
@@ -214,15 +215,37 @@ wide_series = st.tuples(
 scalars = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=12))
 
 
-@given(wide_series, wide_series, scalars, st.integers(-8, 12))
-@example((-2, [1, 2]), (3, [4, 5, 6]), Fr(1, 2), 0)  # b.ord past a's window
-@example((3, [4, 5, 6]), (-2, [1, 2]), 3, -5)  # a.ord past b's window
-@example((-3, [2, 0, 4, 6]), (0, []), 0, -3)  # empty window; scale by zero
-def test_operations_match_fraction_reference(ra, rb, c, vt):
+def ref_sum(terms):
+    """Fold of ref_add over the scaled references, as a chain of adds."""
+    scaled = [(r[0], [x * Fr(c) for x in r[1]]) for c, r in terms]
+    acc = scaled[0]
+    for r in scaled[1:]:
+        acc = ref_add(acc, r)
+    return acc
+
+
+sum_terms = st.lists(st.tuples(scalars, wide_series), min_size=1, max_size=4)
+one_term = [(1, (0, [1]))]
+
+
+@given(wide_series, wide_series, scalars, st.integers(-8, 12), sum_terms)
+@example((-2, [1, 2]), (3, [4, 5, 6]), Fr(1, 2), 0, one_term)  # b.ord past a's window
+@example((3, [4, 5, 6]), (-2, [1, 2]), 3, -5, one_term)  # a.ord past b's window
+@example((-3, [2, 0, 4, 6]), (0, []), 0, -3, one_term)  # empty window; scale by zero
+# a later term starting lower with a shorter window: the low end must be
+# extended before the window is cut
+@example(
+    (0, [1]), (0, [1]), 1, 0, [(1, (0, [0, 1])), (0, (0, [0])), (-2, (-2, [1]))]
+)
+def test_operations_match_fraction_reference(ra, rb, c, vt, terms):
     ra, rb = (ra[0], [Fr(x) for x in ra[1]]), (rb[0], [Fr(x) for x in rb[1]])
     a, b = LaurentSeries(*ra), LaurentSeries(*rb)
     assert_matches(a, ra)
     assert_matches(series_add(a, b), ref_add(ra, rb))
+    terms = [(k, (r[0], [Fr(x) for x in r[1]])) for k, r in terms]
+    assert_matches(
+        series_sum((k, LaurentSeries(*r)) for k, r in terms), ref_sum(terms)
+    )
     assert_matches(series_mul(a, b), ref_mul(ra, rb))
     assert_matches(series_scale(a, c), (ra[0], [x * Fr(c) for x in ra[1]]))
     assert_matches(
@@ -244,6 +267,11 @@ def test_operations_match_fraction_reference(ra, rb, c, vt):
             equal_on_window(a, b)
 
 
+def test_sum_of_no_terms_is_an_error():
+    with pytest.raises(ValueError):
+        series_sum(iter(()))
+
+
 def assert_canonical(s):
     assert s.den > 0
     assert gcd(s.den, *s.nums) == 1
@@ -259,6 +287,7 @@ def test_results_stay_canonical_fractions(ra, rb, c, vt):
     results = [
         a,
         series_add(a, b),
+        series_sum([(c, a), (1, b)]),
         series_mul(a, b),
         series_scale(a, c),
         series_diff(a),

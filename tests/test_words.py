@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hopfmzv
-from hopfmzv import coproduct, realizations, shuffle
+from hopfmzv import birkhoff, coproduct, realizations, shuffle
 from hopfmzv.errors import NotAdmissible
 from hopfmzv.words import (
     MEMO_ENTRIES,
@@ -91,7 +91,7 @@ def test_wordsum_json_round_trip():
 def _process_wide_memos() -> dict:
     return {
         name: fn
-        for mod in (realizations, shuffle, coproduct)
+        for mod in (realizations, shuffle, coproduct, birkhoff)
         for name, fn in vars(mod).items()
         if hasattr(fn, "cache_info")
     }
@@ -106,6 +106,8 @@ def test_every_process_wide_memo_is_bounded():
         "_shuffle",
         "_coproduct_recursive",
         "_coproduct_combinatorial",
+        "_counterterm",
+        "_bar",
     }
     for name, fn in caches.items():
         assert fn.cache_info().maxsize == MEMO_ENTRIES, name
