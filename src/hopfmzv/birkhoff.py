@@ -13,7 +13,14 @@ respect to the full coproduct); equivalently chi_plus - chi_minus = chi_bar.
 
 The recursion runs over the reduced coproduct at the lambda matching the
 character: lambda = 0 for phi (the polylogarithm limit), lambda = -1 for psi
-(the modified q-sums).
+(the modified q-sums).  It reads the coproduct grouped by right leg
+(coproduct.reduced_legs), which turns the bar sum into
+
+    chi_bar(w) = chi(w) + sum_{w''} M(w'') chi(w''),
+    M(w'') = sum_{w'} c(w', w'') chi_minus(w'),
+
+one product per distinct right leg w'' instead of one per term; M(w'') is
+an exact Laurent polynomial, a sum of counterterms.
 
 Renormalized values:
   * zeta_plus(k) reads the constant term of phi_plus at the word of
@@ -32,21 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coproduct import reduced_coproduct
+from .coproduct import reduced_legs
 from .errors import DepthOne, NonvanishingLowerTerm
 from .realizations import phi, psi
-from .series import (
-    LaurentSeries,
-    pole_part,
-    regular_part,
-    series_mul,
-    series_pad,
-    series_scale,
-    series_sum,
-)
-from .words import depth, indices_to_word, memo
-
-Fr = Fraction
+from .series import LaurentSeries, pole_part, regular_part, series_scale, series_sum
+from .words import depth, indices_to_word, memo, word_to_indices
 
 __all__ = [
     "CharacterTable",
@@ -81,18 +78,16 @@ def _counterterm(kind: str, w: str) -> LaurentSeries:
 def _bar(kind: str, w: str, P: int) -> LaurentSeries:
     """chi_bar(w) for a nonempty admissible word, valid through exactly z^P.
 
-    A bar term c * chi_minus(w') * chi(w'') is valid through P when chi(w'')
-    is taken through P - ord(chi_minus(w')) and the counterterm is padded to
-    P - ord(chi(w'')).
+    Each M(w'') chi(w'') is valid through P when chi(w'') is taken through
+    P - ord(M(w'')); series_sum adds every product into one integer vector.
     """
     char, lam = _KINDS[kind]
 
     def terms():
         yield 1, char(w, P)
-        for (w1, w2), c in reduced_coproduct(w, lam).items():
-            minus1 = _counterterm(kind, w1)
-            chi2 = char(w2, P - minus1.ord)
-            yield c, series_mul(series_pad(minus1, P - chi2.ord), chi2)
+        for w2, lefts in reduced_legs(w, lam):
+            minus = [(c, _counterterm(kind, w1)) for w1, c in lefts]
+            yield minus, char(w2, P - min(m.ord for _, m in minus))
 
     return series_sum(terms())
 
@@ -188,22 +183,14 @@ def zeta_plus_via_primitives(k: tuple[int, ...]) -> RenormValue:
     k = _validate_indices(k)
     if len(k) == 1:
         raise DepthOne("the primitive-decomposition route needs depth >= 2")
-    w = indices_to_word(k)
-    cache: dict[str, Fraction] = {}
+    return RenormValue(k, _primitive_value(indices_to_word(k)), "primitive-decomposition")
 
-    def value(u: str) -> Fraction:
-        hit = cache.get(u)
-        if hit is not None:
-            return hit
-        if depth(u) == 1:
-            # d^m y <-> single index (m)
-            v = zeta_plus((u.count("d"),)).value
-        else:
-            acc = Fr(0)
-            for (u1, u2), c in reduced_coproduct(u, Fraction(0)).items():
-                acc += c * value(u1) * value(u2)
-            v = acc / (2 ** depth(u) - 2)
-        cache[u] = v
-        return v
 
-    return RenormValue(k, value(w), "primitive-decomposition")
+@memo
+def _primitive_value(u: str) -> Fraction:
+    if depth(u) == 1:  # d^m y <-> single index (m)
+        return zeta_plus(word_to_indices(u)).value
+    acc = Fraction(0)
+    for u2, lefts in reduced_legs(u, Fraction(0)):
+        acc += _primitive_value(u2) * sum(c * _primitive_value(u1) for u1, c in lefts)
+    return acc / (2 ** depth(u) - 2)

@@ -8,10 +8,15 @@ The coproduct is defined on letters by
 and extended multiplicatively (componentwise concatenation of tensor legs)
 over a word; terms in which either leg ends in d are then dropped — that
 projection modulo the trailing-d ideal is the ground truth and makes the
-admissible words a coalgebra basis.  coproduct_recursive implements exactly
-this and is authoritative; it reads the word from the right, so each leg's
-last letter is the first it receives, and drops a leg that would end in d
-as soon as it takes that d.
+admissible words a coalgebra basis.  reduced_legs implements exactly this
+and is authoritative; it reads the word from the right, so each leg's last
+letter is the first it receives, and drops a leg that would end in d as
+soon as it takes that d.  It is the engine form, memoized once per (word,
+lambda): the reduced coproduct, without the group-like terms e (x) w and
+w (x) e, grouped by right leg, which is the shape the Birkhoff bar sum
+consumes.  Every leg in it is nonempty admissible with depth between 1 and
+dpt(w) - 1, the recursion measure of the Birkhoff engine.
+coproduct_recursive and reduced_coproduct are its TensorSum views.
 
 coproduct_combinatorial is the verified second implementation: writing the
 word as w = d^{n_1 - 1} y ... d^{n_k - 1} y of weight n, with y at positions
@@ -26,12 +31,8 @@ augmented right leg (the doubled d-positions of J can otherwise leave it
 ending in d).  The two constructions are asserted equal in the verify suite.
 
 Both routes count in ints at integral lambda (phi uses 0, psi uses -1, the
-verify suite also 3), in Fractions otherwise, and convert the kept
-coefficients to Fractions once, at the end.
-
-reduced_coproduct strips the two group-like terms e (x) w and w (x) e; every
-remaining leg is nonempty admissible with depth between 1 and dpt(w) - 1,
-which is the recursion measure of the Birkhoff engine.
+verify suite also 3), in Fractions otherwise; the TensorSum forms hand out
+Fraction coefficients.
 
 star(f, g, w, lambda) is the convolution sum f(w_1) * g(w_2) of two
 series-valued maps over the full coproduct.
@@ -57,38 +58,45 @@ __all__ = [
 ]
 
 
-def _kept(acc: dict) -> tuple:
-    # insertion order: every consumer sums exactly or sorts for printing
-    return tuple((key, Fr(c)) for key, c in acc.items() if c)
-
-
 @memo
-def _coproduct_recursive(w: str, lam: Fraction) -> tuple:
+def reduced_legs(w: str, lam: Fraction) -> tuple:
+    """The reduced coproduct of a nonempty admissible word, by right leg.
+
+    ((w2, ((w1, c), ...)), ...); each c is nonzero, an int at integral lambda.
+    """
     lam_c = lam.numerator if lam.denominator == 1 else lam  # int when integral
     pairs: dict = {("", ""): 1}
     for ch in reversed(w):  # legs grow leftwards; an empty leg takes no d
         nxt: dict = {}
+        get = nxt.get
         for (l, r), c in pairs.items():
             if ch == "y":
-                grown = [("y" + l, r, c), (l, "y" + r, c)]
+                grown = (("y" + l, r), (l, "y" + r))
+            elif not l:
+                grown = ((l, "d" + r),) if r else ()
+            elif not r:
+                grown = (("d" + l, r),)
             else:
-                grown = [("d" + l, r, c)] if l else []
-                if r:
-                    grown.append((l, "d" + r, c))
-                    if l and lam_c:
-                        grown.append(("d" + l, "d" + r, c * lam_c))
-            for gl, gr, gc in grown:
-                key = (gl, gr)
-                nxt[key] = nxt.get(key, 0) + gc
+                grown = (("d" + l, r), (l, "d" + r))
+                if lam_c:
+                    key = ("d" + l, "d" + r)
+                    nxt[key] = get(key, 0) + c * lam_c
+            for key in grown:
+                nxt[key] = get(key, 0) + c
         pairs = nxt
-    return _kept(pairs)
+    legs: dict = {}
+    for (l, r), c in pairs.items():
+        if c and l and r:
+            legs.setdefault(r, []).append((l, c))
+    return tuple((r, tuple(ls)) for r, ls in legs.items())
 
 
 def coproduct_recursive(w: str, lam) -> TensorSum:
     """Letterwise coproduct followed by the trailing-d projection."""
     if not is_admissible(w):
         raise NotAdmissible(f"coproduct needs an admissible word, got {w!r}")
-    return dict(_coproduct_recursive(w, Fr(lam)))
+    reduced = reduced_coproduct(w, lam) if w else {}  # Delta(e) = e (x) e
+    return {("", w): Fr(1), **reduced, (w, ""): Fr(1)}
 
 
 @memo
@@ -128,7 +136,8 @@ def _coproduct_combinatorial(w: str, lam: Fraction) -> tuple:
                         continue
                     key = (left, aug_right)
                     acc[key] = acc.get(key, 0) + lam_c**jsize
-    return _kept(acc)
+    # insertion order: every consumer sums exactly or sorts for printing
+    return tuple((key, Fr(c)) for key, c in acc.items() if c)
 
 
 def coproduct_combinatorial(w: str, lam) -> TensorSum:
@@ -144,19 +153,12 @@ def reduced_coproduct(w: str, lam, *, method: str = "recursive") -> TensorSum:
         raise NotAdmissible(
             f"reduced coproduct needs a nonempty admissible word, got {w!r}"
         )
-    full = (
-        coproduct_recursive(w, lam)
-        if method == "recursive"
-        else coproduct_combinatorial(w, lam)
-    )
-    out = dict(full)
-    for key in (("", w), (w, "")):
-        c = out.get(key, Fr(0)) - 1
-        if c == 0:
-            out.pop(key, None)
-        else:  # pragma: no cover - connectedness says this can't happen
-            out[key] = c
-    return out
+    if method == "recursive":
+        legs = reduced_legs(w, lam if isinstance(lam, Fraction) else Fr(lam))
+        fr = {c: Fr(c) for c in {c for _, lefts in legs for _, c in lefts}}
+        return {(w1, w2): fr[c] for w2, lefts in legs for w1, c in lefts}
+    units = (("", w), (w, ""))  # coefficient 1 each, checked on the full form
+    return {k: c for k, c in coproduct_combinatorial(w, lam).items() if k not in units}
 
 
 def star(f, g, w: str, lam) -> LaurentSeries:

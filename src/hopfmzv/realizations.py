@@ -21,6 +21,10 @@ so a character's window ends at its order plus V + 1.  phi(w) has order
 -wt(w), so phi(w, P) builds its atoms through V = P + wt(w) - 1; psi(w) has
 order -dpt(w), so psi(w, P) needs V = P + dpt(w) - 1.  Either is valid
 through exactly P; anything else is a PrecisionExceeded bug, not a retry.
+phi recurses on suffixes, phi(d^k y w', P) = D^k[x * phi(w', P + k + 1)],
+with the same V at every level, and reuses the memoized suffix; psi runs
+the l-sum as a dynamic program over blocks with n * wt states instead of
+the prod(k_j + 1) leaves of the sum as written.
 
 t-side (one-variable polylogarithm realization): J divides the m-th
 coefficient by m, delta multiplies by m, J o delta = delta o J = Id on power
@@ -141,15 +145,13 @@ def _phi_planned(w: str, P: int) -> LaurentSeries:
         return zero_series(P)
     if w == "":
         return constant(1, P)
-    ks = word_to_indices(w)
-    x = x_series(P + wt - 1)
-    acc = x
-    for _ in range(ks[-1]):
+    # w = d^k y w': phi(w) = D^k[x * phi(w')], the suffix through P + k + 1
+    k = w.index("y")
+    acc = x_series(P + wt - 1)
+    if k + 1 < wt:
+        acc = series_mul(acc, _phi_planned(w[k + 1 :], P + k + 1))
+    for _ in range(k):
         acc = series_diff(acc)
-    for k in reversed(ks[:-1]):
-        acc = series_mul(x, acc)
-        for _ in range(k):
-            acc = series_diff(acc)
     return acc
 
 
@@ -169,18 +171,21 @@ def _psi_planned(w: str, P: int) -> LaurentSeries:
         return constant(1, P)
     ks = word_to_indices(w)
     V = P + n - 1
-
-    def descend(j: int, lsum: int, coeff: int, prod: LaurentSeries | None):
-        if j == n:
-            yield coeff, prod
-            return
-        for l in range(ks[j] + 1):
-            c = coeff * comb(ks[j], l) * (-1) ** (l + 1)
-            factor = psi_factor(lsum + l + 1, V)
-            nxt = factor if prod is None else series_mul(prod, factor)
-            yield from descend(j + 1, lsum + l, c, nxt)
-
-    return series_sum(descend(0, 0, 1, None))
+    # DP over the blocks, last first.  F[s] is the l-sum over blocks j.. when
+    # the l of the blocks before j add up to s; G[t] = f((t + 1) z) * (F of
+    # block j + 1)[t] serves every l with s + l = t.
+    F = None  # past the last block: the empty product 1
+    for j in reversed(range(n)):
+        k, S = ks[j], sum(ks[:j])
+        G = [
+            psi_factor(t + 1, V) if F is None else series_mul(psi_factor(t + 1, V), F[t])
+            for t in range(S + k + 1)
+        ]
+        F = [
+            series_sum(((-1) ** (l + 1) * comb(k, l), G[s + l]) for l in range(k + 1))
+            for s in range(S + 1)
+        ]
+    return F[0]
 
 
 def psi(w: str, P: int) -> LaurentSeries:

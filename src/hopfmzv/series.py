@@ -57,7 +57,6 @@ __all__ = [
     "series_diff",
     "series_from_json",
     "series_mul",
-    "series_pad",
     "series_scale",
     "series_slice",
     "series_sum",
@@ -147,22 +146,23 @@ def _make(ord_: int, nums, den: int) -> LaurentSeries:
     return s
 
 
-def convolve(a, b, n, out=None):
+def convolve(a, b, n, out=None, at=0):
     """First n coefficients of the Cauchy product of coefficient vectors.
 
     The entries are ints: a rational caller convolves numerators over a
     common denominator (numerators_over_lcm) and divides once afterwards.
     Zero entries are skipped (exact zeros are common in these series: odd
-    Bernoulli tails, parity gaps).  The products are added into `out` when
-    it is given (at least n int slots), else into a fresh list of zeros.
+    Bernoulli tails, parity gaps).  The products are added into `out` from
+    slot `at` on when it is given (at least at + n int slots), else into a
+    fresh list of zeros.
     """
     if out is None:
         out = [0] * n
-    nonzero_b = [(j, bj) for j, bj in enumerate(b[:n]) if bj]
+    nonzero_b = [(j, bj) for j, bj in enumerate(b[:n], at) if bj]
     for i, ai in enumerate(a[:n]):
         if not ai:
             continue
-        jmax = n - i
+        jmax = n - i + at
         for j, bj in nonzero_b:
             if j >= jmax:
                 break
@@ -208,40 +208,65 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return series_sum(((1, a), (1, b)))
 
 
+def _combination(pairs) -> tuple[int, list[int], int]:
+    """(ord, nums, den), unreduced, of sum k * m over (int k, series m) pairs."""
+    if len(pairs) == 1:
+        k, m = pairs[0]
+        return m.ord, [x * k for x in m.nums], m.den
+    lo = min(m.ord for _, m in pairs)
+    den = lcm(*(m.den for _, m in pairs))
+    out = [0] * (max(m.ord + len(m.nums) for _, m in pairs) - lo)
+    for k, m in pairs:
+        f = den // m.den * k
+        for i, x in enumerate(m.nums, m.ord - lo):
+            out[i] += x * f
+    return lo, out, den
+
+
 def series_sum(terms) -> LaurentSeries:
     """sum c * s over an iterable of (c, s) pairs, reduced once at the end.
 
-    The terms stream into one vector of integer numerators over the running
-    lcm of their denominators, so no intermediate series is built.  As for
-    add, the result starts at the lowest ord and is valid through the
-    smallest valid_through; a zero c still narrows the window.  Raises
-    ValueError on an empty iterable.
+    c is a scalar, or a list of (int k, series m) pairs standing for the
+    exact Laurent polynomial sum k * m (each m vanishes past its window, as
+    a counterterm does); then c * s is valid through s.valid_through plus
+    the lowest ord of the m.  Each c * s is added straight into one vector
+    of integer numerators over the running lcm of the denominators, so no
+    intermediate series is built.  As for add, the result starts at the
+    lowest ord and is valid through the smallest valid_through; a zero c
+    still narrows the window.  Raises ValueError on an empty iterable.
     """
     lo = vt = None
     den, out = 1, []
     for c, s in terms:
+        if isinstance(c, list):
+            c_ord, c_nums, c_den = _combination(c)
+        else:
+            c = c if isinstance(c, (int, Fraction)) else Fr(c)
+            c_ord, c_nums, c_den = 0, (c.numerator,), c.denominator
+        s_ord, s_vt = s.ord + c_ord, s.valid_through + c_ord
         if lo is None:
-            lo, vt = s.ord, s.valid_through
+            lo, vt = s_ord, s_vt
             out = [0] * (vt - lo + 1)
-        if s.ord < lo:  # before the cut below: vt - (old lo) + 1 may be < 0
-            out[:0] = [0] * (lo - s.ord)
-            lo = s.ord
-        if s.valid_through < vt:
-            vt = s.valid_through
+        if s_ord < lo:  # before the cut below: vt - (old lo) + 1 may be < 0
+            out[:0] = [0] * (lo - s_ord)
+            lo = s_ord
+        if s_vt < vt:
+            vt = s_vt
             del out[vt - lo + 1 :]
-        if not isinstance(c, (int, Fraction)):
-            c = Fr(c)
-        if not c:
-            continue
-        sden = s.den * c.denominator
+        sden = s.den * c_den
         common = lcm(den, sden)
         if common != den:
             f = common // den
             out = [x * f for x in out]
             den = common
-        f = common // sden * c.numerator
-        # exponents s.ord..vt; none when s.ord lies past the window
-        for i, x in enumerate(s.nums[: max(vt - s.ord + 1, 0)], s.ord - lo):
+        f = common // sden
+        # exponents s_ord..vt; none when s_ord lies past the window
+        n = max(vt - s_ord + 1, 0)
+        if len(c_nums) > 1:
+            convolve([x * f for x in c_nums], s.nums, n, out, s_ord - lo)
+            continue
+        f *= c_nums[0]
+        for i, x in enumerate(s.nums[:n], s_ord - lo):
             if x:
                 out[i] += x * f
     if lo is None:
@@ -295,18 +320,6 @@ def series_slice(a: LaurentSeries, valid_through: int) -> LaurentSeries:
     if valid_through < a.ord:
         return _make(valid_through + 1, (), 1)
     return _make(a.ord, a.nums[: valid_through - a.ord + 1], a.den)
-
-
-def series_pad(a: LaurentSeries, valid_through: int) -> LaurentSeries:
-    """a on the window through valid_through, reading zeros past a's window.
-
-    Only for a series whose terms past its window are known to vanish, such
-    as a counterterm (a pole part known through z^-1).
-    """
-    if valid_through <= a.valid_through:
-        return series_slice(a, valid_through)
-    pad = (0,) * (valid_through - a.valid_through)
-    return _make(a.ord, a.nums + pad, a.den)
 
 
 def equal_on_window(a: LaurentSeries, b: LaurentSeries, min_overlap: int = 1) -> bool:

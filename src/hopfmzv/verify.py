@@ -118,20 +118,12 @@ def _all_words(max_len: int, min_len: int = 1):
             yield "".join(tup)
 
 
-def _pairs_total_weight(max_total: int):
-    """Ordered pairs of nonempty admissible words, wt(u) + wt(v) <= max_total."""
+def _unordered_pairs_total_weight(max_total: int):
+    """Pairs u <= v of nonempty admissible words, wt(u) + wt(v) <= max_total."""
     for u in admissible_words(max_total - 1):
         for v in admissible_words(max_total - weight(u)):
-            yield u, v
-
-
-def _unordered_pairs_total_weight(max_total: int):
-    seen = set()
-    for u, v in _pairs_total_weight(max_total):
-        key = (u, v) if u <= v else (v, u)
-        if key not in seen:
-            seen.add(key)
-            yield key
+            if u <= v:
+                yield u, v
 
 
 def _compositions(total: int, parts: int):
@@ -162,15 +154,17 @@ def _check_cop_routes():
 
 def _check_coassoc():
     for lam in _LAMS_COP:
-        for w in admissible_words(6, include_empty=True):
-            cop = coproduct_recursive(w, lam)
+        # every leg of a word to weight 6 is itself one of these words
+        words = admissible_words(6, include_empty=True)
+        cops = {u: coproduct_recursive(u, lam) for u in words}
+        for w, cop in cops.items():
             left: dict = {}
             right: dict = {}
             for (a, b), c in cop.items():
-                for (a1, a2), c2 in coproduct_recursive(a, lam).items():
+                for (a1, a2), c2 in cops[a].items():
                     key = (a1, a2, b)
                     left[key] = left.get(key, Fr(0)) + c * c2
-                for (b1, b2), c2 in coproduct_recursive(b, lam).items():
+                for (b1, b2), c2 in cops[b].items():
                     key = (a, b1, b2)
                     right[key] = right.get(key, Fr(0)) + c * c2
             if ws_add(left) != ws_add(right):

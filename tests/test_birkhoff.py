@@ -164,8 +164,8 @@ def test_depth_two_matches_the_closed_form_through_weight_25():
             assert zeta_plus(k).value == mero_depth2(*k), k
 
 
-def test_primitive_route_agrees_on_every_word_to_weight_9():
-    for w in admissible_words(9):
+def test_primitive_route_agrees_on_every_word_to_weight_10():
+    for w in admissible_words(10):
         if depth(w) >= 2:
             k = word_to_indices(w)
             assert zeta_plus(k).value == zeta_plus_via_primitives(k).value, w

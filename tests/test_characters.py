@@ -15,8 +15,15 @@ from hopfmzv.realizations import (
     psi_factor,
     x_series,
 )
-from hopfmzv.series import equal_on_window, series_from_json, series_mul, series_slice
-from hopfmzv.words import admissible_words
+from hopfmzv.series import (
+    equal_on_window,
+    series_diff,
+    series_from_json,
+    series_mul,
+    series_slice,
+)
+from hopfmzv.verify import _psi_coeff_oracle
+from hopfmzv.words import admissible_words, depth, weight, word_to_indices
 
 Fr = Fraction
 
@@ -112,6 +119,36 @@ def test_plan_is_exact():
         for w in words:
             assert phi(w, P).valid_through == P, (w, P)
             assert psi(w, P).valid_through == P, (w, P)
+
+
+def _phi_chain(w, P):
+    """D^{k_1}[x * D^{k_2}[x * ... D^{k_n}[x]]], every atom through P + wt - 1."""
+    x = x_series(P + weight(w) - 1)
+    acc = None
+    for k in reversed(word_to_indices(w)):
+        acc = x if acc is None else series_mul(x, acc)
+        for _ in range(k):
+            acc = series_diff(acc)
+    return acc
+
+
+def test_phi_equals_the_full_derivative_chain():
+    for P in (-1, 0, 3):
+        for w in admissible_words(8):
+            got, want = phi(w, P), _phi_chain(w, P)
+            assert (got.ord, got.nums, got.den) == (want.ord, want.nums, want.den), (w, P)
+
+
+def test_psi_equals_the_constant_oracle_past_the_verify_range():
+    # verify checks n + |k| <= 5; the oracle's cost grows exponentially with
+    # the depth n (n = 7 alone takes seconds), so the range 6..7 stops at n = 3
+    for w in admissible_words(7):
+        if depth(w) > 3:
+            continue
+        k = word_to_indices(w)
+        s = psi(w, 4)
+        for e in range(-len(k), 5):
+            assert s.coefficient(e) == _psi_coeff_oracle(k, e), (k, e)
 
 
 def test_depth1_closed_form():

@@ -91,6 +91,30 @@ def test_reduced_coproduct_listing():
     ]
 
 
+_DYDDYDY_REDUCED_AT_MINUS_ONE = (
+    "y dddydy 1, y dydddy 1, dy ddydy 1, dy dyddy 3, dy ydddy 1, dy dddydy -1, "
+    "dy dydddy -3, yy ddddy 1, ddy dydy 3, ddy yddy 3, ddy dyddy -7, "
+    "ddy ydddy -2, ddy dydddy 3, dyy dddy 1, dyy ddddy -1, ydy dddy 3, "
+    "ydy ddddy -2, dddy dyy 1, dddy ydy 3, dddy dydy -5, dddy yddy -4, "
+    "dddy dyddy 5, dddy ydddy 1, dddy dydddy -1, dydy ddy 3, dydy dddy -5, "
+    "dydy ddddy 2, yddy ddy 3, yddy dddy -4, yddy ddddy 1, ddddy yy 1, "
+    "ddddy dyy -1, ddddy ydy -2, ddddy dydy 2, ddddy yddy 1, ddddy dyddy -1, "
+    "ddydy dy 1, dyddy dy 3, dyddy ddy -7, dyddy dddy 5, dyddy ddddy -1, "
+    "ydddy dy 1, ydddy ddy -2, ydddy dddy 1, dddydy y 1, dddydy dy -1, "
+    "dydddy y 1, dydddy dy -3, dydddy ddy 3, dydddy dddy -1"
+)
+
+
+def test_reduced_coproduct_json_golden():
+    r = run_cli("coproduct", "dyddydy", "--lambda", "-1", "--reduced", "--json")
+    assert r.returncode == 0, r.stderr
+    terms = [
+        dict(zip(("left", "right", "coeff"), t.split()))
+        for t in _DYDDYDY_REDUCED_AT_MINUS_ONE.split(", ")
+    ]
+    assert r.stdout == json.dumps({"terms": terms}, indent=2) + "\n"
+
+
 def test_coproduct_methods_agree_as_json():
     a = run_cli("coproduct", "ddydy", "--lambda", "3", "--json", "--method", "recursive")
     b = run_cli(

@@ -8,9 +8,10 @@ from hopfmzv.coproduct import (
     coproduct_combinatorial,
     coproduct_recursive,
     reduced_coproduct,
+    reduced_legs,
 )
 from hopfmzv.errors import NotAdmissible
-from hopfmzv.words import indices_to_word
+from hopfmzv.words import admissible_words, indices_to_word
 
 Fr = Fraction
 
@@ -126,5 +127,20 @@ def test_recursive_equals_combinatorial(k, lam):
     recursive = coproduct_recursive(w, lam)
     combinatorial = coproduct_combinatorial(w, lam)
     assert recursive == combinatorial
-    assert all(type(c) is Fraction for c in recursive.values())
-    assert all(type(c) is Fraction for c in combinatorial.values())
+    reduced = reduced_coproduct(w, lam)
+    assert reduced == reduced_coproduct(w, lam, method="combinatorial")
+    for t in (recursive, combinatorial, reduced):
+        assert all(type(c) is Fraction for c in t.values())
+
+
+def test_engine_form_equals_combinatorial_to_weight_8():
+    for lam in (Fr(0), Fr(-1)):
+        for w in admissible_words(8):
+            legs = reduced_legs(w, lam)
+            right = [w2 for w2, _ in legs]
+            assert len(set(right)) == len(right), w  # one group per right leg
+            flat = {(w1, w2): c for w2, lefts in legs for w1, c in lefts}
+            assert all(w1 and w2 and type(c) is int and c for (w1, w2), c in flat.items())
+            assert flat == reduced_coproduct(w, lam, method="combinatorial"), (w, lam)
+            full = {("", w): 1, **flat, (w, ""): 1}
+            assert full == coproduct_combinatorial(w, lam), (w, lam)

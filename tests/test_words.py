@@ -104,10 +104,11 @@ def test_every_process_wide_memo_is_bounded():
         "_phi_planned",
         "_psi_planned",
         "_shuffle",
-        "_coproduct_recursive",
+        "reduced_legs",
         "_coproduct_combinatorial",
         "_counterterm",
         "_bar",
+        "_primitive_value",
     }
     for name, fn in caches.items():
         assert fn.cache_info().maxsize == MEMO_ENTRIES, name
@@ -116,6 +117,7 @@ def test_every_process_wide_memo_is_bounded():
 def test_clear_caches_empties_every_memo():
     before = hopfmzv.zeta_plus((1, 2, 1))
     hopfmzv.qzeta_plus((1, 2))
+    hopfmzv.zeta_plus_via_primitives((1, 2))
     hopfmzv.shuffle_lambda("dy", "ddy", -1)
     hopfmzv.coproduct_combinatorial("dydy", 0)
     caches = _process_wide_memos()
