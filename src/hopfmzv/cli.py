@@ -25,16 +25,7 @@ from itertools import product
 
 from .birkhoff import CharacterTable, zeta_plus
 from .coproduct import coproduct_combinatorial, coproduct_recursive, reduced_coproduct
-from .errors import (
-    DepthOne,
-    EvenWeight,
-    LambdaZero,
-    NonvanishingLowerTerm,
-    NonzeroConstantTerm,
-    NotAdmissible,
-    PrecisionExceeded,
-    TruncationMismatch,
-)
+from .errors import NonvanishingLowerTerm, NotAdmissible, PrecisionExceeded
 from .realizations import li_J, phi, psi, qz_series
 from .series import LaurentSeries, series_slice, series_to_json
 from .shuffle import shuffle_lambda, shuffle_zero
@@ -46,18 +37,6 @@ from .words import (
     wordsum_to_json,
     tensorsum_to_json,
 )
-
-_DOMAIN_ERRORS = (
-    NotAdmissible,
-    LambdaZero,
-    PrecisionExceeded,
-    NonzeroConstantTerm,
-    TruncationMismatch,
-    EvenWeight,
-    NonvanishingLowerTerm,
-    DepthOne,
-)
-
 
 # ---------------------------------------------------------------------------
 # rendering
@@ -436,10 +415,7 @@ def main(argv=None) -> int:
     except SyntaxError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, PrecisionExceeded, NonvanishingLowerTerm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,12 +11,14 @@ projection modulo the trailing-d ideal is the ground truth and makes the
 admissible words a coalgebra basis.  reduced_legs implements exactly this
 and is authoritative; it reads the word from the right, so each leg's last
 letter is the first it receives, and drops a leg that would end in d as
-soon as it takes that d.  It is the engine form, memoized once per (word,
-lambda): the reduced coproduct, without the group-like terms e (x) w and
-w (x) e, grouped by right leg, which is the shape the Birkhoff bar sum
-consumes.  Every leg in it is nonempty admissible with depth between 1 and
-dpt(w) - 1, the recursion measure of the Birkhoff engine.
-coproduct_recursive and reduced_coproduct are its TensorSum views.
+soon as it takes that d.  It is the engine form: the reduced coproduct,
+without the group-like terms e (x) w and w (x) e, grouped by right leg,
+which is the shape the Birkhoff bar sum consumes.  It is not memoized: the
+engine reads a word's coproduct once, in the bar sum behind its memoized
+counterterm or value, so a stored enumeration would never be read again.
+Every leg in it is nonempty admissible with depth between 1 and dpt(w) - 1,
+the recursion measure of the Birkhoff engine.  coproduct_recursive and
+reduced_coproduct are its TensorSum views.
 
 coproduct_combinatorial is the verified second implementation: writing the
 word as w = d^{n_1 - 1} y ... d^{n_k - 1} y of weight n, with y at positions
@@ -45,7 +47,7 @@ from itertools import combinations
 
 from .errors import NotAdmissible
 from .series import LaurentSeries, series_mul, series_sum
-from .words import TensorSum, is_admissible, memo, word_to_indices
+from .words import TensorSum, is_admissible, word_to_indices
 
 Fr = Fraction
 
@@ -58,7 +60,6 @@ __all__ = [
 ]
 
 
-@memo
 def reduced_legs(w: str, lam: Fraction) -> tuple:
     """The reduced coproduct of a nonempty admissible word, by right leg.
 
@@ -99,8 +100,11 @@ def coproduct_recursive(w: str, lam) -> TensorSum:
     return {("", w): Fr(1), **reduced, (w, ""): Fr(1)}
 
 
-@memo
-def _coproduct_combinatorial(w: str, lam: Fraction) -> tuple:
+def coproduct_combinatorial(w: str, lam) -> TensorSum:
+    """Admissible-subset formula; must equal coproduct_recursive."""
+    if not is_admissible(w):
+        raise NotAdmissible(f"coproduct needs an admissible word, got {w!r}")
+    lam = Fr(lam)
     lam_c = lam.numerator if lam.denominator == 1 else lam  # int when integral
     n = len(w)
     ypos = {i + 1 for i, ch in enumerate(w) if ch == "y"}
@@ -137,14 +141,7 @@ def _coproduct_combinatorial(w: str, lam: Fraction) -> tuple:
                     key = (left, aug_right)
                     acc[key] = acc.get(key, 0) + lam_c**jsize
     # insertion order: every consumer sums exactly or sorts for printing
-    return tuple((key, Fr(c)) for key, c in acc.items() if c)
-
-
-def coproduct_combinatorial(w: str, lam) -> TensorSum:
-    """Admissible-subset formula; must equal coproduct_recursive."""
-    if not is_admissible(w):
-        raise NotAdmissible(f"coproduct needs an admissible word, got {w!r}")
-    return dict(_coproduct_combinatorial(w, Fr(lam)))
+    return {key: Fr(c) for key, c in acc.items() if c}
 
 
 def reduced_coproduct(w: str, lam, *, method: str = "recursive") -> TensorSum:
@@ -154,7 +151,7 @@ def reduced_coproduct(w: str, lam, *, method: str = "recursive") -> TensorSum:
             f"reduced coproduct needs a nonempty admissible word, got {w!r}"
         )
     if method == "recursive":
-        legs = reduced_legs(w, lam if isinstance(lam, Fraction) else Fr(lam))
+        legs = reduced_legs(w, Fr(lam))
         fr = {c: Fr(c) for c in {c for _, lefts in legs for _, c in lefts}}
         return {(w1, w2): fr[c] for w2, lefts in legs for w1, c in lefts}
     units = (("", w), (w, ""))  # coefficient 1 each, checked on the full form

@@ -21,6 +21,7 @@ so a character's window ends at its order plus V + 1.  phi(w) has order
 -wt(w), so phi(w, P) builds its atoms through V = P + wt(w) - 1; psi(w) has
 order -dpt(w), so psi(w, P) needs V = P + dpt(w) - 1.  Either is valid
 through exactly P; anything else is a PrecisionExceeded bug, not a retry.
+phi and psi are memoized per (word, P), so both checks run once per entry.
 phi recurses on suffixes, phi(d^k y w', P) = D^k[x * phi(w', P + k + 1)],
 with the same V at every level, and reuses the memoized suffix; psi runs
 the l-sum as a dynamic program over blocks with n * wt states instead of
@@ -139,7 +140,10 @@ def _exact(name: str, w: str, P: int, s: LaurentSeries) -> LaurentSeries:
 
 
 @memo
-def _phi_planned(w: str, P: int) -> LaurentSeries:
+def phi(w: str, P: int) -> LaurentSeries:
+    """The polylogarithm-limit character, valid through exactly z^P."""
+    if not is_admissible(w):
+        raise NotAdmissible(f"phi needs an admissible word, got {w!r}")
     wt = weight(w)
     if P < -wt:  # below the leading pole z^{-wt(w)}
         return zero_series(P)
@@ -149,21 +153,17 @@ def _phi_planned(w: str, P: int) -> LaurentSeries:
     k = w.index("y")
     acc = x_series(P + wt - 1)
     if k + 1 < wt:
-        acc = series_mul(acc, _phi_planned(w[k + 1 :], P + k + 1))
+        acc = series_mul(acc, phi(w[k + 1 :], P + k + 1))
     for _ in range(k):
         acc = series_diff(acc)
-    return acc
-
-
-def phi(w: str, P: int) -> LaurentSeries:
-    """The polylogarithm-limit character, valid through exactly z^P."""
-    if not is_admissible(w):
-        raise NotAdmissible(f"phi needs an admissible word, got {w!r}")
-    return _exact("phi", w, P, _phi_planned(w, P))
+    return _exact("phi", w, P, acc)
 
 
 @memo
-def _psi_planned(w: str, P: int) -> LaurentSeries:
+def psi(w: str, P: int) -> LaurentSeries:
+    """The modified q-value character at q = exp(z), valid through exactly z^P."""
+    if not is_admissible(w):
+        raise NotAdmissible(f"psi needs an admissible word, got {w!r}")
     n = depth(w)
     if P < -n:  # below the leading pole z^{-dpt(w)}
         return zero_series(P)
@@ -185,14 +185,7 @@ def _psi_planned(w: str, P: int) -> LaurentSeries:
             series_sum(((-1) ** (l + 1) * comb(k, l), G[s + l]) for l in range(k + 1))
             for s in range(S + 1)
         ]
-    return F[0]
-
-
-def psi(w: str, P: int) -> LaurentSeries:
-    """The modified q-value character at q = exp(z), valid through exactly z^P."""
-    if not is_admissible(w):
-        raise NotAdmissible(f"psi needs an admissible word, got {w!r}")
-    return _exact("psi", w, P, _psi_planned(w, P))
+    return _exact("psi", w, P, F[0])
 
 
 def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:

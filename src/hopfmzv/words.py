@@ -55,7 +55,6 @@ __all__ = [
     "is_admissible",
     "parse_word",
     "project_T",
-    "tensorsum_from_json",
     "tensorsum_to_json",
     "weight",
     "word_key",
@@ -168,11 +167,3 @@ def tensorsum_to_json(t: TensorSum) -> dict:
             {"left": l, "right": r, "coeff": str(t[(l, r)])} for l, r in ordered
         ]
     }
-
-
-def tensorsum_from_json(obj: dict) -> TensorSum:
-    acc: TensorSum = {}
-    for term in obj["terms"]:
-        key = (parse_word(term["left"]), parse_word(term["right"]))
-        acc[key] = acc.get(key, Fr(0)) + Fr(term["coeff"])
-    return {k: c for k, c in acc.items() if c != 0}

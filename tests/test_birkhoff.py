@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
@@ -6,7 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfmzv import clear_caches
+from hopfmzv import birkhoff, clear_caches
 from hopfmzv.birkhoff import (
     CharacterTable,
     _counterterm,
@@ -155,6 +156,25 @@ def test_counterterms_are_shared_across_calls():
     assert _counterterm.cache_info().currsize == 0
     assert zeta_plus((1, 2, 1)) == first
     assert _counterterm.cache_info().currsize > 0
+
+
+def test_each_coproduct_is_enumerated_once(monkeypatch):
+    # the engine reads a word's coproduct only behind a memoized counterterm
+    # or a top-level value, so a coproduct memo would never be hit
+    seen = Counter()
+    enumerate_legs = birkhoff.reduced_legs
+
+    def counted(w, lam):
+        seen[w, lam] += 1
+        return enumerate_legs(w, lam)
+
+    monkeypatch.setattr(birkhoff, "reduced_legs", counted)
+    clear_caches()
+    misses = _counterterm.cache_info().misses
+    zeta_plus((1,) * 5)
+    qzeta_plus((2, 2, 2))
+    assert seen and set(seen.values()) == {1}
+    assert sum(seen.values()) == _counterterm.cache_info().misses - misses + 2
 
 
 def test_depth_two_matches_the_closed_form_through_weight_25():
