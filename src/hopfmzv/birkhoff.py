@@ -22,6 +22,17 @@ character: lambda = 0 for phi (the polylogarithm limit), lambda = -1 for psi
 one product per distinct right leg w'' instead of one per term; M(w'') is
 an exact Laurent polynomial, a sum of counterterms.
 
+One atom window per call.  The grading g additive across that coproduct
+(weight at lambda = 0, depth at lambda = -1) is also the pole order of chi,
+and chi_minus(w') has order -g(w').  So if w is read through P_w, its right
+leg w'' is needed through P_w - ord M(w'') = P_w + g(w) - g(w''): reading
+every word u through V + 1 - g(u) with one V serves the whole recursion.
+A call for W through z^P takes V = P + g(W) - 1 (the characters' own atom
+window, see realizations), and each word's character is built once, at V.
+V lives in a ContextVar for the duration of a _bar call; the counterterms'
+bars run under it, and take the larger window when their own z^-1 needs
+more.
+
 Renormalized values:
   * zeta_plus(k) reads the constant term of phi_plus at the word of
     (-k_1, ..., -k_n), from a table whose rows end at z^0.
@@ -36,14 +47,17 @@ Renormalized values:
 
 from __future__ import annotations
 
+import operator
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coproduct import reduced_legs
 from .errors import DepthOne, NonvanishingLowerTerm
 from .realizations import phi, psi
-from .series import LaurentSeries, pole_part, regular_part, series_scale, series_sum
-from .words import depth, indices_to_word, memo, word_to_indices
+from .series import LaurentSeries, pole_part, regular_part, series_scale
+from .series import series_slice, series_sum
+from .words import depth, indices_to_word, memo, weight, word_to_indices
 
 __all__ = [
     "CharacterTable",
@@ -58,6 +72,11 @@ _KINDS = {
     "phi": (phi, Fraction(0)),
     "psi": (psi, Fraction(-1)),
 }
+# kind -> the grading additive across that coproduct: chi's pole order
+_GRADINGS = {"phi": weight, "psi": depth}
+
+# The atom window V of the running _bar call; unset outside one.
+_WINDOW: ContextVar[int] = ContextVar("atom_window")
 
 
 # Both memos look the character up in _KINDS on every miss rather than
@@ -67,9 +86,9 @@ def _counterterm(kind: str, w: str) -> LaurentSeries:
     """chi_minus(w) = -pi(chi_bar(w)) for a nonempty admissible word.
 
     An exact Laurent polynomial once chi_bar(w) is known through z^-1, so it
-    is computed once at that window, whatever window is asked for later;
-    read further out, its coefficients are known zeros.  That z^-1 bar is
-    not memoized: only its pole part is ever read again.
+    is computed once, at the running call's window, whatever window is asked
+    for later; read further out, its coefficients are known zeros.  That
+    z^-1 bar is not memoized: only its pole part is ever read again.
     """
     return series_scale(pole_part(_bar.__wrapped__(kind, w, -1)), -1)
 
@@ -78,18 +97,25 @@ def _counterterm(kind: str, w: str) -> LaurentSeries:
 def _bar(kind: str, w: str, P: int) -> LaurentSeries:
     """chi_bar(w) for a nonempty admissible word, valid through exactly z^P.
 
-    Each M(w'') chi(w'') is valid through P when chi(w'') is taken through
-    P - ord(M(w'')); series_sum adds every product into one integer vector.
+    Every character is read at one atom window V: u through V + 1 - g(u),
+    g the kind's grading.  chi(w) is sliced to P; each M(w'') chi(w'') is
+    valid through at least P, and series_sum narrows the sum to P.
     """
-    char, lam = _KINDS[kind]
+    (char, lam), grade = _KINDS[kind], _GRADINGS[kind]
+    V = P + grade(w) - 1
+    V = max(V, _WINDOW.get(V))  # a counterterm keeps the call's wider window
+    token = _WINDOW.set(V)
 
     def terms():
-        yield 1, char(w, P)
+        yield 1, series_slice(char(w, V + 1 - grade(w)), P)
         for w2, lefts in reduced_legs(w, lam):
             minus = [(c, _counterterm(kind, w1)) for w1, c in lefts]
-            yield minus, char(w2, P - min(m.ord for _, m in minus))
+            yield minus, char(w2, V + 1 - grade(w2))
 
-    return series_sum(terms())
+    try:
+        return series_sum(terms())
+    finally:
+        _WINDOW.reset(token)
 
 
 class CharacterTable:
@@ -132,7 +158,10 @@ class RenormValue:
 
 
 def _validate_indices(k: tuple[int, ...]) -> tuple[int, ...]:
-    k = tuple(int(v) for v in k)
+    try:
+        k = tuple(operator.index(v) for v in k)
+    except TypeError:
+        raise ValueError(f"index vector entries must be integers: {k!r}") from None
     if not k:
         raise ValueError("index vector must have length >= 1")
     if any(v < 0 for v in k):

@@ -248,13 +248,20 @@ def _ps_mul(a, b):
     return tuple(Fr(x, d) for x in convolve(na, nb, n))
 
 
+def _check_truncation(k: tuple[int, ...], T: int) -> None:
+    """The shared preconditions of the t- and q-side truncations below."""
+    if not k:
+        raise ValueError("index vector must have length >= 1")
+    if T < 0:
+        raise ValueError(f"truncation must be >= 0, got {T}")
+
+
 def li_J(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
     """One-variable polylogarithm at integer indices of any sign, to t^T.
 
     J^{k_1}[ y * J^{k_2}[ ... J^{k_n}[y] ] ] with J^{-m} = delta^m.
     """
-    if not k:
-        raise ValueError("index vector must have length >= 1")
+    _check_truncation(k, T)
     y = y_powerseries(T)
 
     def power(s, e):
@@ -271,8 +278,7 @@ def li_J(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
 
 def li_nested(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
     """Oracle: sum_{m_1 > ... > m_n > 0} t^{m_1} / prod m_i^{k_i}."""
-    if not k:
-        raise ValueError("index vector must have length >= 1")
+    _check_truncation(k, T)
     n = len(k)
     layer = [Fr(0)] * (T + 1)  # layer[m] = inner sum with m_j = m
     for m in range(1, T + 1):
@@ -385,8 +391,7 @@ def eval_t_eq_q(s: BivariateSeries) -> tuple[Fraction, ...]:
 
 def qchar_realization(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
     """D_q^{k_1}[ y * D_q^{k_2}[ ... ] ](t) at t = q, to q^Q."""
-    if not k:
-        raise ValueError("index vector must have length >= 1")
+    _check_truncation(k, Q)
     y = y_bivariate(Q, Q)
 
     def dq_power(s, e):
@@ -406,8 +411,7 @@ def qz_series(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
     sum_{m_1 > ... > m_n > 0} q^{m_1} prod_i (1 - q^{m_i})^{k_i};
     only the outermost index carries the factor q^{m_1}.
     """
-    if not k:
-        raise ValueError("index vector must have length >= 1")
+    _check_truncation(k, Q)
     n = len(k)
 
     def binom_poly(m: int, e: int) -> list[int]:
@@ -446,8 +450,7 @@ def qz_rational(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
     * prod_j q^{L_j}/(q^{L_j} - 1) with L_j = l_1 + ... + l_j + 1; each
     factor q^L/(q^L - 1) = -(q^L + q^{2L} + ...).
     """
-    if not k:
-        raise ValueError("index vector must have length >= 1")
+    _check_truncation(k, Q)
     n = len(k)
 
     def geom_factor(L: int) -> list[int]:

@@ -27,11 +27,11 @@ Fr = Fraction
 WordSum = dict  # word -> Fraction
 TensorSum = dict  # (word, word) -> Fraction
 
-# Every process-wide memo (products, coproducts, characters) is declared with
-# @memo, so each keeps at most MEMO_ENTRIES results however long the process
-# lives.  The bound is above every per-process count the benchmark workloads
-# reach, so none of them evicts.  memo also records each cache, so that
-# clear_caches() empties all of them.
+# Every process-wide memo (shuffles, atoms, characters, counterterms, values)
+# is declared with @memo, so each keeps at most MEMO_ENTRIES results however
+# long the process lives.  The bound is above every per-process count the
+# benchmark workloads reach, so none of them evicts.  memo also records each
+# cache, so that clear_caches() empties all of them.
 MEMO_ENTRIES = 1 << 14
 _MEMOS: list = []
 

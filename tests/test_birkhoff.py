@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hopfmzv.birkhoff import (
     zeta_plus_via_primitives,
 )
 from hopfmzv.errors import DepthOne
-from hopfmzv.realizations import mero_depth2
+from hopfmzv.realizations import mero_depth2, phi, psi
 from hopfmzv.series import equal_on_window, series_add
 from hopfmzv.words import admissible_words, depth, word_to_indices
 
@@ -126,6 +127,11 @@ def test_argument_validation():
         zeta_plus(())
     with pytest.raises(ValueError):
         zeta_plus((1, -2))
+    # entries are integers, not anything int() would truncate or parse
+    for route in (zeta_plus, qzeta_plus, zeta_plus_via_primitives):
+        for k in [(1.5,), ("3",), (1, Fr(1, 2)), (1, None)]:
+            with pytest.raises(ValueError):
+                route(k)
 
 
 def test_table_is_thread_safe():
@@ -158,6 +164,26 @@ def test_counterterms_are_shared_across_calls():
     assert _counterterm.cache_info().currsize > 0
 
 
+def test_a_rebound_kinds_table_is_seen(monkeypatch):
+    # a tool that wraps the characters rebinds _KINDS with new
+    # (character, lambda) pairs; the engine reads it on every miss
+    calls = Counter()
+
+    def counted(char):
+        def wrapper(w, P):
+            calls[char.__name__] += 1
+            return char(w, P)
+
+        return wrapper
+
+    expected = zeta_plus((1, 2)).value, qzeta_plus((1, 2)).value
+    kinds = {kind: (counted(char), lam) for kind, (char, lam) in birkhoff._KINDS.items()}
+    monkeypatch.setattr(birkhoff, "_KINDS", kinds)
+    clear_caches()
+    assert (zeta_plus((1, 2)).value, qzeta_plus((1, 2)).value) == expected
+    assert calls["phi"] > 0 and calls["psi"] > 0
+
+
 def test_each_coproduct_is_enumerated_once(monkeypatch):
     # the engine reads a word's coproduct only behind a memoized counterterm
     # or a top-level value, so a coproduct memo would never be hit
@@ -175,6 +201,82 @@ def test_each_coproduct_is_enumerated_once(monkeypatch):
     qzeta_plus((2, 2, 2))
     assert seen and set(seen.values()) == {1}
     assert sum(seen.values()) == _counterterm.cache_info().misses - misses + 2
+
+
+@pytest.mark.parametrize(
+    "value, k, char",
+    [(zeta_plus, (1,) * 5, phi), (qzeta_plus, (2, 2, 2), psi)],
+    ids=["phi", "psi"],
+)
+def test_one_character_per_word_per_call(value, k, char):
+    # one atom window per call: each word's character is built once, so the
+    # character memo holds the top-level word and one entry per counterterm
+    clear_caches()
+    value(k)
+    assert char.cache_info().currsize == _counterterm.cache_info().currsize + 1
+    assert birkhoff._WINDOW.get(None) is None  # reset when the call returns
+
+
+_VECTORS = [(3,), (0, 0), (2, 1), (1, 1, 1), (0, 3, 1), (2, 2, 1), (1, 2, 1, 0)]
+
+
+def _both_values(k):
+    return zeta_plus(k).value, qzeta_plus(k).value
+
+
+def test_values_do_not_depend_on_the_window():
+    fresh = {}
+    for k in _VECTORS:
+        clear_caches()
+        fresh[k] = _both_values(k)
+    # a counterterm is built under the window of whichever call needs it
+    # first: small calls first, large calls first, or several at once
+    for reverse in (False, True):
+        clear_caches()
+        for k in sorted(_VECTORS, key=lambda k: sum(k) + len(k), reverse=reverse):
+            assert _both_values(k) == fresh[k], (k, reverse)
+    clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(_both_values, _VECTORS * 3, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [fresh[k] for k in _VECTORS * 3]
+
+
+def _shape(s):
+    return s.ord, s.nums, s.den
+
+
+def _rows(kind, w, precs):
+    """Every CharacterTable row of w at each prec, and w's counterterm."""
+    rows = []
+    for prec in precs:
+        table = CharacterTable(kind, prec=prec)
+        for name in ("chi", "chi_bar", "chi_minus", "chi_plus"):
+            s = getattr(table, name)(w)
+            assert s.valid_through == prec, (kind, w, prec, name)
+            rows.append(_shape(s))
+    return rows, _shape(_counterterm(kind, w))
+
+
+@pytest.mark.parametrize(
+    "kind, wide, max_weight",
+    [("phi", lambda: zeta_plus((1,) * 6), 6), ("psi", lambda: qzeta_plus((2, 2, 2)), 5)],
+    ids=["phi", "psi"],
+)
+def test_rows_after_a_wide_call_equal_fresh_rows(kind, wide, max_weight):
+    words, precs = list(admissible_words(max_weight)), (-2, -1, 0, 3)
+    fresh = {}
+    for w in words:
+        clear_caches()
+        fresh[w] = _rows(kind, w, precs)
+    clear_caches()
+    wide()
+    for w in words:
+        assert _rows(kind, w, precs) == fresh[w], w
 
 
 def test_depth_two_matches_the_closed_form_through_weight_25():

@@ -37,6 +37,14 @@ def test_inadmissible_vector_is_a_domain_error():
     assert r.returncode == 1
 
 
+def test_negative_truncation_is_a_domain_error():
+    for command in ("li", "qz"):
+        r = run_cli(command, "--k", "1", "--trunc", "-3")
+        assert r.returncode == 1, command
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: truncation must be >= 0")
+
+
 def test_table_check_against_packaged_reference():
     r = run_cli("table", "--check")
     assert r.returncode == 0

@@ -48,6 +48,16 @@ def test_li_double_index_is_the_nested_sum():
             assert all(type(c) is Fr for c in got)
 
 
+@pytest.mark.parametrize(
+    "route", [li_J, li_nested, qz_series, qz_rational, qchar_realization]
+)
+def test_negative_truncations_are_rejected(route):
+    for T in (-1, -3):
+        with pytest.raises(ValueError):
+            route((1,), T)
+    assert route((1,), 0) == (Fr(0),)  # every route has the same shape at 0
+
+
 def test_li_nested_literal():
     # sum_{m1 > m2 > 0} t^{m1} / m2:  coefficient of t^m is H_{m-1}
     got = li_nested((0, 1), 5)
