@@ -47,7 +47,6 @@ Renormalized values:
 
 from __future__ import annotations
 
-import operator
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,27 +156,14 @@ class RenormValue:
     provenance: str
 
 
-def _validate_indices(k: tuple[int, ...]) -> tuple[int, ...]:
-    try:
-        k = tuple(operator.index(v) for v in k)
-    except TypeError:
-        raise ValueError(f"index vector entries must be integers: {k!r}") from None
-    if not k:
-        raise ValueError("index vector must have length >= 1")
-    if any(v < 0 for v in k):
-        raise ValueError("this package evaluates non-positive arguments: k_i >= 0")
-    return k
-
-
 def zeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized multiple zeta value at (-k_1, ..., -k_n).
 
     Constant term of phi_plus at the corresponding word.
     """
-    k = _validate_indices(k)
-    table = CharacterTable("phi", prec=0)
-    value = table.chi_plus(indices_to_word(k)).coefficient(0)
-    return RenormValue(k, value, "phi-constant-term")
+    w = indices_to_word(k)
+    value = CharacterTable("phi", prec=0).chi_plus(w).coefficient(0)
+    return RenormValue(word_to_indices(w), value, "phi-constant-term")
 
 
 def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
@@ -186,9 +172,8 @@ def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     Reads (-1)^{|k|} [z^{|k|}] psi_plus; coefficients below z^{|k|} must
     vanish (they would blow up under the (1-q)^{-|k|} rescaling otherwise).
     """
-    k = _validate_indices(k)
     w = indices_to_word(k)
-    weight_sum = sum(k)
+    weight_sum = weight(w) - depth(w)
     plus = CharacterTable("psi", prec=weight_sum).chi_plus(w)
     for m in range(weight_sum):
         c = plus.coefficient(m)
@@ -198,7 +183,7 @@ def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
                 f"the q -> 1 limit does not exist at this vector"
             )
     value = (-1) ** weight_sum * plus.coefficient(weight_sum)
-    return RenormValue(k, value, "psi-rescaled-limit")
+    return RenormValue(word_to_indices(w), value, "psi-rescaled-limit")
 
 
 def zeta_plus_via_primitives(k: tuple[int, ...]) -> RenormValue:
@@ -209,10 +194,10 @@ def zeta_plus_via_primitives(k: tuple[int, ...]) -> RenormValue:
     solving gives the recursion used here, anchored at depth-1 values from
     the standard decomposition.
     """
-    k = _validate_indices(k)
-    if len(k) == 1:
+    w = indices_to_word(k)
+    if depth(w) == 1:
         raise DepthOne("the primitive-decomposition route needs depth >= 2")
-    return RenormValue(k, _primitive_value(indices_to_word(k)), "primitive-decomposition")
+    return RenormValue(word_to_indices(w), _primitive_value(w), "primitive-decomposition")
 
 
 @memo

@@ -25,9 +25,9 @@ from itertools import product
 
 from .birkhoff import CharacterTable, zeta_plus
 from .coproduct import coproduct_combinatorial, coproduct_recursive, reduced_coproduct
-from .errors import NonvanishingLowerTerm, NotAdmissible, PrecisionExceeded
+from .errors import NonvanishingLowerTerm, PrecisionExceeded
 from .realizations import li_J, phi, psi, qz_series
-from .series import LaurentSeries, series_slice, series_to_json
+from .series import LaurentSeries, series_to_json
 from .shuffle import shuffle_lambda, shuffle_zero
 from .verify import SUITES, run_suite
 from .words import (
@@ -168,6 +168,8 @@ def _load_table_reference(path: str):
 
 
 def _cmd_table(args) -> int:
+    if args.depth < 1 or args.max_k < 0:
+        raise ValueError("table needs --depth >= 1 and --max-k >= 0")
     vectors = list(product(range(args.max_k + 1), repeat=args.depth))
     computed = [(k, zeta_plus(k).value) for k in vectors]
     if args.json:
@@ -252,8 +254,7 @@ def _cmd_coproduct(args) -> int:
 
 def _character_command(char):
     def run(args) -> int:
-        w = parse_word(args.word)
-        s = series_slice(char(w, args.prec), args.prec)
+        s = char(parse_word(args.word), args.prec)
         if args.json:
             print(json.dumps(series_to_json(s), indent=2))
         else:
@@ -273,10 +274,7 @@ def _cmd_li(args) -> int:
 
 
 def _cmd_qz(args) -> int:
-    k = _parse_kvec(args.k)
-    if any(v < 0 for v in k):
-        raise NotAdmissible("nested q-sums take k_i >= 0 (arguments -k_i <= 0)")
-    coeffs = qz_series(k, args.trunc)
+    coeffs = qz_series(_parse_kvec(args.k), args.trunc)
     if args.json:
         print(json.dumps(_powerseries_json(coeffs, "q"), indent=2))
     else:
@@ -293,13 +291,12 @@ def _cmd_birkhoff(args) -> int:
         ("chi_minus", table.chi_minus(w)),
         ("chi_plus", table.chi_plus(w)),
     ]
-    sliced = [(name, series_slice(s, args.prec)) for name, s in rows]
     if args.json:
         payload = {"word": w, "kind": args.kind}
-        payload.update({name: series_to_json(s) for name, s in sliced})
+        payload.update({name: series_to_json(s) for name, s in rows})
         print(json.dumps(payload, indent=2))
     else:
-        for name, s in sliced:
+        for name, s in rows:
             print(f"{name:9s} = {_format_series(s)}")
     return 0
 

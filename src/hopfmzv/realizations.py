@@ -78,7 +78,7 @@ from .series import (
     series_sum,
     zero_series,
 )
-from .words import depth, is_admissible, memo, weight, word_to_indices
+from .words import depth, indices_to_word, is_admissible, memo, weight, word_to_indices
 
 Fr = Fraction
 
@@ -391,6 +391,7 @@ def eval_t_eq_q(s: BivariateSeries) -> tuple[Fraction, ...]:
 
 def qchar_realization(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
     """D_q^{k_1}[ y * D_q^{k_2}[ ... ] ](t) at t = q, to q^Q."""
+    k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
     _check_truncation(k, Q)
     y = y_bivariate(Q, Q)
 
@@ -411,6 +412,7 @@ def qz_series(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
     sum_{m_1 > ... > m_n > 0} q^{m_1} prod_i (1 - q^{m_i})^{k_i};
     only the outermost index carries the factor q^{m_1}.
     """
+    k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
     _check_truncation(k, Q)
     n = len(k)
 
@@ -450,6 +452,7 @@ def qz_rational(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
     * prod_j q^{L_j}/(q^{L_j} - 1) with L_j = l_1 + ... + l_j + 1; each
     factor q^L/(q^L - 1) = -(q^L + q^{2L} + ...).
     """
+    k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
     _check_truncation(k, Q)
     n = len(k)
 

@@ -229,48 +229,42 @@ def series_sum(terms) -> LaurentSeries:
     c is a scalar, or a list of (int k, series m) pairs standing for the
     exact Laurent polynomial sum k * m (each m vanishes past its window, as
     a counterterm does); then c * s is valid through s.valid_through plus
-    the lowest ord of the m.  Each c * s is added straight into one vector
-    of integer numerators over the running lcm of the denominators, so no
-    intermediate series is built.  As for add, the result starts at the
-    lowest ord and is valid through the smallest valid_through; a zero c
-    still narrows the window.  Raises ValueError on an empty iterable.
+    the lowest ord of the m.  As for add, the result starts at the lowest
+    ord and is valid through the smallest valid_through; a zero c still
+    narrows the window.  Raises ValueError on an empty iterable.
+
+    Two passes.  The first reads every term's shifted ord and window end,
+    its coefficient numerators and its denominator, and fixes the result's
+    ord, window end and denominator (the lcm) from them.  The second adds
+    each c * s once into one vector of integer numerators of that fixed
+    length, which is never negative: every window ends at or after its
+    ord - 1.  No intermediate series is built.
     """
-    lo = vt = None
-    den, out = 1, []
+    plan = []
     for c, s in terms:
         if isinstance(c, list):
             c_ord, c_nums, c_den = _combination(c)
         else:
             c = c if isinstance(c, (int, Fraction)) else Fr(c)
             c_ord, c_nums, c_den = 0, (c.numerator,), c.denominator
-        s_ord, s_vt = s.ord + c_ord, s.valid_through + c_ord
-        if lo is None:
-            lo, vt = s_ord, s_vt
-            out = [0] * (vt - lo + 1)
-        if s_ord < lo:  # before the cut below: vt - (old lo) + 1 may be < 0
-            out[:0] = [0] * (lo - s_ord)
-            lo = s_ord
-        if s_vt < vt:
-            vt = s_vt
-            del out[vt - lo + 1 :]
-        sden = s.den * c_den
-        common = lcm(den, sden)
-        if common != den:
-            f = common // den
-            out = [x * f for x in out]
-            den = common
-        f = common // sden
-        # exponents s_ord..vt; none when s_ord lies past the window
-        n = max(vt - s_ord + 1, 0)
+        plan.append(
+            (s.ord + c_ord, s.valid_through + c_ord, c_nums, s.den * c_den, s.nums)
+        )
+    if not plan:
+        raise ValueError("series_sum of no terms")
+    ords, vts, _, dens, _ = zip(*plan)
+    lo, vt, den = min(ords), min(vts), lcm(*dens)
+    out = [0] * (vt - lo + 1)
+    for s_ord, _, c_nums, sden, nums in plan:
+        f = den // sden
+        n = max(vt - s_ord + 1, 0)  # exponents s_ord..vt; none past the window
         if len(c_nums) > 1:
-            convolve([x * f for x in c_nums], s.nums, n, out, s_ord - lo)
+            convolve([x * f for x in c_nums], nums, n, out, s_ord - lo)
             continue
         f *= c_nums[0]
-        for i, x in enumerate(s.nums[:n], s_ord - lo):
+        for i, x in enumerate(nums[:n], s_ord - lo):
             if x:
                 out[i] += x * f
-    if lo is None:
-        raise ValueError("series_sum of no terms")
     return _make(lo, out, den)  # vt == lo - 1 leaves the empty window at lo
 
 

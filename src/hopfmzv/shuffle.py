@@ -12,8 +12,8 @@ The three rules:
 _lam_rule — the deformed shuffle for lambda != 0 (shuffle_lambda):
     (P3)  du x dv = (1/lambda)[d(u x v) - du x v - u x dv].
 Every P3 branch strictly decreases total length, so the recursion terminates.
-The raw result lives in the free algebra on {d, y}; project=True additionally
-drops words ending in d, i.e. lands in the admissible-word basis.
+The result lives in the free algebra on {d, y}; words.project_T drops the
+words ending in d, i.e. lands in the admissible-word basis.
 
 _zero_rule — the lambda = 0 product on representatives (shuffle_zero).  When
 both words start with d the naive rule does not shrink, so the left word is
@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LambdaZero
-from .words import WordSum, memo, project_T, word_key, ws_add
+from .words import WordSum, memo, word_key, ws_add
 
 Fr = Fraction
 
@@ -107,14 +107,13 @@ def _check_letters(u: str, v: str, alphabet: str, name: str) -> None:
         raise ValueError(f"{u!r} x {v!r}: {name} takes words over {alphabet!r}")
 
 
-def shuffle_lambda(u: str, v: str, lam, *, project: bool = False) -> WordSum:
+def shuffle_lambda(u: str, v: str, lam) -> WordSum:
     """Deformed shuffle of two words; LambdaZero routes lambda = 0 away."""
     _check_letters(u, v, "dy", "shuffle_lambda")
     lam = Fr(lam)
     if lam == 0:
         raise LambdaZero("the deformed shuffle divides by lambda; use shuffle_zero")
-    out = dict(_shuffle(u, v, _lam_rule, lam))
-    return project_T(out) if project else out
+    return dict(_shuffle(u, v, _lam_rule, lam))
 
 
 def shuffle_zero(u: str, v: str) -> WordSum:

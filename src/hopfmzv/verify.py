@@ -83,6 +83,7 @@ from .words import (
     admissible_words,
     depth,
     indices_to_word,
+    project_T,
     weight,
     word_to_indices,
     ws_add,
@@ -425,7 +426,7 @@ def _check_renorm_relations_qzeta():
         if table is None:
             table = tables[N] = CharacterTable("psi", prec=N + 2)
         lhs = Fr(0)
-        for w, c in shuffle_lambda(u, v, Fr(-1), project=True).items():
+        for w, c in project_T(shuffle_lambda(u, v, Fr(-1))).items():
             lhs += c * table.chi_plus(w).coefficient(N)
         lhs *= (-1) ** N
         rhs = (

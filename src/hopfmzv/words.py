@@ -15,6 +15,7 @@ first, then letterwise with d < y — which plain (len(w), w) delivers since
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -59,7 +60,6 @@ __all__ = [
     "weight",
     "word_key",
     "word_to_indices",
-    "wordsum_from_json",
     "wordsum_to_json",
     "ws_add",
     "ws_scale",
@@ -92,11 +92,21 @@ def word_key(w: str):
 
 
 def indices_to_word(k: Iterable[int]) -> str:
-    k = tuple(k)
+    """The word d^{k_1} y ... d^{k_n} y of an index vector.
+
+    This is the one check of an index vector (k_1, ..., k_n) standing for
+    the arguments (-k_1, ..., -k_n): it is nonempty and its entries are
+    integers (operator.index: no float, str or Fraction) with every
+    k_i >= 0.  Anything else raises ValueError.
+    """
+    try:
+        k = tuple(operator.index(ki) for ki in k)
+    except TypeError:
+        raise ValueError(f"index vector entries must be integers: {k!r}") from None
     if not k:
         raise ValueError("index vector must have length >= 1")
     if any(ki < 0 for ki in k):
-        raise ValueError("index vector entries must be non-negative")
+        raise ValueError("index vector entries must be non-negative: k_i >= 0")
     return "".join("d" * ki + "y" for ki in k)
 
 
@@ -150,14 +160,6 @@ def wordsum_to_json(s: WordSum) -> dict:
             {"word": w, "coeff": str(s[w])} for w in sorted(s, key=word_key)
         ]
     }
-
-
-def wordsum_from_json(obj: dict) -> WordSum:
-    acc: WordSum = {}
-    for term in obj["terms"]:
-        w = parse_word(term["word"])
-        acc[w] = acc.get(w, Fr(0)) + Fr(term["coeff"])
-    return {w: c for w, c in acc.items() if c != 0}
 
 
 def tensorsum_to_json(t: TensorSum) -> dict:

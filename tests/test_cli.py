@@ -45,6 +45,19 @@ def test_negative_truncation_is_a_domain_error():
         assert r.stderr.startswith("error: truncation must be >= 0")
 
 
+def test_table_rejects_bounds_that_build_no_vectors():
+    for args in (
+        ["--max-k", "-1"],
+        ["--max-k", "-1", "--check"],
+        ["--depth", "-1"],
+        ["--depth", "0", "--json"],
+    ):
+        r = run_cli("table", *args)
+        assert r.returncode == 1, args
+        assert r.stdout == "", args
+        assert r.stderr.startswith("error: table needs --depth >= 1"), args
+
+
 def test_table_check_against_packaged_reference():
     r = run_cli("table", "--check")
     assert r.returncode == 0

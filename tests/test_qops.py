@@ -58,6 +58,14 @@ def test_negative_truncations_are_rejected(route):
     assert route((1,), 0) == (Fr(0),)  # every route has the same shape at 0
 
 
+@pytest.mark.parametrize("route", [qz_series, qz_rational, qchar_realization])
+def test_q_side_routes_reject_negative_indices(route):
+    # the q-side values live at arguments -k_i <= 0, as the words do
+    for k in [(-1,), (1, -1)]:
+        with pytest.raises(ValueError):
+            route(k, 5)
+
+
 def test_li_nested_literal():
     # sum_{m1 > m2 > 0} t^{m1} / m2:  coefficient of t^m is H_{m-1}
     got = li_nested((0, 1), 5)

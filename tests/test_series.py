@@ -237,6 +237,19 @@ one_term = [(1, (0, [1]))]
 @example(
     (0, [1]), (0, [1]), 1, 0, [(1, (0, [0, 1])), (0, (0, [0])), (-2, (-2, [1]))]
 )
+# three denominators whose lcm rises term by term (2, 6, 30), the last term
+# starting lower and ending sooner than the terms before it
+@example(
+    (0, [1]),
+    (0, [1]),
+    1,
+    0,
+    [
+        (1, (0, [Fr(1, 2), 1, 1, 1])),
+        (3, (1, [Fr(1, 3), 1])),
+        (-1, (-1, [Fr(1, 5), 2])),
+    ],
+)
 def test_operations_match_fraction_reference(ra, rb, c, vt, terms):
     ra, rb = (ra[0], [Fr(x) for x in ra[1]]), (rb[0], [Fr(x) for x in rb[1]])
     a, b = LaurentSeries(*ra), LaurentSeries(*rb)

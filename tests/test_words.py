@@ -17,7 +17,6 @@ from hopfmzv.words import (
     weight,
     word_key,
     word_to_indices,
-    wordsum_from_json,
     wordsum_to_json,
     ws_add,
     ws_scale,
@@ -53,6 +52,10 @@ def test_index_vector_round_trip():
         indices_to_word(())
     with pytest.raises(ValueError):
         indices_to_word((-1,))
+    # entries are integers, not anything int() would truncate or parse
+    for k in [(1.5,), ("3",), (1, None)]:
+        with pytest.raises(ValueError):
+            indices_to_word(k)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4))
@@ -85,7 +88,7 @@ def test_wordsum_json_round_trip():
     obj = wordsum_to_json(s)
     words = [t["word"] for t in obj["terms"]]
     assert words == sorted(words, key=word_key)
-    assert wordsum_from_json(obj) == s
+    assert {t["word"]: Fraction(t["coeff"]) for t in obj["terms"]} == s
 
 
 def _process_wide_memos() -> dict:
