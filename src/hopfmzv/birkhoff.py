@@ -33,12 +33,16 @@ V lives in a ContextVar for the duration of a _bar call; the counterterms'
 bars run under it, and take the larger window when their own z^-1 needs
 more.
 
-Renormalized values:
-  * zeta_plus(k) reads the constant term of phi_plus at the word of
-    (-k_1, ..., -k_n), from a table whose rows end at z^0.
-  * qzeta_plus(k) reads (-1)^{|k|} times the z^{|k|} coefficient of psi_plus
+Renormalized values.  The characters form an abelian group and Z = log chi
+lives on depth one (README: "Renormalized values by placements"), so
+chi_plus = exp((1 - pi) Z) is a placement sum of depth-one data:
+  * zeta_plus(k) is the constant term of phi_plus at the word of
+    (-k_1, ..., -k_n): the lambda = 0 sum of zeta(-a) = mero_depth1(a).
+  * qzeta_plus(k) is (-1)^{|k|} times the z^{|k|} coefficient of psi_plus
     (|k| = k_1 + ... + k_n, the cost of the (1-q)^{-|k|} rescaling before
-    q -> 1); all lower coefficients must vanish, enforced here.
+    q -> 1): the lambda = -1 sum of the regular parts of psi(d^a y) through
+    z^{|k|}.  All lower coefficients must vanish, enforced here.
+  * _zeta_plus_birkhoff / _qzeta_plus_birkhoff (oracles) read CharacterTable.
   * zeta_plus_via_primitives(k) bypasses the counterterm calculus for
     depth >= 2: iterating the phi-realized product identity on the constant
     terms gives value(w) = (sum over the reduced coproduct at lambda 0 of
@@ -50,10 +54,12 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 from .coproduct import reduced_legs
 from .errors import DepthOne, NonvanishingLowerTerm
-from .realizations import phi, psi
+from .realizations import mero_depth1, phi, psi
 from .series import LaurentSeries, pole_part, regular_part, series_scale
 from .series import series_slice, series_sum
 from .words import depth, indices_to_word, memo, weight, word_to_indices
@@ -123,7 +129,7 @@ class CharacterTable:
     Every row is valid through exactly z^prec; the empty word's rows are all
     chi("", prec).  The table holds no state of its own: chi_bar and the
     counterterms are process-wide memos shared by every table of the kind,
-    so a second table (or a second zeta_plus call) reuses them.
+    so a second table reuses them.
     """
 
     def __init__(self, kind: str, *, prec: int = 1):
@@ -156,34 +162,88 @@ class RenormValue:
     provenance: str
 
 
+def _placements(ks: tuple[int, ...], lam: int, f):
+    """sum over placements of prod_j f(a_j) for w = d^{k_1}y ... d^{k_n}y.
+
+    Leg j is headed by the j-th y; each d of block i joins a nonempty set S
+    of the legs j >= i, weight lam^{|S| - 1}; a_j counts leg j's d's.  After
+    block j, u of the d's seen are in no leg and s = seen - u in some.  Leg
+    j takes a1 of the u and a2 of the s, C(u, a1) C(s, a2) lam^{a2} ways;
+    the last leg takes all u.  The a2-sum is formed once per (s, a1), so a
+    state costs u + 1 products.  f's values need + and * (Fraction, series).
+    """
+    fs = [f(a) for a in range(sum(ks) + 1)]
+
+    @cache
+    def leg(s, a1):  # sum over a2 of C(s, a2) lam^a2 f(a1 + a2)
+        shared = range(1, s + 1 if lam else 1)
+        return sum((fs[a1 + a2] * (comb(s, a2) * lam**a2) for a2 in shared), fs[a1])
+
+    states, seen = {0: 1}, 0
+    for j, k in enumerate(ks):
+        seen += k
+        nxt: dict = {}
+        for u, acc in states.items():
+            u += k
+            for a1 in range(u + 1) if j < len(ks) - 1 else (u,):
+                term = leg(seen - u, a1) * acc * comb(u, a1)
+                nxt[u - a1] = nxt[u - a1] + term if u - a1 in nxt else term
+        states = nxt
+    return states[0]
+
+
 def zeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized multiple zeta value at (-k_1, ..., -k_n).
 
-    Constant term of phi_plus at the corresponding word.
+    The lambda = 0 placement sum of the depth-one values zeta(-a).
     """
-    w = indices_to_word(k)
-    value = CharacterTable("phi", prec=0).chi_plus(w).coefficient(0)
-    return RenormValue(word_to_indices(w), value, "phi-constant-term")
+    ks = word_to_indices(indices_to_word(k))
+    return RenormValue(ks, _placements(ks, 0, mero_depth1), "phi-placement-dp")
 
 
 def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized q-side value at (-k_1, ..., -k_n) after the q -> 1 limit.
 
-    Reads (-1)^{|k|} [z^{|k|}] psi_plus; coefficients below z^{|k|} must
+    The lambda = -1 placement sum of the regular parts of psi(d^a y) through
+    z^{|k|}, read at (-1)^{|k|} [z^{|k|}]; coefficients below z^{|k|} must
     vanish (they would blow up under the (1-q)^{-|k|} rescaling otherwise).
     """
     w = indices_to_word(k)
-    weight_sum = weight(w) - depth(w)
-    plus = CharacterTable("psi", prec=weight_sum).chi_plus(w)
-    for m in range(weight_sum):
+    ks = word_to_indices(w)
+    N = sum(ks)
+
+    def regular(a):
+        return LaurentSeries(0, [psi("d" * a + "y", N).coefficient(m) for m in range(N + 1)])
+
+    plus = _placements(ks, -1, regular)
+    return RenormValue(ks, _rescaled_limit(w, plus, N), "psi-placement-dp")
+
+
+def _rescaled_limit(w: str, plus: LaurentSeries, N: int) -> Fraction:
+    """(-1)^N [z^N] of psi_plus(w), once every lower coefficient is checked 0."""
+    for m in range(N):
         c = plus.coefficient(m)
         if c != 0:
             raise NonvanishingLowerTerm(
                 f"psi_plus({w!r}) has z^{m} coefficient {c} != 0; "
                 f"the q -> 1 limit does not exist at this vector"
             )
-    value = (-1) ** weight_sum * plus.coefficient(weight_sum)
-    return RenormValue(word_to_indices(w), value, "psi-rescaled-limit")
+    return (-1) ** N * plus.coefficient(N)
+
+
+def _zeta_plus_birkhoff(k: tuple[int, ...]) -> RenormValue:
+    """zeta_plus by the Birkhoff recursion: the constant term of phi_plus."""
+    w = indices_to_word(k)
+    value = CharacterTable("phi", prec=0).chi_plus(w).coefficient(0)
+    return RenormValue(word_to_indices(w), value, "phi-constant-term")
+
+
+def _qzeta_plus_birkhoff(k: tuple[int, ...]) -> RenormValue:
+    """qzeta_plus by the Birkhoff recursion on psi."""
+    w = indices_to_word(k)
+    N = weight(w) - depth(w)
+    plus = CharacterTable("psi", prec=N).chi_plus(w)
+    return RenormValue(word_to_indices(w), _rescaled_limit(w, plus, N), "psi-rescaled-limit")
 
 
 def zeta_plus_via_primitives(k: tuple[int, ...]) -> RenormValue:
@@ -191,8 +251,8 @@ def zeta_plus_via_primitives(k: tuple[int, ...]) -> RenormValue:
 
     The phi-realized product identity forces, on constant terms,
     value(w) * 2^{dpt} = 2 value(w) + sum_{reduced} value(w') value(w'');
-    solving gives the recursion used here, anchored at depth-1 values from
-    the standard decomposition.
+    solving gives the recursion used here, anchored at the depth-1 values
+    zeta_plus((m,)) = zeta(-m).
     """
     w = indices_to_word(k)
     if depth(w) == 1:

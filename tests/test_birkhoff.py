@@ -12,14 +12,16 @@ from hopfmzv import birkhoff, clear_caches
 from hopfmzv.birkhoff import (
     CharacterTable,
     _counterterm,
+    _qzeta_plus_birkhoff,
+    _zeta_plus_birkhoff,
     qzeta_plus,
     zeta_plus,
     zeta_plus_via_primitives,
 )
 from hopfmzv.errors import DepthOne
 from hopfmzv.realizations import mero_depth2, phi, psi
-from hopfmzv.series import equal_on_window, series_add
-from hopfmzv.words import admissible_words, depth, word_to_indices
+from hopfmzv.series import equal_on_window, pole_part, regular_part, series_add, series_slice
+from hopfmzv.words import admissible_words, depth, weight, word_to_indices
 
 Fr = Fraction
 
@@ -107,8 +109,10 @@ def test_psi_plus_rescaling_window():
 
 
 def test_provenance_tags():
-    assert zeta_plus((1,)).provenance == "phi-constant-term"
-    assert qzeta_plus((1,)).provenance == "psi-rescaled-limit"
+    assert zeta_plus((1,)).provenance == "phi-placement-dp"
+    assert qzeta_plus((1,)).provenance == "psi-placement-dp"
+    assert _zeta_plus_birkhoff((1,)).provenance == "phi-constant-term"
+    assert _qzeta_plus_birkhoff((1,)).provenance == "psi-rescaled-limit"
     assert zeta_plus_via_primitives((1, 1)).provenance == "primitive-decomposition"
 
 
@@ -154,13 +158,13 @@ def test_table_is_thread_safe():
 
 
 def test_counterterms_are_shared_across_calls():
-    first = zeta_plus((1, 2, 1))
+    first = _zeta_plus_birkhoff((1, 2, 1))
     misses = _counterterm.cache_info().misses
-    assert zeta_plus((1, 2, 1)) == first
+    assert _zeta_plus_birkhoff((1, 2, 1)) == first
     assert _counterterm.cache_info().misses == misses
     clear_caches()
     assert _counterterm.cache_info().currsize == 0
-    assert zeta_plus((1, 2, 1)) == first
+    assert _zeta_plus_birkhoff((1, 2, 1)) == first
     assert _counterterm.cache_info().currsize > 0
 
 
@@ -176,11 +180,11 @@ def test_a_rebound_kinds_table_is_seen(monkeypatch):
 
         return wrapper
 
-    expected = zeta_plus((1, 2)).value, qzeta_plus((1, 2)).value
+    expected = _zeta_plus_birkhoff((1, 2)).value, _qzeta_plus_birkhoff((1, 2)).value
     kinds = {kind: (counted(char), lam) for kind, (char, lam) in birkhoff._KINDS.items()}
     monkeypatch.setattr(birkhoff, "_KINDS", kinds)
     clear_caches()
-    assert (zeta_plus((1, 2)).value, qzeta_plus((1, 2)).value) == expected
+    assert (_zeta_plus_birkhoff((1, 2)).value, _qzeta_plus_birkhoff((1, 2)).value) == expected
     assert calls["phi"] > 0 and calls["psi"] > 0
 
 
@@ -197,15 +201,15 @@ def test_each_coproduct_is_enumerated_once(monkeypatch):
     monkeypatch.setattr(birkhoff, "reduced_legs", counted)
     clear_caches()
     misses = _counterterm.cache_info().misses
-    zeta_plus((1,) * 5)
-    qzeta_plus((2, 2, 2))
+    _zeta_plus_birkhoff((1,) * 5)
+    _qzeta_plus_birkhoff((2, 2, 2))
     assert seen and set(seen.values()) == {1}
     assert sum(seen.values()) == _counterterm.cache_info().misses - misses + 2
 
 
 @pytest.mark.parametrize(
     "value, k, char",
-    [(zeta_plus, (1,) * 5, phi), (qzeta_plus, (2, 2, 2), psi)],
+    [(_zeta_plus_birkhoff, (1,) * 5, phi), (_qzeta_plus_birkhoff, (2, 2, 2), psi)],
     ids=["phi", "psi"],
 )
 def test_one_character_per_word_per_call(value, k, char):
@@ -221,7 +225,7 @@ _VECTORS = [(3,), (0, 0), (2, 1), (1, 1, 1), (0, 3, 1), (2, 2, 1), (1, 2, 1, 0)]
 
 
 def _both_values(k):
-    return zeta_plus(k).value, qzeta_plus(k).value
+    return _zeta_plus_birkhoff(k).value, _qzeta_plus_birkhoff(k).value
 
 
 def test_values_do_not_depend_on_the_window():
@@ -264,7 +268,10 @@ def _rows(kind, w, precs):
 
 @pytest.mark.parametrize(
     "kind, wide, max_weight",
-    [("phi", lambda: zeta_plus((1,) * 6), 6), ("psi", lambda: qzeta_plus((2, 2, 2)), 5)],
+    [
+        ("phi", lambda: _zeta_plus_birkhoff((1,) * 6), 6),
+        ("psi", lambda: _qzeta_plus_birkhoff((2, 2, 2)), 5),
+    ],
     ids=["phi", "psi"],
 )
 def test_rows_after_a_wide_call_equal_fresh_rows(kind, wide, max_weight):
@@ -279,18 +286,59 @@ def test_rows_after_a_wide_call_equal_fresh_rows(kind, wide, max_weight):
         assert _rows(kind, w, precs) == fresh[w], w
 
 
-def test_depth_two_matches_the_closed_form_through_weight_25():
-    for total in range(1, 26, 2):
-        for a in range(total + 1):
-            k = (a, total - a)
-            assert zeta_plus(k).value == mero_depth2(*k), k
+def test_depth_two_matches_the_closed_form_below_40():
+    for a in range(40):
+        for b in range(40):
+            if (a + b) % 2:
+                assert zeta_plus((a, b)).value == mero_depth2(a, b), (a, b)
 
 
 def test_primitive_route_agrees_on_every_word_to_weight_10():
+    # the placement DP, the Birkhoff engine and the primitive recursion
     for w in admissible_words(10):
-        if depth(w) >= 2:
+        if w:
             k = word_to_indices(w)
-            assert zeta_plus(k).value == zeta_plus_via_primitives(k).value, w
+            value = zeta_plus(k).value
+            assert _zeta_plus_birkhoff(k).value == value, w
+            if depth(w) >= 2:
+                assert zeta_plus_via_primitives(k).value == value, w
+
+
+def test_q_side_dp_equals_the_engine_to_weight_8():
+    for w in admissible_words(8):
+        if w:
+            k = word_to_indices(w)
+            assert qzeta_plus(k).value == _qzeta_plus_birkhoff(k).value, w
+
+
+def test_deep_vectors_agree_at_both_lambdas():
+    # past the engine's reach (its cost grows about 5x per unit of depth);
+    # the two lambdas build on independent depth-one data, Bernoulli numbers
+    # and psi atoms, so each is the other's reference
+    for k in [(1,) * 10, (1,) * 20, (3,) * 8]:
+        assert zeta_plus(k).value == qzeta_plus(k).value, k
+
+
+@pytest.mark.parametrize("kind, grade", [("phi", weight), ("psi", depth)], ids=["phi", "psi"])
+def test_rows_factor_through_depth_one(kind, grade):
+    # the character group is abelian, so chi_minus = exp(-pi Z) and
+    # chi_plus = exp((1 - pi) Z) with Z = log chi supported on depth one:
+    # the placement sum of -pi chi(d^a y), resp. (1 - pi) chi(d^a y).  The
+    # legs that share a d (lambda = -1) add nothing to a value, but they do
+    # reach these rows.
+    prec = 2
+    table = CharacterTable(kind, prec=prec)
+    lam = int(table.lam)
+    for w in admissible_words(8):
+        if not w:
+            continue
+        # each factor wide enough that the n-fold product is valid to prec
+        wide = CharacterTable(kind, prec=prec + grade(w))
+        ks = word_to_indices(w)
+        minus = birkhoff._placements(ks, lam, lambda a: -pole_part(wide.chi("d" * a + "y")))
+        plus = birkhoff._placements(ks, lam, lambda a: regular_part(wide.chi("d" * a + "y")))
+        assert _shape(series_slice(minus, prec)) == _shape(table.chi_minus(w)), w
+        assert _shape(series_slice(plus, prec)) == _shape(table.chi_plus(w)), w
 
 
 @st.composite
@@ -311,3 +359,4 @@ def test_three_routes_agree(k):
     value = zeta_plus(k).value
     assert qzeta_plus(k).value == value
     assert zeta_plus_via_primitives(k).value == value
+    assert _zeta_plus_birkhoff(k).value == value

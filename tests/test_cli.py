@@ -58,6 +58,13 @@ def test_table_rejects_bounds_that_build_no_vectors():
         assert r.stderr.startswith("error: table needs --depth >= 1"), args
 
 
+def test_table_depth_three_golden():
+    r = run_cli("table", "--depth", "3", "--max-k", "3")
+    assert r.returncode == 0, r.stderr
+    golden = Path(__file__).with_name("golden") / "table_depth3_maxk3.txt"
+    assert r.stdout == golden.read_text()
+
+
 def test_table_check_against_packaged_reference():
     r = run_cli("table", "--check")
     assert r.returncode == 0
