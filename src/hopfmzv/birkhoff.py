@@ -22,16 +22,13 @@ character: lambda = 0 for phi (the polylogarithm limit), lambda = -1 for psi
 one product per distinct right leg w'' instead of one per term; M(w'') is
 an exact Laurent polynomial, a sum of counterterms.
 
-One atom window per call.  The grading g additive across that coproduct
+Windows from the grading.  The grading g additive across that coproduct
 (weight at lambda = 0, depth at lambda = -1) is also the pole order of chi,
-and chi_minus(w') has order -g(w').  So if w is read through P_w, its right
-leg w'' is needed through P_w - ord M(w'') = P_w + g(w) - g(w''): reading
-every word u through V + 1 - g(u) with one V serves the whole recursion.
-A call for W through z^P takes V = P + g(W) - 1 (the characters' own atom
-window, see realizations), and each word's character is built once, at V.
-V lives in a ContextVar for the duration of a _bar call; the counterterms'
-bars run under it, and take the larger window when their own z^-1 needs
-more.
+and chi_minus(w') has order -g(w'), so M(w'') has order -g(w') =
+g(w'') - g(w).  For chi_bar(w) through z^P, M(w'') is read through
+P + g(w'') (series_pad: its exponents past z^-1 are zeros) and chi(w'')
+through P + g(w) - g(w''); each product is then valid through exactly z^P.
+A counterterm is computed once, from its bar through z^-1.
 
 Renormalized values.  The characters form an abelian group and Z = log chi
 lives on depth one (README: "Renormalized values by placements"), so
@@ -40,8 +37,9 @@ chi_plus = exp((1 - pi) Z) is a placement sum of depth-one data:
     (-k_1, ..., -k_n): the lambda = 0 sum of zeta(-a) = mero_depth1(a).
   * qzeta_plus(k) is (-1)^{|k|} times the z^{|k|} coefficient of psi_plus
     (|k| = k_1 + ... + k_n, the cost of the (1-q)^{-|k|} rescaling before
-    q -> 1): the lambda = -1 sum of the regular parts of psi(d^a y) through
-    z^{|k|}.  All lower coefficients must vanish, enforced here.
+    q -> 1): the lambda = -1 sum of the regular parts of psi(d^a y), whose
+    placements with a shared d start above z^{|k|}, so the lambda = 0 sum
+    gives the value.  All lower coefficients must vanish, enforced here.
   * _zeta_plus_birkhoff / _qzeta_plus_birkhoff (oracles) read CharacterTable.
   * zeta_plus_via_primitives(k) bypasses the counterterm calculus for
     depth >= 2: iterating the phi-realized product identity on the constant
@@ -51,7 +49,6 @@ chi_plus = exp((1 - pi) Z) is a placement sum of depth-one data:
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -60,8 +57,8 @@ from math import comb
 from .coproduct import reduced_legs
 from .errors import DepthOne, NonvanishingLowerTerm
 from .realizations import mero_depth1, phi, psi
-from .series import LaurentSeries, pole_part, regular_part, series_scale
-from .series import series_slice, series_sum
+from .series import LaurentSeries, pole_part, regular_part, series_mul
+from .series import series_pad, series_scale, series_sum
 from .words import depth, indices_to_word, memo, weight, word_to_indices
 
 __all__ = [
@@ -80,9 +77,6 @@ _KINDS = {
 # kind -> the grading additive across that coproduct: chi's pole order
 _GRADINGS = {"phi": weight, "psi": depth}
 
-# The atom window V of the running _bar call; unset outside one.
-_WINDOW: ContextVar[int] = ContextVar("atom_window")
-
 
 # Both memos look the character up in _KINDS on every miss rather than
 # binding it at import, so a caller that rebinds _KINDS is seen.
@@ -91,9 +85,9 @@ def _counterterm(kind: str, w: str) -> LaurentSeries:
     """chi_minus(w) = -pi(chi_bar(w)) for a nonempty admissible word.
 
     An exact Laurent polynomial once chi_bar(w) is known through z^-1, so it
-    is computed once, at the running call's window, whatever window is asked
-    for later; read further out, its coefficients are known zeros.  That
-    z^-1 bar is not memoized: only its pole part is ever read again.
+    is computed once, through z^-1, whatever window is asked for later; read
+    further out (series_pad), its coefficients are known zeros.  That z^-1
+    bar is not memoized: only its pole part is ever read again.
     """
     return series_scale(pole_part(_bar.__wrapped__(kind, w, -1)), -1)
 
@@ -102,25 +96,18 @@ def _counterterm(kind: str, w: str) -> LaurentSeries:
 def _bar(kind: str, w: str, P: int) -> LaurentSeries:
     """chi_bar(w) for a nonempty admissible word, valid through exactly z^P.
 
-    Every character is read at one atom window V: u through V + 1 - g(u),
-    g the kind's grading.  chi(w) is sliced to P; each M(w'') chi(w'') is
-    valid through at least P, and series_sum narrows the sum to P.
+    With g the kind's grading, M(w2) has order -g(w1) = g(w2) - g(w) and
+    chi(w2) order -g(w2), so M(w2) read through P + g(w2) and chi(w2) read
+    through P + g(w) - g(w2) make a product valid through exactly P.
     """
     (char, lam), grade = _KINDS[kind], _GRADINGS[kind]
-    V = P + grade(w) - 1
-    V = max(V, _WINDOW.get(V))  # a counterterm keeps the call's wider window
-    token = _WINDOW.set(V)
-
-    def terms():
-        yield 1, series_slice(char(w, V + 1 - grade(w)), P)
-        for w2, lefts in reduced_legs(w, lam):
-            minus = [(c, _counterterm(kind, w1)) for w1, c in lefts]
-            yield minus, char(w2, V + 1 - grade(w2))
-
-    try:
-        return series_sum(terms())
-    finally:
-        _WINDOW.reset(token)
+    g = grade(w)
+    terms = [(1, char(w, P))]
+    for w2, lefts in reduced_legs(w, lam):
+        M = series_sum((c, _counterterm(kind, w1)) for w1, c in lefts)
+        chi2 = char(w2, P + g - grade(w2))
+        terms.append((1, series_mul(series_pad(M, P + grade(w2)), chi2)))
+    return series_sum(terms)
 
 
 class CharacterTable:
@@ -204,9 +191,12 @@ def zeta_plus(k: tuple[int, ...]) -> RenormValue:
 def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized q-side value at (-k_1, ..., -k_n) after the q -> 1 limit.
 
-    The lambda = -1 placement sum of the regular parts of psi(d^a y) through
-    z^{|k|}, read at (-1)^{|k|} [z^{|k|}]; coefficients below z^{|k|} must
-    vanish (they would blow up under the (1-q)^{-|k|} rescaling otherwise).
+    psi_plus is the lambda = -1 placement sum of the regular parts of
+    psi(d^a y), read at (-1)^{|k|} [z^{|k|}]; coefficients below z^{|k|}
+    must vanish (they would blow up under the (1-q)^{-|k|} rescaling
+    otherwise).  Only the lambda = 0 placements reach z^{|k|}: the regular
+    part of psi(d^a y) starts at z^a, and a d that two legs share counts in
+    both legs' a, so a placement with a shared d starts above z^{|k|}.
     """
     w = indices_to_word(k)
     ks = word_to_indices(w)
@@ -215,7 +205,7 @@ def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     def regular(a):
         return LaurentSeries(0, [psi("d" * a + "y", N).coefficient(m) for m in range(N + 1)])
 
-    plus = _placements(ks, -1, regular)
+    plus = _placements(ks, 0, regular)
     return RenormValue(ks, _rescaled_limit(w, plus, N), "psi-placement-dp")
 
 

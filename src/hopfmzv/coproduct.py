@@ -15,7 +15,7 @@ soon as it takes that d.  It is the engine form: the reduced coproduct,
 without the group-like terms e (x) w and w (x) e, grouped by right leg,
 which is the shape the Birkhoff bar sum consumes.  It is not memoized: the
 engine reads a word's coproduct once, in the bar sum behind its memoized
-counterterm or value, so a stored enumeration would never be read again.
+counterterm or row, so a stored enumeration would never be read again.
 Every leg in it is nonempty admissible with depth between 1 and dpt(w) - 1,
 the recursion measure of the Birkhoff engine.  coproduct_recursive and
 reduced_coproduct are its TensorSum views.

@@ -25,6 +25,7 @@ computes the exact exponent range on which its output is trustworthy:
     mul:  ord = a.ord + b.ord,
           valid_through = min(a.valid_through + b.ord, b.valid_through + a.ord)
     diff: everything shifts down by one
+    pad:  an exact polynomial (a counterterm) extends with zeros; never narrows
 
 Negative ord houses pole terms; pole_part / regular_part split a series into
 the two images of the complementary idempotent projectors used by the
@@ -57,6 +58,7 @@ __all__ = [
     "series_diff",
     "series_from_json",
     "series_mul",
+    "series_pad",
     "series_scale",
     "series_slice",
     "series_sum",
@@ -146,23 +148,22 @@ def _make(ord_: int, nums, den: int) -> LaurentSeries:
     return s
 
 
-def convolve(a, b, n, out=None, at=0):
+def convolve(a, b, n, out=None):
     """First n coefficients of the Cauchy product of coefficient vectors.
 
     The entries are ints: a rational caller convolves numerators over a
     common denominator (numerators_over_lcm) and divides once afterwards.
     Zero entries are skipped (exact zeros are common in these series: odd
-    Bernoulli tails, parity gaps).  The products are added into `out` from
-    slot `at` on when it is given (at least at + n int slots), else into a
-    fresh list of zeros.
+    Bernoulli tails, parity gaps).  The products are added into `out` when
+    it is given (at least n int slots), else into a fresh list of zeros.
     """
     if out is None:
         out = [0] * n
-    nonzero_b = [(j, bj) for j, bj in enumerate(b[:n], at) if bj]
+    nonzero_b = [(j, bj) for j, bj in enumerate(b[:n]) if bj]
     for i, ai in enumerate(a[:n]):
         if not ai:
             continue
-        jmax = n - i + at
+        jmax = n - i
         for j, bj in nonzero_b:
             if j >= jmax:
                 break
@@ -208,61 +209,31 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return series_sum(((1, a), (1, b)))
 
 
-def _combination(pairs) -> tuple[int, list[int], int]:
-    """(ord, nums, den), unreduced, of sum k * m over (int k, series m) pairs."""
-    if len(pairs) == 1:
-        k, m = pairs[0]
-        return m.ord, [x * k for x in m.nums], m.den
-    lo = min(m.ord for _, m in pairs)
-    den = lcm(*(m.den for _, m in pairs))
-    out = [0] * (max(m.ord + len(m.nums) for _, m in pairs) - lo)
-    for k, m in pairs:
-        f = den // m.den * k
-        for i, x in enumerate(m.nums, m.ord - lo):
-            out[i] += x * f
-    return lo, out, den
-
-
 def series_sum(terms) -> LaurentSeries:
-    """sum c * s over an iterable of (c, s) pairs, reduced once at the end.
+    """sum c * s over an iterable of (scalar c, series s) pairs, reduced once.
 
-    c is a scalar, or a list of (int k, series m) pairs standing for the
-    exact Laurent polynomial sum k * m (each m vanishes past its window, as
-    a counterterm does); then c * s is valid through s.valid_through plus
-    the lowest ord of the m.  As for add, the result starts at the lowest
-    ord and is valid through the smallest valid_through; a zero c still
-    narrows the window.  Raises ValueError on an empty iterable.
+    As for add, the result starts at the lowest ord and is valid through the
+    smallest valid_through; a zero c still narrows the window.  Raises
+    ValueError on an empty iterable.
 
-    Two passes.  The first reads every term's shifted ord and window end,
-    its coefficient numerators and its denominator, and fixes the result's
-    ord, window end and denominator (the lcm) from them.  The second adds
-    each c * s once into one vector of integer numerators of that fixed
-    length, which is never negative: every window ends at or after its
-    ord - 1.  No intermediate series is built.
+    Two passes.  The first reads every term's ord, window end and
+    denominator, and fixes the result's ord, window end and denominator
+    (the lcm) from them.  The second adds each c * s once into one vector
+    of integer numerators of that fixed length, which is never negative:
+    every window ends at or after its ord - 1.  No intermediate series is
+    built.
     """
-    plan = []
-    for c, s in terms:
-        if isinstance(c, list):
-            c_ord, c_nums, c_den = _combination(c)
-        else:
-            c = c if isinstance(c, (int, Fraction)) else Fr(c)
-            c_ord, c_nums, c_den = 0, (c.numerator,), c.denominator
-        plan.append(
-            (s.ord + c_ord, s.valid_through + c_ord, c_nums, s.den * c_den, s.nums)
-        )
+    plan = [(c if isinstance(c, (int, Fraction)) else Fr(c), s) for c, s in terms]
     if not plan:
         raise ValueError("series_sum of no terms")
-    ords, vts, _, dens, _ = zip(*plan)
-    lo, vt, den = min(ords), min(vts), lcm(*dens)
+    lo = min(s.ord for _, s in plan)
+    vt = min(s.valid_through for _, s in plan)
+    den = lcm(*(s.den * c.denominator for c, s in plan))
     out = [0] * (vt - lo + 1)
-    for s_ord, _, c_nums, sden, nums in plan:
-        f = den // sden
-        n = max(vt - s_ord + 1, 0)  # exponents s_ord..vt; none past the window
-        if len(c_nums) > 1:
-            convolve([x * f for x in c_nums], nums, n, out, s_ord - lo)
-            continue
-        f *= c_nums[0]
-        for i, x in enumerate(nums[:n], s_ord - lo):
+    for c, s in plan:
+        f = den // (s.den * c.denominator) * c.numerator
+        n = max(vt - s.ord + 1, 0)  # exponents s.ord..vt; none past the window
+        for i, x in enumerate(s.nums[:n], s.ord - lo):
             if x:
                 out[i] += x * f
     return _make(lo, out, den)  # vt == lo - 1 leaves the empty window at lo
@@ -314,6 +285,18 @@ def series_slice(a: LaurentSeries, valid_through: int) -> LaurentSeries:
     if valid_through < a.ord:
         return _make(valid_through + 1, (), 1)
     return _make(a.ord, a.nums[: valid_through - a.ord + 1], a.den)
+
+
+def series_pad(a: LaurentSeries, valid_through: int) -> LaurentSeries:
+    """An exact polynomial a, read through at least z^valid_through.
+
+    The exponents past a's window are zeros, which only an exact polynomial
+    (a counterterm, a sum of them) may claim.  A smaller window leaves a as
+    it is: sliced below its ord, a would lose its ord, and a product with it
+    would lose window.
+    """
+    pad = valid_through - a.valid_through
+    return _make(a.ord, a.nums + (0,) * pad, a.den) if pad > 0 else a
 
 
 def equal_on_window(a: LaurentSeries, b: LaurentSeries, min_overlap: int = 1) -> bool:

@@ -18,6 +18,7 @@ from hopfmzv.series import (
     series_diff,
     series_from_json,
     series_mul,
+    series_pad,
     series_scale,
     series_slice,
     series_sum,
@@ -192,6 +193,10 @@ def ref_slice(r, vt):
     return (vt + 1, []) if vt < r[0] else (r[0], r[1][: vt - r[0] + 1])
 
 
+def ref_pad(r, vt):
+    return (r[0], r[1] + [Fr(0)] * (vt - ref_vt(r))) if vt > ref_vt(r) else r
+
+
 def assert_matches(s, r):
     assert (s.ord, s.coeffs) == (r[0], tuple(r[1]))
     for n in range(s.ord - 2, s.valid_through + 1):
@@ -271,6 +276,7 @@ def test_operations_match_fraction_reference(ra, rb, c, vt, terms):
             series_slice(a, vt)
     else:
         assert_matches(series_slice(a, vt), ref_slice(ra, vt))
+    assert_matches(series_pad(a, vt), ref_pad(ra, vt))
     hi, lo = min(ref_vt(ra), ref_vt(rb)), min(a.ord, b.ord)
     if hi >= lo:
         want = all(ref_get(ra, n) == ref_get(rb, n) for n in range(lo, hi + 1))
@@ -308,6 +314,7 @@ def test_results_stay_canonical_fractions(ra, rb, c, vt):
         regular_part(a),
         series_from_json(series_to_json(a)),
         series_slice(a, min(vt, a.valid_through)),
+        series_pad(a, vt),
         monomial(-1, c, 3),
         zero_series(vt),
     ]
