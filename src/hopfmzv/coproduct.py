@@ -30,11 +30,17 @@ whose two legs are both admissible, plus the lambda-weighted terms
 over nonempty J contained in S, avoiding the y positions, with
 max(J) < n_1 + ... + n_{k-1} — and an explicit admissibility filter on the
 augmented right leg (the doubled d-positions of J can otherwise leave it
-ending in d).  The two constructions are asserted equal in the verify suite.
+ending in d).  It runs over bit sets: the subword of every position set is
+built once, from the set without its lowest position, S runs over all
+masks and J over the nonempty submasks of S & cand, where cand holds the
+d positions below the threshold, and the augmented right leg is the
+subword of complement(S) | J.  The two constructions are asserted equal in
+the verify suite.
 
-Both routes count in ints at integral lambda (phi uses 0, psi uses -1, the
-verify suite also 3), in Fractions otherwise; the TensorSum forms hand out
-Fraction coefficients.
+reduced_legs counts in ints at integral lambda (phi uses 0, psi uses -1,
+the verify suite also 3), in Fractions otherwise; the combinatorial route
+counts the (S, J) per term and |J| in ints and applies lambda^|J| once to
+each count.  The TensorSum forms hand out Fraction coefficients.
 
 star(f, g, w, lambda) is the convolution sum f(w_1) * g(w_2) of two
 series-valued maps over the full coproduct.
@@ -43,7 +49,6 @@ series-valued maps over the full coproduct.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import NotAdmissible
 from .series import LaurentSeries, series_mul, series_sum
@@ -107,39 +112,32 @@ def coproduct_combinatorial(w: str, lam) -> TensorSum:
     lam = Fr(lam)
     lam_c = lam.numerator if lam.denominator == 1 else lam  # int when integral
     n = len(w)
-    ypos = {i + 1 for i, ch in enumerate(w) if ch == "y"}
-    blocks = word_to_indices(w) if w else ()
-    # positions are 1-based; the y's sit at the partial sums of (k_i + 1)
-    threshold = n - (blocks[-1] + 1) if w else 0  # n_1 + ... + n_{k-1}
-
-    def subword(positions) -> str:
-        return "".join(w[p - 1] for p in positions)
-
+    threshold = n - (word_to_indices(w)[-1] + 1) if w else 0  # n_1 + ... + n_{k-1}
+    # bit i is position i + 1; J may use the d's at positions <= threshold - 1
+    cand = sum(1 << i for i in range(threshold - 1) if w[i] == "d")
+    sub = [""] * (1 << n)  # sub[S]: the subword on the positions in S
+    for S in range(1, 1 << n):
+        low = S & -S
+        sub[S] = w[low.bit_length() - 1] + sub[S ^ low]
+    counts: dict = {}  # (left, right, |J|) -> number of (S, J) giving it
+    full = (1 << n) - 1
+    for S, left in enumerate(sub):
+        comp = full ^ S
+        if not (is_admissible(left) and is_admissible(sub[comp])):
+            continue
+        key = (left, sub[comp], 0)
+        counts[key] = counts.get(key, 0) + 1
+        avail = S & cand if lam_c else 0
+        J = avail
+        while J:  # the nonempty submasks of avail
+            aug_right = sub[comp | J]
+            if is_admissible(aug_right):
+                key = (left, aug_right, J.bit_count())
+                counts[key] = counts.get(key, 0) + 1
+            J = (J - 1) & avail
     acc: dict = {}
-    universe = list(range(1, n + 1))
-    for size in range(n + 1):
-        for S in combinations(universe, size):
-            sset = set(S)
-            left = subword(S)
-            if not is_admissible(left):
-                continue
-            comp = [p for p in universe if p not in sset]
-            right = subword(comp)
-            if not is_admissible(right):
-                continue
-            key = (left, right)
-            acc[key] = acc.get(key, 0) + 1
-            if lam_c == 0:
-                continue
-            j_candidates = [p for p in S if p not in ypos and p <= threshold - 1]
-            for jsize in range(1, len(j_candidates) + 1):
-                for J in combinations(j_candidates, jsize):
-                    aug = sorted(comp + list(J))
-                    aug_right = subword(aug)
-                    if not is_admissible(aug_right):
-                        continue
-                    key = (left, aug_right)
-                    acc[key] = acc.get(key, 0) + lam_c**jsize
+    for (left, right, j), c in counts.items():
+        acc[left, right] = acc.get((left, right), 0) + c * lam_c**j
     # insertion order: every consumer sums exactly or sorts for printing
     return {key: Fr(c) for key, c in acc.items() if c}
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .bernoulli import bernoulli
 from .errors import (
@@ -193,25 +193,29 @@ def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:
 
     C = sum over 0 <= l_j <= k_j of
         prod_i binom(k_i, l_i) (-1)^{l_i + 1} (l_1 + ... + l_i + 1)^{m_i - 1};
-    m_i = 0 makes the power an honest rational 1/(l_1+...+l_i+1).
+    m_i = 0 makes the power an honest rational 1/(l_1+...+l_i+1).  Each term
+    is an integer numerator over the product of those L_i; the numerators
+    are summed per denominator, and one Fraction is built at the end.
     """
     if len(k) != len(m):
         raise ValueError("index vectors k and m must have equal length")
     n = len(k)
-    total = Fr(0)
+    sums: dict = {}  # denominator -> sum of numerators
+    exps = [(max(mi - 1, 0), max(1 - mi, 0)) for mi in m]  # L^{m_i - 1} = L^up / L^down
 
-    def descend(i: int, lsum: int, coeff: Fraction):
-        nonlocal total
+    def descend(i: int, lsum: int, num: int, den: int):
         if i == n:
-            total += coeff
+            sums[den] = sums.get(den, 0) + num
             return
+        up, down = exps[i]
         for l in range(k[i] + 1):
             L = lsum + l + 1
-            c = coeff * comb(k[i], l) * (-1) ** (l + 1) * Fr(L) ** (m[i] - 1)
-            descend(i + 1, lsum + l, c)
+            c = num * comb(k[i], l) * (-1) ** (l + 1)
+            descend(i + 1, lsum + l, c * L**up, den * L**down)
 
-    descend(0, 0, Fr(1))
-    return total
+    descend(0, 0, 1, 1)
+    D = lcm(*sums)
+    return Fr(sum(num * (D // den) for den, num in sums.items()), D)
 
 
 # ---------------------------------------------------------------------------

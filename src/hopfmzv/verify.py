@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
-from math import factorial
+from math import factorial, lcm
 
 from .bernoulli import bernoulli
 from .birkhoff import (
@@ -155,20 +155,23 @@ def _check_cop_routes():
 
 def _check_coassoc():
     for lam in _LAMS_COP:
-        # every leg of a word to weight 6 is itself one of these words
-        words = admissible_words(6, include_empty=True)
-        cops = {u: coproduct_recursive(u, lam) for u in words}
+        # every leg of a word to weight 6 is itself one of these words; the
+        # coefficients are narrowed to ints where integral, so the sums stay ints
+        cops = {}
+        for u in admissible_words(6, include_empty=True):
+            cop = coproduct_recursive(u, lam)
+            cops[u] = {k: c.numerator if c.denominator == 1 else c for k, c in cop.items()}
         for w, cop in cops.items():
             left: dict = {}
             right: dict = {}
             for (a, b), c in cop.items():
                 for (a1, a2), c2 in cops[a].items():
                     key = (a1, a2, b)
-                    left[key] = left.get(key, Fr(0)) + c * c2
+                    left[key] = left.get(key, 0) + c * c2
                 for (b1, b2), c2 in cops[b].items():
                     key = (a, b1, b2)
-                    right[key] = right.get(key, Fr(0)) + c * c2
-            if ws_add(left) != ws_add(right):
+                    right[key] = right.get(key, 0) + c * c2
+            if {k: c for k, c in left.items() if c} != {k: c for k, c in right.items() if c}:
                 return False, f"not coassociative at w={w!r}, lambda={lam}"
     return True, ""
 
@@ -694,14 +697,19 @@ def _check_qchar_realization():
 
 def _psi_coeff_oracle(k: tuple[int, ...], e: int) -> Fraction:
     n = len(k)
-    total = Fr(0)
+    bs = [bernoulli(j) for j in range(e + n + 1)]
+    weights = [(b.numerator, b.denominator * factorial(j)) for j, b in enumerate(bs)]
+    sums: dict = {}  # denominator -> sum of numerators
     for m in _compositions(e + n, n):
-        c = Fr(1)
+        num, den = 1, 1  # prod B_{m_i} / m_i! as num / den
         for mi in m:
-            c *= bernoulli(mi) / factorial(mi)
-        if c:  # B_m = 0 at every odd m >= 3
-            total += c * psi_C(k, m)
-    return total
+            num, den = num * weights[mi][0], den * weights[mi][1]
+        if num:  # B_m = 0 at every odd m >= 3
+            C = psi_C(k, m)
+            den *= C.denominator
+            sums[den] = sums.get(den, 0) + num * C.numerator
+    D = lcm(*sums)
+    return Fr(sum(num * (D // den) for den, num in sums.items()), D)
 
 
 def _check_psi_vs_constants():

@@ -109,6 +109,14 @@ def test_psi_plus_rescaling_window():
     assert plus.coefficient(2) == Fr(1, 144)
 
 
+def test_regular_part_of_psi_depth_one_starts_at_z_a():
+    # qzeta_plus keeps only the lambda = 0 placements: a d shared by two legs
+    # counts in both legs' a, so such a placement starts above z^{|k|}
+    for a in range(21):
+        s = psi("d" * a + "y", a)
+        assert all(s.coefficient(m) == 0 for m in range(a)), a
+
+
 def test_provenance_tags():
     assert zeta_plus((1,)).provenance == "phi-placement-dp"
     assert qzeta_plus((1,)).provenance == "psi-placement-dp"

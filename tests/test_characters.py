@@ -23,7 +23,7 @@ from hopfmzv.series import (
     series_slice,
 )
 from hopfmzv.verify import _psi_coeff_oracle
-from hopfmzv.words import admissible_words, depth, weight, word_to_indices
+from hopfmzv.words import admissible_words, weight, word_to_indices
 
 Fr = Fraction
 
@@ -140,11 +140,9 @@ def test_phi_equals_the_full_derivative_chain():
 
 
 def test_psi_equals_the_constant_oracle_past_the_verify_range():
-    # verify checks n + |k| <= 5; the oracle's cost grows exponentially with
-    # the depth n (n = 7 alone takes seconds), so the range 6..7 stops at n = 3
+    # verify checks n + |k| <= 5; here every word to weight 7 at every depth,
+    # 1083 coefficients, since the oracle counts in integers
     for w in admissible_words(7):
-        if depth(w) > 3:
-            continue
         k = word_to_indices(w)
         s = psi(w, 4)
         for e in range(-len(k), 5):

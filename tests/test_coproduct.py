@@ -144,3 +144,6 @@ def test_engine_form_equals_combinatorial_to_weight_8():
             assert flat == reduced_coproduct(w, lam, method="combinatorial"), (w, lam)
             full = {("", w): 1, **flat, (w, ""): 1}
             assert full == coproduct_combinatorial(w, lam), (w, lam)
+    for lam in (Fr(3), Fr(-1, 2)):
+        for w in admissible_words(8):
+            assert coproduct_recursive(w, lam) == coproduct_combinatorial(w, lam), (w, lam)
