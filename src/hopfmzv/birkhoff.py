@@ -37,9 +37,11 @@ chi_plus = exp((1 - pi) Z) is a placement sum of depth-one data:
     (-k_1, ..., -k_n): the lambda = 0 sum of zeta(-a) = mero_depth1(a).
   * qzeta_plus(k) is (-1)^{|k|} times the z^{|k|} coefficient of psi_plus
     (|k| = k_1 + ... + k_n, the cost of the (1-q)^{-|k|} rescaling before
-    q -> 1): the lambda = -1 sum of the regular parts of psi(d^a y), whose
-    placements with a shared d start above z^{|k|}, so the lambda = 0 sum
-    gives the value.  All lower coefficients must vanish, enforced here.
+    q -> 1): the lambda = 0 sum of the depth-one q-limits
+    (-1)^a [z^a] psi(d^a y).  The regular part of psi(d^a y) must start at
+    z^a, enforced here per factor; then placements with a shared d start
+    above z^{|k|}, and [z^{|k|}] of the others is a product of leading
+    coefficients.
   * _zeta_plus_birkhoff / _qzeta_plus_birkhoff (oracles) read CharacterTable.
   * zeta_plus_via_primitives(k) bypasses the counterterm calculus for
     depth >= 2: iterating the phi-realized product identity on the constant
@@ -191,32 +193,37 @@ def zeta_plus(k: tuple[int, ...]) -> RenormValue:
 def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized q-side value at (-k_1, ..., -k_n) after the q -> 1 limit.
 
-    psi_plus is the lambda = -1 placement sum of the regular parts of
-    psi(d^a y), read at (-1)^{|k|} [z^{|k|}]; coefficients below z^{|k|}
-    must vanish (they would blow up under the (1-q)^{-|k|} rescaling
-    otherwise).  Only the lambda = 0 placements reach z^{|k|}: the regular
-    part of psi(d^a y) starts at z^a, and a d that two legs share counts in
-    both legs' a, so a placement with a shared d starts above z^{|k|}.
+    The lambda = 0 placement sum of the depth-one q-limits
+    qzeta_plus((a,)) = (-1)^a [z^a] psi(d^a y), each checked to have no
+    coefficient below z^a (it would blow up under the (1-q)^{-a} rescaling
+    otherwise).  This is (-1)^{|k|} [z^{|k|}] of psi_plus: the regular part
+    of psi(d^a y) starts at z^a and the a_j of a placement sum to |k| only
+    when no d is shared, so [z^{|k|}] of each lambda = 0 product is the
+    product of the leading coefficients, and (-1)^{|k|} = prod (-1)^{a_j}.
     """
-    w = indices_to_word(k)
-    ks = word_to_indices(w)
+    ks = word_to_indices(indices_to_word(k))
     N = sum(ks)
 
-    def regular(a):
-        return LaurentSeries(0, [psi("d" * a + "y", N).coefficient(m) for m in range(N + 1)])
+    def limit(a):
+        # Every factor is read at the call's one window N, not at its own a:
+        # psi's psi_factor atoms are memoized per window, so N builds them once.
+        u = "d" * a + "y"
+        return _rescaled_limit(u, psi(u, N), a)
 
-    plus = _placements(ks, 0, regular)
-    return RenormValue(ks, _rescaled_limit(w, plus, N), "psi-placement-dp")
+    return RenormValue(ks, _placements(ks, 0, limit), "psi-placement-dp")
 
 
 def _rescaled_limit(w: str, plus: LaurentSeries, N: int) -> Fraction:
-    """(-1)^N [z^N] of psi_plus(w), once every lower coefficient is checked 0."""
+    """(-1)^N [z^N] of psi_plus(w), once z^0 .. z^{N-1} are checked 0.
+
+    At depth one psi_plus(w) and psi(w) agree from z^0 on, so either serves.
+    """
     for m in range(N):
         c = plus.coefficient(m)
         if c != 0:
             raise NonvanishingLowerTerm(
                 f"psi_plus({w!r}) has z^{m} coefficient {c} != 0; "
-                f"the q -> 1 limit does not exist at this vector"
+                "the q -> 1 limit does not exist"
             )
     return (-1) ** N * plus.coefficient(N)
 

@@ -27,7 +27,7 @@ from .birkhoff import CharacterTable, zeta_plus
 from .coproduct import coproduct_combinatorial, coproduct_recursive, reduced_coproduct
 from .errors import NonvanishingLowerTerm, PrecisionExceeded
 from .realizations import li_J, phi, psi, qz_series
-from .series import LaurentSeries, series_to_json
+from .series import series_to_json
 from .shuffle import shuffle_lambda, shuffle_zero
 from .verify import SUITES, run_suite
 from .words import (
@@ -76,30 +76,10 @@ def _format_wordsum(s: dict) -> str:
     return _format_terms(pairs)
 
 
-def _format_series(a: LaurentSeries, var: str = "z") -> str:
-    pairs = [
-        (_pow_label(var, n), a.coefficient(n))
-        for n in range(a.ord, a.valid_through + 1)
-        if a.coefficient(n) != 0
-    ]
-    head = _format_terms(pairs)
-    return f"{head} + O({var}^{a.valid_through + 1})"
-
-
-def _format_powerseries(coeffs, var: str) -> str:
-    pairs = [
-        (_pow_label(var, n), c) for n, c in enumerate(coeffs) if c != 0
-    ]
-    head = _format_terms(pairs)
-    return f"{head} + O({var}^{len(coeffs)})"
-
-
-def _powerseries_json(coeffs, var: str) -> dict:
-    return {
-        "var": var,
-        "trunc": len(coeffs) - 1,
-        "coeffs": [str(c) for c in coeffs],
-    }
+def _format_truncated(start: int, coeffs, var: str) -> str:
+    """The coefficients of var^start, var^(start + 1), ... and their O-term."""
+    pairs = [(_pow_label(var, start + i), c) for i, c in enumerate(coeffs) if c != 0]
+    return f"{_format_terms(pairs)} + O({var}^{start + len(coeffs)})"
 
 
 def _print_tensorsum(t: dict) -> None:
@@ -258,28 +238,23 @@ def _character_command(char):
         if args.json:
             print(json.dumps(series_to_json(s), indent=2))
         else:
-            print(_format_series(s))
+            print(_format_truncated(s.ord, s.coeffs, "z"))
         return 0
 
     return run
 
 
-def _cmd_li(args) -> int:
-    coeffs = li_J(_parse_kvec(args.k), args.trunc)
-    if args.json:
-        print(json.dumps(_powerseries_json(coeffs, "t"), indent=2))
-    else:
-        print(_format_powerseries(coeffs, "t"))
-    return 0
+def _truncation_command(expand, var: str):
+    def run(args) -> int:
+        coeffs = expand(_parse_kvec(args.k), args.trunc)
+        if args.json:
+            payload = {"var": var, "trunc": len(coeffs) - 1, "coeffs": list(map(str, coeffs))}
+            print(json.dumps(payload, indent=2))
+        else:
+            print(_format_truncated(0, coeffs, var))
+        return 0
 
-
-def _cmd_qz(args) -> int:
-    coeffs = qz_series(_parse_kvec(args.k), args.trunc)
-    if args.json:
-        print(json.dumps(_powerseries_json(coeffs, "q"), indent=2))
-    else:
-        print(_format_powerseries(coeffs, "q"))
-    return 0
+    return run
 
 
 def _cmd_birkhoff(args) -> int:
@@ -297,7 +272,7 @@ def _cmd_birkhoff(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         for name, s in rows:
-            print(f"{name:9s} = {_format_series(s)}")
+            print(f"{name:9s} = {_format_truncated(s.ord, s.coeffs, 'z')}")
     return 0
 
 
@@ -366,29 +341,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_coproduct)
 
-    p = sub.add_parser("phi", help="polylogarithm-limit character of a word")
-    p.add_argument("word")
-    p.add_argument("--prec", type=int, default=4)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_character_command(phi))
+    for name, char, text in (
+        ("phi", phi, "polylogarithm-limit character of a word"),
+        ("psi", psi, "modified q-sum character of a word"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("word")
+        p.add_argument("--prec", type=int, default=4)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_character_command(char))
 
-    p = sub.add_parser("psi", help="modified q-sum character of a word")
-    p.add_argument("word")
-    p.add_argument("--prec", type=int, default=4)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_character_command(psi))
-
-    p = sub.add_parser("li", help="one-variable polylogarithm truncation")
-    p.add_argument("--k", required=True, metavar="K1,K2,...")
-    p.add_argument("--trunc", type=int, default=12)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_li)
-
-    p = sub.add_parser("qz", help="nested q-sum truncation at arguments -k_i")
-    p.add_argument("--k", required=True, metavar="K1,K2,...")
-    p.add_argument("--trunc", type=int, default=12)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_qz)
+    for name, expand, var, text in (
+        ("li", li_J, "t", "one-variable polylogarithm truncation"),
+        ("qz", qz_series, "q", "nested q-sum truncation at arguments -k_i"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--k", required=True, metavar="K1,K2,...")
+        p.add_argument("--trunc", type=int, default=12)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_truncation_command(expand, var))
 
     p = sub.add_parser("birkhoff", help="decomposition data for one word")
     p.add_argument("word")

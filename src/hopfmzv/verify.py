@@ -420,14 +420,11 @@ def _check_renorm_relations_zeta():
 
 
 def _check_renorm_relations_qzeta():
-    tables: dict = {}
     for u, v in _unordered_pairs_total_weight(6):
         nu = weight(u) - depth(u)
         nv = weight(v) - depth(v)
         N = nu + nv
-        table = tables.get(N)
-        if table is None:
-            table = tables[N] = CharacterTable("psi", prec=N + 2)
+        table = CharacterTable("psi", prec=N + 2)
         lhs = Fr(0)
         for w, c in project_T(shuffle_lambda(u, v, Fr(-1))).items():
             lhs += c * table.chi_plus(w).coefficient(N)

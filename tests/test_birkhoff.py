@@ -19,9 +19,16 @@ from hopfmzv.birkhoff import (
     zeta_plus,
     zeta_plus_via_primitives,
 )
-from hopfmzv.errors import DepthOne
+from hopfmzv.errors import DepthOne, NonvanishingLowerTerm
 from hopfmzv.realizations import mero_depth2, phi, psi
-from hopfmzv.series import equal_on_window, pole_part, regular_part, series_add, series_slice
+from hopfmzv.series import (
+    constant,
+    equal_on_window,
+    pole_part,
+    regular_part,
+    series_add,
+    series_slice,
+)
 from hopfmzv.words import admissible_words, depth, weight, word_to_indices
 
 Fr = Fraction
@@ -195,6 +202,38 @@ def test_a_rebound_kinds_table_is_seen(monkeypatch):
     clear_caches()
     assert (_zeta_plus_birkhoff((1, 2)).value, _qzeta_plus_birkhoff((1, 2)).value) == expected
     assert calls["phi"] > 0 and calls["psi"] > 0
+
+
+def _with_constant_at_ddy(char):
+    # a nonzero z^0 term on one depth-one word: its q -> 1 limit blows up
+    def wrapper(w, P):
+        s = char(w, P)
+        return series_add(s, constant(1, P)) if w == "ddy" else s
+
+    return wrapper
+
+
+@pytest.mark.parametrize("k", [(2,), (1, 0, 1)])
+def test_a_nonvanishing_lower_term_is_raised(monkeypatch, k):
+    expected = qzeta_plus(k).value
+    monkeypatch.setattr(birkhoff, "psi", _with_constant_at_ddy(psi))
+    with pytest.raises(NonvanishingLowerTerm, match="'ddy'"):
+        qzeta_plus(k)
+    monkeypatch.undo()
+    assert qzeta_plus(k).value == expected
+
+
+def test_the_oracle_raises_a_nonvanishing_lower_term(monkeypatch):
+    expected = _qzeta_plus_birkhoff((2,)).value
+    kinds = dict(birkhoff._KINDS)
+    kinds["psi"] = (_with_constant_at_ddy(psi), kinds["psi"][1])
+    monkeypatch.setattr(birkhoff, "_KINDS", kinds)
+    clear_caches()
+    with pytest.raises(NonvanishingLowerTerm, match="'ddy'"):
+        _qzeta_plus_birkhoff((2,))
+    monkeypatch.undo()
+    clear_caches()
+    assert _qzeta_plus_birkhoff((2,)).value == expected
 
 
 def test_each_coproduct_is_enumerated_once(monkeypatch):

@@ -182,6 +182,20 @@ def test_qz_line():
     assert r.stdout.strip() == "q^2 + q^3 + q^4 + 3*q^5 + q^6 + 4*q^7 + 2*q^8 + O(q^9)"
 
 
+def test_li_json_golden():
+    r = run_cli("li", "--k", "1,2", "--trunc", "5", "--json")
+    assert r.returncode == 0, r.stderr
+    want = {"var": "t", "trunc": 5, "coeffs": ["0", "0", "1/2", "5/12", "49/144", "41/144"]}
+    assert r.stdout == json.dumps(want, indent=2) + "\n"
+
+
+def test_qz_json_golden():
+    r = run_cli("qz", "--k", "1,1", "--trunc", "6", "--json")
+    assert r.returncode == 0, r.stderr
+    want = {"var": "q", "trunc": 6, "coeffs": ["0", "0", "1", "1", "1", "3", "1"]}
+    assert r.stdout == json.dumps(want, indent=2) + "\n"
+
+
 def test_birkhoff_block():
     r = run_cli("birkhoff", "dydy", "--kind", "phi", "--prec", "1")
     assert r.returncode == 0
