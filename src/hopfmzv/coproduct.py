@@ -174,8 +174,9 @@ def tensor_shuffle(t1: TensorSum, t2: TensorSum, shuffle_fn) -> TensorSum:
     for (l1, r1), c1 in t1.items():
         for (l2, r2), c2 in t2.items():
             c = c1 * c2
+            right = shuffle_fn(r1, r2).items()
             for lw, lc in shuffle_fn(l1, l2).items():
-                for rw, rc in shuffle_fn(r1, r2).items():
+                for rw, rc in right:
                     key = (lw, rw)
                     acc[key] = acc.get(key, Fr(0)) + c * lc * rc
     return {k: v for k, v in acc.items() if v != 0}

@@ -30,16 +30,15 @@ the prod(k_j + 1) leaves of the sum as written.
 t-side (one-variable polylogarithm realization): J divides the m-th
 coefficient by m, delta multiplies by m, J o delta = delta o J = Id on power
 series with no constant term; li_J iterates them from y(t) = t/(1-t) =
-sum_{m>=1} t^m, li_nested is the brute-force nested sum oracle.
+sum_{m>=1} t^m, li_nested is the brute-force nested sum oracle.  Both count
+in ints over a power of L = lcm(1..T): J^e multiplies the m-th numerator by
+(L/m)^e and the denominator by L^e.
 
 q-side: bivariate truncations of t*Q[[t, q]] with the dilation E_q
 (t^a q^b -> t^a q^{a+b}), the difference D_q = Id - E_q, and its inverse
 P_q (rowwise multiplication by 1/(1 - q^a)), a Rota-Baxter operator of
-weight -1.  The modified q-values below have integer coefficients, and
-qz_series and qz_rational compute them in ints throughout; mul_bivariate,
-like the t-side product _ps_mul, convolves integer numerators over one
-common denominator.  All of them return Fractions.  qz_series sums the
-modified nested q-value
+weight -1.  The modified q-values below have integer coefficients.
+qz_series sums the modified nested q-value
 
     sum_{m_1 > ... > m_n > 0} q^{m_1} (1-q^{m_1})^{k_1} ... (1-q^{m_n})^{k_n}
 
@@ -47,6 +46,13 @@ directly; qz_rational expands the closed form
 sum_l prod_i [(-1)^{l_i+1} binom(k_i, l_i)] * prod_j q^{L_j}/(q^{L_j} - 1);
 qchar_realization builds the same series as D_q^{k_1}[y * D_q^{k_2}[...]](t)
 evaluated at t = q.
+
+Both sides count in ints.  Each operator is one integer routine on
+numerators over a common denominator (_power for J and delta, convolve for
+the t-side product, _eq, _dq, _pq, _mul and _diagonal on rows).  The routes
+build their Fractions once, from the integer result, and the public op_J,
+op_delta, _ps_mul, op_Eq, op_Dq, op_Pq, mul_bivariate and eval_t_eq_q are
+Fraction wrappers over the same routines.
 
 mero_depth1 / mero_depth2 are the closed-form continuation oracles
   zeta(-l) = -B_{l+1}/(l+1),
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, lcm
 
 from .bernoulli import bernoulli
@@ -222,7 +229,6 @@ def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:
 # t-side: power series in t, J and delta, polylogarithms
 # ---------------------------------------------------------------------------
 # A power series truncated at t^T is a tuple of T+1 Fractions (index = power).
-# Products go through integer numerators over one common denominator.
 
 
 def y_powerseries(T: int) -> tuple[Fraction, ...]:
@@ -230,26 +236,37 @@ def y_powerseries(T: int) -> tuple[Fraction, ...]:
     return (Fr(0),) + (Fr(1),) * T
 
 
+def _fractions(nums, den: int) -> tuple[Fraction, ...]:
+    return tuple(Fr(x, den) for x in nums)
+
+
+def _power(nums: list[int], den: int, e: int, L: int) -> tuple[list[int], int]:
+    """J^e on nums/den, delta^{-e} when e < 0; L is a common multiple of 1..T.
+
+    J divides the m-th coefficient by m, so J^e multiplies it by (L/m)^e
+    and the denominator by L^e; delta multiplies it by m.
+    """
+    if e and nums[0]:
+        op = "J" if e > 0 else "delta"
+        raise NonzeroConstantTerm(f"{op} needs a vanishing constant term")
+    if e > 0:
+        return [0] + [c * (L // m) ** e for m, c in enumerate(nums[1:], 1)], den * L**e
+    return nums[:1] + [c * m**-e for m, c in enumerate(nums[1:], 1)], den
+
+
 def op_J(s: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Divide the m-th coefficient by m (weight-0 Rota-Baxter operator)."""
-    if s[0] != 0:
-        raise NonzeroConstantTerm("J needs a vanishing constant term")
-    return (Fr(0),) + tuple(Fr(c) / m for m, c in enumerate(s[1:], start=1))
+    return _fractions(*_power(*numerators_over_lcm(s), 1, lcm(*range(1, len(s)))))
 
 
 def op_delta(s: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Multiply the m-th coefficient by m (Euler derivation t d/dt)."""
-    if s[0] != 0:
-        raise NonzeroConstantTerm("delta needs a vanishing constant term")
-    return (Fr(0),) + tuple(c * m for m, c in enumerate(s[1:], start=1))
+    return _fractions(*_power(*numerators_over_lcm(s), -1, 1))
 
 
 def _ps_mul(a, b):
-    n = len(a)
-    na, da = numerators_over_lcm(a)
-    nb, db = numerators_over_lcm(b)
-    d = da * db
-    return tuple(Fr(x, d) for x in convolve(na, nb, n))
+    (na, da), (nb, db) = numerators_over_lcm(a), numerators_over_lcm(b)
+    return _fractions(convolve(na, nb, len(a)), da * db)
 
 
 def _check_truncation(k: tuple[int, ...], T: int) -> None:
@@ -266,37 +283,30 @@ def li_J(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
     J^{k_1}[ y * J^{k_2}[ ... J^{k_n}[y] ] ] with J^{-m} = delta^m.
     """
     _check_truncation(k, T)
-    y = y_powerseries(T)
-
-    def power(s, e):
-        op = op_J if e > 0 else op_delta
-        for _ in range(abs(e)):
-            s = op(s)
-        return s
-
-    acc = power(y, k[-1])
+    L = lcm(*range(1, T + 1))
+    y = [0] + [1] * T
+    nums, den = _power(y, 1, k[-1], L)
     for e in reversed(k[:-1]):
-        acc = power(_ps_mul(y, acc), e)
-    return acc
+        nums, den = _power(convolve(y, nums, T + 1), den, e, L)
+    return _fractions(nums, den)
 
 
 def li_nested(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
-    """Oracle: sum_{m_1 > ... > m_n > 0} t^{m_1} / prod m_i^{k_i}."""
+    """Oracle: sum_{m_1 > ... > m_n > 0} t^{m_1} / prod m_i^{k_i}.
+
+    Counted in ints over L^{sum of the positive k_i}, L = lcm(1..T), as
+    1/m^e = (L/m)^e / L^e.
+    """
     _check_truncation(k, T)
-    n = len(k)
-    layer = [Fr(0)] * (T + 1)  # layer[m] = inner sum with m_j = m
-    for m in range(1, T + 1):
-        layer[m] = Fr(1) / Fr(m) ** k[n - 1]
-    for j in range(n - 2, -1, -1):
-        partial = [Fr(0)] * (T + 1)
-        run = Fr(0)
-        for m in range(1, T + 1):
-            partial[m] = run  # sum of layer over indices < m
-            run += layer[m]
-        layer = [
-            Fr(0) if m == 0 else partial[m] / Fr(m) ** k[j] for m in range(T + 1)
+    L = lcm(*range(1, T + 1))
+    layer, den = [1] + [0] * T, 1  # the empty tail, at m_{n+1} = 0
+    for e in reversed(k):
+        below = list(accumulate(layer[:-1], initial=0))  # below[m] = sum(layer[:m])
+        layer = [0] + [
+            below[m] * ((L // m) ** e if e > 0 else m**-e) for m in range(1, T + 1)
         ]
-    return tuple(layer)
+        den *= L ** max(e, 0)
+    return _fractions(layer, den)
 
 
 # ---------------------------------------------------------------------------
@@ -325,89 +335,93 @@ def y_bivariate(A: int, Q: int) -> BivariateSeries:
     return BivariateSeries(tuple(row for _ in range(A)))
 
 
-def op_Eq(s: BivariateSeries) -> BivariateSeries:
-    """Dilation t -> qt: shifts row a up by a powers of q."""
-    Q = s.q_truncation
-    rows = []
-    for a, row in enumerate(s.rows, start=1):
-        shifted = (Fr(0),) * min(a, Q + 1) + row[: max(Q + 1 - a, 0)]
-        rows.append(shifted)
-    return BivariateSeries(tuple(rows))
-
-
-def op_Dq(s: BivariateSeries) -> BivariateSeries:
-    """q-difference Id - E_q."""
-    e = op_Eq(s)
-    return BivariateSeries(
-        tuple(
-            tuple(c - ec for c, ec in zip(row, erow))
-            for row, erow in zip(s.rows, e.rows)
-        )
-    )
-
-
-def op_Pq(s: BivariateSeries) -> BivariateSeries:
-    """Inverse of D_q: row a multiplies by 1/(1 - q^a) = sum_j q^{aj}."""
-    Q = s.q_truncation
-    rows = []
-    for a, row in enumerate(s.rows, start=1):
-        out = list(row)
-        for b in range(a, Q + 1):
-            out[b] += out[b - a]  # out, not row: accumulates all q^{aj}
-        rows.append(tuple(out))
-    return BivariateSeries(tuple(rows))
-
-
 def _int_rows(s: BivariateSeries, A: int, Q: int) -> tuple[list[list[int]], int]:
     """Rows 1..A through q^Q as integer numerators over one denominator."""
     flat, den = numerators_over_lcm([c for row in s.rows[:A] for c in row[: Q + 1]])
     return [flat[i : i + Q + 1] for i in range(0, len(flat), Q + 1)], den
 
 
-def mul_bivariate(s1: BivariateSeries, s2: BivariateSeries) -> BivariateSeries:
-    A = min(s1.t_truncation, s2.t_truncation)
-    Q = min(s1.q_truncation, s2.q_truncation)
-    rows1, d1 = _int_rows(s1, A, Q)
-    rows2, d2 = _int_rows(s2, A, Q)
+def _rowwise(op, s: BivariateSeries) -> BivariateSeries:
+    """An integer-row operator applied to s over its common denominator."""
+    rows, den = _int_rows(s, s.t_truncation, s.q_truncation)
+    return BivariateSeries(tuple(_fractions(r, den) for r in op(rows, s.q_truncation)))
+
+
+def _eq(rows: list[list[int]], Q: int) -> list[list[int]]:
+    return [([0] * a + row)[: Q + 1] for a, row in enumerate(rows, start=1)]
+
+
+def _dq(rows: list[list[int]], Q: int) -> list[list[int]]:
+    return [[c - e for c, e in zip(r, er)] for r, er in zip(rows, _eq(rows, Q))]
+
+
+def _pq(rows: list[list[int]], Q: int) -> list[list[int]]:
+    rows = [list(row) for row in rows]
+    for a, row in enumerate(rows, start=1):
+        for b in range(a, Q + 1):
+            row[b] += row[b - a]  # the updated row: accumulates all q^{aj}
+    return rows
+
+
+def op_Eq(s: BivariateSeries) -> BivariateSeries:
+    """Dilation t -> qt: shifts row a up by a powers of q."""
+    return _rowwise(_eq, s)
+
+
+def op_Dq(s: BivariateSeries) -> BivariateSeries:
+    """q-difference Id - E_q."""
+    return _rowwise(_dq, s)
+
+
+def op_Pq(s: BivariateSeries) -> BivariateSeries:
+    """Inverse of D_q: row a multiplies by 1/(1 - q^a) = sum_j q^{aj}."""
+    return _rowwise(_pq, s)
+
+
+def _mul(rows1: list[list[int]], rows2: list[list[int]], Q: int) -> list[list[int]]:
+    A = min(len(rows1), len(rows2))
     rows = [[0] * (Q + 1) for _ in range(A)]
     for a1 in range(1, A):  # a1 + a2 <= A with a2 >= 1
         r1 = rows1[a1 - 1]
         for a2 in range(1, A - a1 + 1):
             convolve(r1, rows2[a2 - 1], Q + 1, rows[a1 + a2 - 1])
-    d = d1 * d2
-    return BivariateSeries(tuple(tuple(Fr(x, d) for x in r) for r in rows))
+    return rows
+
+
+def mul_bivariate(s1: BivariateSeries, s2: BivariateSeries) -> BivariateSeries:
+    A = min(s1.t_truncation, s2.t_truncation)
+    Q = min(s1.q_truncation, s2.q_truncation)
+    (rows1, d1), (rows2, d2) = _int_rows(s1, A, Q), _int_rows(s2, A, Q)
+    return BivariateSeries(tuple(_fractions(r, d1 * d2) for r in _mul(rows1, rows2, Q)))
+
+
+def _diagonal(rows: list[list[int]], Q: int) -> list[int]:
+    if len(rows) < Q:
+        raise TruncationMismatch(f"t-truncation {len(rows)} < q-truncation {Q}")
+    out = [0] * (Q + 1)
+    for a, row in enumerate(rows[:Q], start=1):
+        for b, c in enumerate(row[: Q + 1 - a]):
+            out[a + b] += c
+    return out
 
 
 def eval_t_eq_q(s: BivariateSeries) -> tuple[Fraction, ...]:
     """Substitute t = q; needs t-truncation >= q-truncation."""
-    Q = s.q_truncation
-    if s.t_truncation < Q:
-        raise TruncationMismatch(
-            f"t-truncation {s.t_truncation} < q-truncation {Q}"
-        )
-    out = [Fr(0)] * (Q + 1)
-    for a, row in enumerate(s.rows, start=1):
-        for b, c in enumerate(row):
-            if c and a + b <= Q:
-                out[a + b] += c
-    return tuple(out)
+    rows, den = _int_rows(s, s.t_truncation, s.q_truncation)
+    return _fractions(_diagonal(rows, s.q_truncation), den)
 
 
 def qchar_realization(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
     """D_q^{k_1}[ y * D_q^{k_2}[ ... ] ](t) at t = q, to q^Q."""
     k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
     _check_truncation(k, Q)
-    y = y_bivariate(Q, Q)
-
-    def dq_power(s, e):
+    y = [[1] + [0] * Q for _ in range(Q)]  # y_bivariate(Q, Q), integral
+    acc = None
+    for e in reversed(k):
+        acc = y if acc is None else _mul(y, acc, Q)
         for _ in range(e):
-            s = op_Dq(s)
-        return s
-
-    acc = dq_power(y, k[-1])
-    for e in reversed(k[:-1]):
-        acc = dq_power(mul_bivariate(y, acc), e)
-    return eval_t_eq_q(acc)
+            acc = _dq(acc, Q)
+    return _fractions(_diagonal(acc, Q), 1)
 
 
 def qz_series(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:

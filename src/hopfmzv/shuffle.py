@@ -110,7 +110,7 @@ def _check_letters(u: str, v: str, alphabet: str, name: str) -> None:
 def shuffle_lambda(u: str, v: str, lam) -> WordSum:
     """Deformed shuffle of two words; LambdaZero routes lambda = 0 away."""
     _check_letters(u, v, "dy", "shuffle_lambda")
-    lam = Fr(lam)
+    lam = lam if isinstance(lam, Fraction) else Fr(lam)
     if lam == 0:
         raise LambdaZero("the deformed shuffle divides by lambda; use shuffle_zero")
     return dict(_shuffle(u, v, _lam_rule, lam))

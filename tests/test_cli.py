@@ -251,6 +251,14 @@ def test_verify_suite_runs_clean():
     assert r.stdout.splitlines()[-1].endswith("checks passed")
 
 
+def test_verify_golden():
+    # every check name, in suite order: the benchmark's reference keys on them
+    r = run_cli("verify")
+    assert r.returncode == 0, r.stderr
+    golden = Path(__file__).with_name("golden") / "verify.txt"
+    assert r.stdout == golden.read_text()
+
+
 def test_output_is_deterministic():
     a = run_cli("table", "--json")
     b = run_cli("table", "--json")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -267,3 +268,88 @@ def test_both_q_routes_equal_the_direct_sum():
                 got = route(k, 12)
                 assert got == want, (route.__name__, k)
                 assert all(type(c) is Fr for c in got)
+
+
+# ------------------------------ integer routes against Fraction references
+# The compositions below are the Fraction forms of the routes, one
+# coefficient at a time: J divides by m, delta multiplies by m, products go
+# through the Fraction double loop above, and the q-side route composes the
+# public operators.
+
+
+def _li_J_reference(k, T):
+    def power(s, e):
+        for _ in range(abs(e)):
+            s = (Fr(0),) + tuple(
+                c / m if e > 0 else c * m for m, c in enumerate(s[1:], start=1)
+            )
+        return s
+
+    y = y_powerseries(T)
+    acc = power(y, k[-1])
+    for e in reversed(k[:-1]):
+        acc = power(_ps_mul_reference(y, acc), e)
+    return acc
+
+
+def _li_nested_reference(k, T):
+    layer = [Fr(0)] + [Fr(1) / Fr(m) ** k[-1] for m in range(1, T + 1)]
+    for e in reversed(k[:-1]):
+        run, partial = Fr(0), [Fr(0)] * (T + 1)
+        for m in range(1, T + 1):
+            partial[m] = run  # the layer summed over indices < m
+            run += layer[m]
+        layer = [Fr(0)] + [partial[m] / Fr(m) ** e for m in range(1, T + 1)]
+    return tuple(layer)
+
+
+def _qchar_reference(k, Q):
+    y = y_bivariate(Q, Q)
+
+    def dq_power(s, e):
+        for _ in range(e):
+            s = op_Dq(s)
+        return s
+
+    acc = dq_power(y, k[-1])
+    for e in reversed(k[:-1]):
+        acc = dq_power(mul_bivariate(y, acc), e)
+    return eval_t_eq_q(acc)
+
+
+_LI_ROUTES = ((li_J, _li_J_reference), (li_nested, _li_nested_reference))
+
+
+def _canonical(coeffs):
+    return all(
+        type(c) is Fr and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        for c in coeffs
+    )
+
+
+def test_li_routes_equal_their_fraction_references():
+    for n in (1, 2, 3):
+        for k in product(range(-2, 4), repeat=n):
+            for route, reference in _LI_ROUTES:
+                got = route(k, 30)
+                assert got == reference(k, 30), (route.__name__, k)
+                assert _canonical(got), (route.__name__, k)
+
+
+def test_qchar_realization_equals_the_operator_composition():
+    for n in (1, 2, 3):
+        for k in product(range(4), repeat=n):
+            got = qchar_realization(k, 20)
+            assert got == _qchar_reference(k, 20), k
+            assert _canonical(got), k
+
+
+def test_routes_at_the_smallest_truncations():
+    for k in [(0,), (2,), (-1, 3), (3, 0, -2)]:
+        for route, reference in _LI_ROUTES:
+            assert route(k, 0) == reference(k, 0) == (Fr(0),)
+            got = route(k, 1)
+            assert got == reference(k, 1) and _canonical(got)
+    for k in [(0,), (3,), (1, 2), (0, 0, 1)]:
+        got = qchar_realization(k, 1)
+        assert got == _qchar_reference(k, 1) and _canonical(got)

@@ -63,3 +63,49 @@ def test_a_constant_off_by_one_at_one_m_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "psi_C", lambda k, m: real(k, m) + (m == (2,)))
     ok, detail = _check("qseries", "psi-vs-constant-oracle")()
     assert not ok and "psi coefficient" in detail
+
+
+def _off_by_one_at(coeffs, m):
+    return coeffs[:m] + (coeffs[m] + 1,) + coeffs[m + 1 :]
+
+
+def test_a_nested_sum_off_by_one_is_caught(monkeypatch):
+    real = verify.li_nested
+
+    def faulty(k, T):
+        return _off_by_one_at(real(k, T), 17) if k == (2, -1) else real(k, T)
+
+    monkeypatch.setattr(verify, "li_nested", faulty)
+    ok, detail = _check("rota-baxter", "li-route-agreement")()
+    assert not ok and "k=(2, -1)" in detail
+    monkeypatch.undo()
+    assert _check("rota-baxter", "li-route-agreement")() == (True, "")
+
+
+def test_a_q_sum_off_by_one_is_caught(monkeypatch):
+    real = verify.qz_series
+
+    def faulty(k, Q):
+        return _off_by_one_at(real(k, Q), 11) if k == (2, 0, 1) else real(k, Q)
+
+    monkeypatch.setattr(verify, "qz_series", faulty)
+    ok, detail = _check("qseries", "qz-operator-realization")()
+    assert not ok and "k=(2, 0, 1)" in detail
+    monkeypatch.undo()
+    assert _check("qseries", "qz-operator-realization")() == (True, "")
+
+
+def test_one_wrong_shuffle_coefficient_breaks_squaring(monkeypatch):
+    real = verify.shuffle_lambda
+
+    def faulty(u, v, lam):
+        out = real(u, v, lam)
+        if (u, v, lam) == ("dy", "dy", 2):
+            out = {**out, "dyy": out["dyy"] + 1}
+        return out
+
+    monkeypatch.setattr(verify, "shuffle_lambda", faulty)
+    ok, detail = _check("hopf", "squaring-identity")()
+    assert not ok and "lambda=2" in detail
+    monkeypatch.undo()
+    assert _check("hopf", "squaring-identity")() == (True, "")
