@@ -1,52 +1,36 @@
 """Algebraic Birkhoff decomposition and renormalized values.
 
-For a character chi with values in Laurent series and the projection
-pi = pole_part (a Rota-Baxter operator of weight -1), every word splits as
+For a character chi with values in Laurent series, the projection
+pi = pole_part (a Rota-Baxter operator of weight -1) and the coproduct at the
+character's lambda (0 for phi, the polylogarithm limit; -1 for psi, the
+modified q-sums), chi_plus = chi_minus * chi with chi_minus purely polar and
+chi_plus pole-free off e, where both are 1; chi_bar = chi_plus - chi_minus.
 
-    chi_bar(w)   = chi(w) + sum_{reduced coproduct} chi_minus(w') chi(w'')
-    chi_minus(w) = -pi(chi_bar(w))
-    chi_plus(w)  = (Id - pi)(chi_bar(w))
-
-with chi_minus(e) = chi_plus(e) = 1.  chi_minus is purely polar away from e,
-chi_plus is pole-free, and chi_plus = chi_minus * chi (convolution with
-respect to the full coproduct); equivalently chi_plus - chi_minus = chi_bar.
-
-The recursion runs over the reduced coproduct at the lambda matching the
-character: lambda = 0 for phi (the polylogarithm limit), lambda = -1 for psi
-(the modified q-sums).  It reads the coproduct grouped by right leg
-(coproduct.reduced_legs), which turns the bar sum into
-
-    chi_bar(w) = chi(w) + sum_{w''} M(w'') chi(w''),
-    M(w'') = sum_{w'} c(w', w'') chi_minus(w'),
-
-one product per distinct right leg w'' instead of one per term; M(w'') is
-an exact Laurent polynomial, a sum of counterterms.
-
-Windows from the grading.  The grading g additive across that coproduct
-(weight at lambda = 0, depth at lambda = -1) is also the pole order of chi,
-and chi_minus(w') has order -g(w'), so M(w'') has order -g(w') =
-g(w'') - g(w).  For chi_bar(w) through z^P, M(w'') is read through
-P + g(w'') (series_pad: its exponents past z^-1 are zeros) and chi(w'')
-through P + g(w) - g(w''); each product is then valid through exactly z^P.
-A counterterm is computed once, from its bar through z^-1.
-
-Renormalized values.  The characters form an abelian group and Z = log chi
-lives on depth one (README: "Renormalized values by placements"), so
-chi_plus = exp((1 - pi) Z) is a placement sum of depth-one data:
+Rows and values by placements.  The characters form an abelian group and
+Z = log chi lives on depth one (README: "Renormalized values by
+placements"), so chi_minus = exp(-pi Z) and chi_plus = exp((1 - pi) Z) are
+placement sums of depth-one data, polynomial in the depth:
+  * CharacterTable rows: the sums of -pi chi(d^a y) and (1 - pi) chi(d^a y)
+    at the kind's lambda.
   * zeta_plus(k) is the constant term of phi_plus at the word of
     (-k_1, ..., -k_n): the lambda = 0 sum of zeta(-a) = mero_depth1(a).
-  * qzeta_plus(k) is (-1)^{|k|} times the z^{|k|} coefficient of psi_plus
-    (|k| = k_1 + ... + k_n, the cost of the (1-q)^{-|k|} rescaling before
-    q -> 1): the lambda = 0 sum of the depth-one q-limits
-    (-1)^a [z^a] psi(d^a y).  The regular part of psi(d^a y) must start at
-    z^a, enforced here per factor; then placements with a shared d start
-    above z^{|k|}, and [z^{|k|}] of the others is a product of leading
-    coefficients.
-  * _zeta_plus_birkhoff / _qzeta_plus_birkhoff (oracles) read CharacterTable.
-  * zeta_plus_via_primitives(k) bypasses the counterterm calculus for
-    depth >= 2: iterating the phi-realized product identity on the constant
-    terms gives value(w) = (sum over the reduced coproduct at lambda 0 of
-    value(w') value(w'')) / (2^{dpt(w)} - 2).
+  * qzeta_plus(k) is (-1)^{|k|} [z^{|k|}] psi_plus, |k| = k_1 + ... + k_n
+    (the (1-q)^{-|k|} rescaling before q -> 1): the lambda = 0 sum of the
+    depth-one q-limits (-1)^a [z^a] psi(d^a y) (see qzeta_plus).
+
+The paper's Bogoliubov recursion is the oracle of both; it is exponential in
+depth, and only _zeta_plus_birkhoff, _qzeta_plus_birkhoff and tests run it:
+
+    chi_bar(w)   = chi(w) + sum_{reduced coproduct} chi_minus(w') chi(w'')
+    chi_minus(w) = -pi(chi_bar(w)),   chi_plus(w) = (Id - pi)(chi_bar(w)).
+
+It reads the coproduct grouped by right leg (coproduct.reduced_legs), one
+product per distinct right leg w'': M(w'') = sum_{w'} c(w', w'') chi_minus(w'),
+an exact Laurent polynomial, times chi(w''), each read at the window the
+grading gives it (weight at lambda = 0, depth at lambda = -1; see _bar).
+
+zeta_plus_via_primitives(k), for depth >= 2, is a third value route that
+builds no counterterms: the phi-realized product identity on constant terms.
 """
 
 from __future__ import annotations
@@ -60,7 +44,7 @@ from .coproduct import reduced_legs
 from .errors import DepthOne, NonvanishingLowerTerm
 from .realizations import mero_depth1, phi, psi
 from .series import LaurentSeries, pole_part, regular_part, series_mul
-from .series import series_pad, series_scale, series_sum
+from .series import series_pad, series_scale, series_slice, series_sum
 from .words import depth, indices_to_word, memo, weight, word_to_indices
 
 __all__ = [
@@ -83,20 +67,36 @@ _GRADINGS = {"phi": weight, "psi": depth}
 # Both memos look the character up in _KINDS on every miss rather than
 # binding it at import, so a caller that rebinds _KINDS is seen.
 @memo
-def _counterterm(kind: str, w: str) -> LaurentSeries:
-    """chi_minus(w) = -pi(chi_bar(w)) for a nonempty admissible word.
-
-    An exact Laurent polynomial once chi_bar(w) is known through z^-1, so it
-    is computed once, through z^-1, whatever window is asked for later; read
-    further out (series_pad), its coefficients are known zeros.  That z^-1
-    bar is not memoized: only its pole part is ever read again.
+def _rows(kind: str, w: str, prec: int) -> tuple[LaurentSeries, ...]:
+    """(chi_minus, chi_plus, chi_bar) of a nonempty admissible word through
+    exactly z^prec.  Each factor chi(d^a y) is read through prec + g(w), g the
+    kind's grading: the other factors of a placement have orders summing to
+    g(d^a y) - g(w) or more, so every product is valid through prec.
     """
-    return series_scale(pole_part(_bar.__wrapped__(kind, w, -1)), -1)
+    char, lam = _KINDS[kind]
+    P, ks = prec + _GRADINGS[kind](w), word_to_indices(w)
+
+    def split(part):
+        placed = _placements(ks, int(lam), lambda a: part(char("d" * a + "y", P)))
+        return series_slice(placed, prec)
+
+    minus, plus = split(lambda s: -pole_part(s)), split(regular_part)
+    return minus, plus, plus - minus
 
 
 @memo
+def _counterterm(kind: str, w: str) -> LaurentSeries:
+    """chi_minus(w) = -pi(chi_bar(w)) by the recursion, for a nonempty word.
+
+    An exact Laurent polynomial once chi_bar(w) is known through z^-1, so it
+    is computed once, through z^-1, whatever window is asked for later; read
+    further out (series_pad), its coefficients are known zeros.
+    """
+    return series_scale(pole_part(_bar(kind, w, -1)), -1)
+
+
 def _bar(kind: str, w: str, P: int) -> LaurentSeries:
-    """chi_bar(w) for a nonempty admissible word, valid through exactly z^P.
+    """chi_bar(w) by the recursion for nonempty w, valid through exactly z^P.
 
     With g the kind's grading, M(w2) has order -g(w1) = g(w2) - g(w) and
     chi(w2) order -g(w2), so M(w2) read through P + g(w2) and chi(w2) read
@@ -116,9 +116,9 @@ class CharacterTable:
     """The Birkhoff data (chi, chi_bar, chi_minus, chi_plus) of one kind.
 
     Every row is valid through exactly z^prec; the empty word's rows are all
-    chi("", prec).  The table holds no state of its own: chi_bar and the
-    counterterms are process-wide memos shared by every table of the kind,
-    so a second table reuses them.
+    chi("", prec).  The table holds no state of its own: the three split
+    rows of a word come from the placement sum together, memoized once per
+    (kind, word, prec) for every table of the kind.
     """
 
     def __init__(self, kind: str, *, prec: int = 1):
@@ -135,13 +135,13 @@ class CharacterTable:
         return _KINDS[self.kind][0](w, self.prec)
 
     def chi_bar(self, w: str) -> LaurentSeries:
-        return _bar(self.kind, w, self.prec) if w else self.chi(w)
+        return _rows(self.kind, w, self.prec)[2] if w else self.chi(w)
 
     def chi_minus(self, w: str) -> LaurentSeries:
-        return series_scale(pole_part(self.chi_bar(w)), -1) if w else self.chi(w)
+        return _rows(self.kind, w, self.prec)[0] if w else self.chi(w)
 
     def chi_plus(self, w: str) -> LaurentSeries:
-        return regular_part(self.chi_bar(w)) if w else self.chi(w)
+        return _rows(self.kind, w, self.prec)[1] if w else self.chi(w)
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def _rescaled_limit(w: str, plus: LaurentSeries, N: int) -> Fraction:
 def _zeta_plus_birkhoff(k: tuple[int, ...]) -> RenormValue:
     """zeta_plus by the Birkhoff recursion: the constant term of phi_plus."""
     w = indices_to_word(k)
-    value = CharacterTable("phi", prec=0).chi_plus(w).coefficient(0)
+    value = regular_part(_bar("phi", w, 0)).coefficient(0)
     return RenormValue(word_to_indices(w), value, "phi-constant-term")
 
 
@@ -239,7 +239,7 @@ def _qzeta_plus_birkhoff(k: tuple[int, ...]) -> RenormValue:
     """qzeta_plus by the Birkhoff recursion on psi."""
     w = indices_to_word(k)
     N = weight(w) - depth(w)
-    plus = CharacterTable("psi", prec=N).chi_plus(w)
+    plus = regular_part(_bar("psi", w, N))
     return RenormValue(word_to_indices(w), _rescaled_limit(w, plus, N), "psi-rescaled-limit")
 
 

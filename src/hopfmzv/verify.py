@@ -468,8 +468,8 @@ def _check_primitive_decomposition():
 
 
 def _check_mero_compat():
-    # depth 1 against the engine: zeta_plus((k,)) is mero_depth1(k) by
-    # construction, so only the counterterm recursion can catch a wrong one
+    # depth 1 against phi: zeta_plus((k,)) is mero_depth1(k) by construction,
+    # and chi_plus(d^k y) is the regular part of phi(d^k y), built from x(z)
     table = CharacterTable("phi", prec=0)
     for k in range(13):
         if table.chi_plus("d" * k + "y").coefficient(0) != mero_depth1(k):

@@ -19,6 +19,7 @@ from hopfmzv.birkhoff import (
     zeta_plus,
     zeta_plus_via_primitives,
 )
+from hopfmzv.coproduct import star
 from hopfmzv.errors import DepthOne, NonvanishingLowerTerm
 from hopfmzv.realizations import mero_depth2, phi, psi
 from hopfmzv.series import (
@@ -27,9 +28,8 @@ from hopfmzv.series import (
     pole_part,
     regular_part,
     series_add,
-    series_slice,
 )
-from hopfmzv.words import admissible_words, depth, weight, word_to_indices
+from hopfmzv.words import admissible_words, depth, indices_to_word, word_to_indices
 
 Fr = Fraction
 
@@ -369,26 +369,56 @@ def test_deep_vectors_agree_at_both_lambdas():
         assert zeta_plus(k).value == qzeta_plus(k).value, k
 
 
-@pytest.mark.parametrize("kind, grade", [("phi", weight), ("psi", depth)], ids=["phi", "psi"])
-def test_rows_factor_through_depth_one(kind, grade):
-    # the character group is abelian, so chi_minus = exp(-pi Z) and
-    # chi_plus = exp((1 - pi) Z) with Z = log chi supported on depth one:
-    # the placement sum of -pi chi(d^a y), resp. (1 - pi) chi(d^a y).  The
-    # legs that share a d (lambda = -1) add nothing to a value, but they do
-    # reach these rows.
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+def test_rows_factor_through_depth_one(kind):
+    # CharacterTable's rows are placement sums of depth-one data: the
+    # character group is abelian, so chi_minus = exp(-pi Z) and chi_plus =
+    # exp((1 - pi) Z) with Z = log chi supported on depth one.  The
+    # Bogoliubov recursion builds the same rows from the whole coproduct.
+    # The legs that share a d (lambda = -1) add nothing to a value, but they
+    # do reach these rows.
     prec = 2
     table = CharacterTable(kind, prec=prec)
-    lam = int(table.lam)
     for w in admissible_words(8):
         if not w:
             continue
-        # each factor wide enough that the n-fold product is valid to prec
+        bar = birkhoff._bar(kind, w, prec)
+        engine = (-pole_part(bar), regular_part(bar), bar)
+        rows = (table.chi_minus(w), table.chi_plus(w), table.chi_bar(w))
+        assert [_shape(s) for s in rows] == [_shape(s) for s in engine], w
+
+
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+def test_rows_past_the_engine_are_the_birkhoff_split(kind):
+    # the decomposition is unique: chi_minus polar, chi_plus pole-free and
+    # chi_minus * chi = chi_plus pin the rows without the recursion
+    prec, grade = 2, birkhoff._GRADINGS[kind]
+    table = CharacterTable(kind, prec=prec)
+    for k in [(2, 1, 3), (1,) * 6, (2, 2, 2, 2), (3, 3, 3), (6, 6), (1,) * 12]:
+        w = indices_to_word(k)
+        minus, plus = table.chi_minus(w), table.chi_plus(w)
+        assert all(minus.coefficient(n) == 0 for n in range(prec + 1)), k
+        assert all(plus.coefficient(n) == 0 for n in range(plus.ord, 0)), k
+        if len(k) > 6:
+            continue  # the full coproduct of dy^12 is too large to convolve
         wide = CharacterTable(kind, prec=prec + grade(w))
-        ks = word_to_indices(w)
-        minus = birkhoff._placements(ks, lam, lambda a: -pole_part(wide.chi("d" * a + "y")))
-        plus = birkhoff._placements(ks, lam, lambda a: regular_part(wide.chi("d" * a + "y")))
-        assert _shape(series_slice(minus, prec)) == _shape(table.chi_minus(w)), w
-        assert _shape(series_slice(plus, prec)) == _shape(table.chi_plus(w)), w
+        lhs = star(wide.chi_minus, wide.chi, w, table.lam)
+        assert lhs.valid_through == prec and equal_on_window(lhs, plus, 3), k
+
+
+def test_no_row_or_value_reaches_the_recursion():
+    clear_caches()
+    for kind in ("phi", "psi"):
+        for prec in (-2, 0, 3):
+            table = CharacterTable(kind, prec=prec)
+            for w in admissible_words(6):
+                for name in ("chi_bar", "chi_minus", "chi_plus"):
+                    getattr(table, name)(w)
+    for w in admissible_words(6):
+        if w:
+            zeta_plus(word_to_indices(w))
+            qzeta_plus(word_to_indices(w))
+    assert _counterterm.cache_info().misses == 0
 
 
 @st.composite

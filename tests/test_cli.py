@@ -244,6 +244,35 @@ def test_birkhoff_empty_word_golden():
     )
 
 
+# Every row of both kinds at a polar, the constant and a regular window, for
+# words from the empty word to dy^8, as text and as JSON: one process runs
+# the commands in turn and prints each after a "$ hopfmzv ..." header.
+_BIRKHOFF_WORDS = ["", "y", "dy", "yddy", "dydy", "ddydy", "dy" * 4, "dy" * 8]
+_BIRKHOFF_TRANSCRIPT = """
+import shlex, sys
+from hopfmzv.cli import main
+for kind in ("phi", "psi"):
+    for prec in ("-5", "0", "3"):
+        for w in %r:
+            for extra in ([], ["--json"]):
+                argv = ["birkhoff", w, "--kind", kind, "--prec", prec, *extra]
+                print("$ hopfmzv " + shlex.join(argv))
+                sys.stdout.flush()
+                assert main(argv) == 0, argv
+"""
+
+
+def test_birkhoff_golden():
+    r = subprocess.run(
+        [sys.executable, "-c", _BIRKHOFF_TRANSCRIPT % (_BIRKHOFF_WORDS,)],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    golden = Path(__file__).with_name("golden") / "birkhoff.txt"
+    assert r.stdout == golden.read_text()
+
+
 def test_verify_suite_runs_clean():
     r = run_cli("verify", "--suite", "rota-baxter")
     assert r.returncode == 0

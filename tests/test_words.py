@@ -108,7 +108,7 @@ def test_every_process_wide_memo_is_bounded():
         "psi",
         "_shuffle",
         "_counterterm",
-        "_bar",
+        "_rows",
         "_primitive_value",
     }
     for name, fn in caches.items():
@@ -120,6 +120,7 @@ def test_clear_caches_empties_every_memo():
     birkhoff._qzeta_plus_birkhoff((1, 2))
     hopfmzv.zeta_plus_via_primitives((1, 2))
     hopfmzv.shuffle_lambda("dy", "ddy", -1)
+    hopfmzv.CharacterTable("psi", prec=1).chi_plus("dydy")
     caches = _process_wide_memos()
     assert all(fn.cache_info().currsize > 0 for fn in caches.values())
     hopfmzv.clear_caches()
