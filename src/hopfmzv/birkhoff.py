@@ -24,8 +24,8 @@ depth, and only _zeta_plus_birkhoff, _qzeta_plus_birkhoff and tests run it:
     chi_bar(w)   = chi(w) + sum_{reduced coproduct} chi_minus(w') chi(w'')
     chi_minus(w) = -pi(chi_bar(w)),   chi_plus(w) = (Id - pi)(chi_bar(w)).
 
-It reads the coproduct grouped by right leg (coproduct.reduced_legs), one
-product per distinct right leg w'': M(w'') = sum_{w'} c(w', w'') chi_minus(w'),
+It groups the reduced coproduct by right leg, one product per distinct
+right leg w'': M(w'') = sum_{w'} c(w', w'') chi_minus(w'),
 an exact Laurent polynomial, times chi(w''), each read at the window the
 grading gives it (weight at lambda = 0, depth at lambda = -1; see _bar).
 
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .coproduct import reduced_legs
+from .coproduct import reduced_coproduct
 from .errors import DepthOne, NonvanishingLowerTerm
 from .realizations import mero_depth1, phi, psi
 from .series import LaurentSeries, pole_part, regular_part, series_mul
@@ -104,9 +104,12 @@ def _bar(kind: str, w: str, P: int) -> LaurentSeries:
     """
     (char, lam), grade = _KINDS[kind], _GRADINGS[kind]
     g = grade(w)
+    lefts: dict = {}  # right leg w2 -> [(c, chi_minus(w1)), ...]
+    for (w1, w2), c in reduced_coproduct(w, lam).items():
+        lefts.setdefault(w2, []).append((c, _counterterm(kind, w1)))
     terms = [(1, char(w, P))]
-    for w2, lefts in reduced_legs(w, lam):
-        M = series_sum((c, _counterterm(kind, w1)) for w1, c in lefts)
+    for w2, minus in lefts.items():
+        M = series_sum(minus)
         chi2 = char(w2, P + g - grade(w2))
         terms.append((1, series_mul(series_pad(M, P + grade(w2)), chi2)))
     return series_sum(terms)
@@ -161,7 +164,8 @@ def _placements(ks: tuple[int, ...], lam: int, f):
     the last leg takes all u.  The a2-sum is formed once per (s, a1), so a
     state costs u + 1 products.  f's values need + and * (Fraction, series).
     """
-    fs = [f(a) for a in range(sum(ks) + 1)]
+    # one block (one leg) reads only f(k); more may read any of f(0) .. f(|k|)
+    fs = {a: f(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
 
     @cache
     def leg(s, a1):  # sum over a2 of C(s, a2) lam^a2 f(a1 + a2)
@@ -261,7 +265,8 @@ def zeta_plus_via_primitives(k: tuple[int, ...]) -> RenormValue:
 def _primitive_value(u: str) -> Fraction:
     if depth(u) == 1:  # d^m y <-> single index (m)
         return zeta_plus(word_to_indices(u)).value
-    acc = Fraction(0)
-    for u2, lefts in reduced_legs(u, Fraction(0)):
-        acc += _primitive_value(u2) * sum(c * _primitive_value(u1) for u1, c in lefts)
+    acc = sum(
+        c * _primitive_value(u1) * _primitive_value(u2)
+        for (u1, u2), c in reduced_coproduct(u, 0).items()
+    )
     return acc / (2 ** depth(u) - 2)

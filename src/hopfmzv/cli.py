@@ -20,17 +20,19 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from itertools import product
 
 from .birkhoff import CharacterTable, zeta_plus
-from .coproduct import coproduct_combinatorial, coproduct_recursive, reduced_coproduct
-from .errors import NonvanishingLowerTerm, PrecisionExceeded
+from .coproduct import coproduct_combinatorial, coproduct_recursive
+from .errors import NonvanishingLowerTerm, NotAdmissible, PrecisionExceeded
 from .realizations import li_J, phi, psi, qz_series
 from .series import series_to_json
 from .shuffle import shuffle_lambda, shuffle_zero
 from .verify import SUITES, run_suite
 from .words import (
+    is_admissible,
     parse_word,
     project_T,
     word_key,
@@ -219,12 +221,12 @@ def _cmd_shuffle(args) -> int:
 def _cmd_coproduct(args) -> int:
     w = parse_word(args.word)
     lam = _parse_lambda(args.lam)
-    if args.reduced:
-        t = reduced_coproduct(w, lam, method=args.method)
-    elif args.method == "recursive":
-        t = coproduct_recursive(w, lam)
-    else:
-        t = coproduct_combinatorial(w, lam)
+    if args.reduced and not (w and is_admissible(w)):
+        raise NotAdmissible(f"reduced coproduct needs a nonempty admissible word, got {w!r}")
+    full = coproduct_recursive if args.method == "recursive" else coproduct_combinatorial
+    t = full(w, lam)
+    if args.reduced:  # drop e (x) w and w (x) e, the terms with an empty leg
+        t = {(l, r): c for (l, r), c in t.items() if l and r}
     if args.json:
         print(json.dumps(tensorsum_to_json(t), indent=2))
     else:
@@ -281,6 +283,7 @@ def _cmd_birkhoff(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # one parser per process: in-process callers run main many times
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfmzv",

@@ -8,17 +8,12 @@ The coproduct is defined on letters by
 and extended multiplicatively (componentwise concatenation of tensor legs)
 over a word; terms in which either leg ends in d are then dropped — that
 projection modulo the trailing-d ideal is the ground truth and makes the
-admissible words a coalgebra basis.  reduced_legs implements exactly this
-and is authoritative; it reads the word from the right, so each leg's last
-letter is the first it receives, and drops a leg that would end in d as
-soon as it takes that d.  It is the engine form: the reduced coproduct,
-without the group-like terms e (x) w and w (x) e, grouped by right leg,
-which is the shape the Birkhoff bar sum consumes.  It is not memoized: the
-engine reads a word's coproduct once, in the bar sum behind its memoized
-counterterm or row, so a stored enumeration would never be read again.
-Every leg in it is nonempty admissible with depth between 1 and dpt(w) - 1,
-the recursion measure of the Birkhoff engine.  coproduct_recursive and
-reduced_coproduct are its TensorSum views.
+admissible words a coalgebra basis.  reduced_coproduct implements exactly
+this and is authoritative; it reads the word from the right, so each leg's
+last letter is the first it receives, and drops a leg that would end in d as
+soon as it takes that d.  It leaves out the group-like terms e (x) w and
+w (x) e, so every leg is nonempty admissible with depth between 1 and
+dpt(w) - 1.  coproduct_recursive adds those two terms back.
 
 coproduct_combinatorial is the verified second implementation: writing the
 word as w = d^{n_1 - 1} y ... d^{n_k - 1} y of weight n, with y at positions
@@ -37,10 +32,10 @@ d positions below the threshold, and the augmented right leg is the
 subword of complement(S) | J.  The two constructions are asserted equal in
 the verify suite.
 
-reduced_legs counts in ints at integral lambda (phi uses 0, psi uses -1,
-the verify suite also 3), in Fractions otherwise; the combinatorial route
-counts the (S, J) per term and |J| in ints and applies lambda^|J| once to
-each count.  The TensorSum forms hand out Fraction coefficients.
+All three coproducts have int coefficients at integral lambda (phi uses 0,
+psi uses -1, the verify suite also 3) and Fractions otherwise; the
+combinatorial route counts the (S, J) per term and |J| in ints and applies
+lambda^|J| once to each count.
 
 star(f, g, w, lambda) is the convolution sum f(w_1) * g(w_2) of two
 series-valued maps over the full coproduct.
@@ -65,13 +60,15 @@ __all__ = [
 ]
 
 
-def reduced_legs(w: str, lam: Fraction) -> tuple:
-    """The reduced coproduct of a nonempty admissible word, by right leg.
-
-    ((w2, ((w1, c), ...)), ...); each c is nonzero, an int at integral lambda.
-    """
-    lam_c = lam.numerator if lam.denominator == 1 else lam  # int when integral
-    pairs: dict = {("", ""): 1}
+def reduced_coproduct(w: str, lam) -> TensorSum:
+    """Full coproduct minus e (x) w and w (x) e: every leg nonempty."""
+    if w == "" or not is_admissible(w):
+        raise NotAdmissible(
+            f"reduced coproduct needs a nonempty admissible word, got {w!r}"
+        )
+    lam = Fr(lam)
+    lam, one = (lam.numerator, 1) if lam.denominator == 1 else (lam, Fr(1))
+    pairs: dict = {("", ""): one}
     for ch in reversed(w):  # legs grow leftwards; an empty leg takes no d
         nxt: dict = {}
         get = nxt.get
@@ -84,25 +81,22 @@ def reduced_legs(w: str, lam: Fraction) -> tuple:
                 grown = (("d" + l, r),)
             else:
                 grown = (("d" + l, r), (l, "d" + r))
-                if lam_c:
+                if lam:
                     key = ("d" + l, "d" + r)
-                    nxt[key] = get(key, 0) + c * lam_c
+                    nxt[key] = get(key, 0) + c * lam
             for key in grown:
                 nxt[key] = get(key, 0) + c
         pairs = nxt
-    legs: dict = {}
-    for (l, r), c in pairs.items():
-        if c and l and r:
-            legs.setdefault(r, []).append((l, c))
-    return tuple((r, tuple(ls)) for r, ls in legs.items())
+    return {(l, r): c for (l, r), c in pairs.items() if c and l and r}
 
 
 def coproduct_recursive(w: str, lam) -> TensorSum:
     """Letterwise coproduct followed by the trailing-d projection."""
     if not is_admissible(w):
         raise NotAdmissible(f"coproduct needs an admissible word, got {w!r}")
+    one = 1 if Fr(lam).denominator == 1 else Fr(1)
     reduced = reduced_coproduct(w, lam) if w else {}  # Delta(e) = e (x) e
-    return {("", w): Fr(1), **reduced, (w, ""): Fr(1)}
+    return {("", w): one, **reduced, (w, ""): one}
 
 
 def coproduct_combinatorial(w: str, lam) -> TensorSum:
@@ -139,21 +133,7 @@ def coproduct_combinatorial(w: str, lam) -> TensorSum:
     for (left, right, j), c in counts.items():
         acc[left, right] = acc.get((left, right), 0) + c * lam_c**j
     # insertion order: every consumer sums exactly or sorts for printing
-    return {key: Fr(c) for key, c in acc.items() if c}
-
-
-def reduced_coproduct(w: str, lam, *, method: str = "recursive") -> TensorSum:
-    """Full coproduct minus e (x) w and w (x) e."""
-    if w == "" or not is_admissible(w):
-        raise NotAdmissible(
-            f"reduced coproduct needs a nonempty admissible word, got {w!r}"
-        )
-    if method == "recursive":
-        legs = reduced_legs(w, Fr(lam))
-        fr = {c: Fr(c) for c in {c for _, lefts in legs for _, c in lefts}}
-        return {(w1, w2): fr[c] for w2, lefts in legs for w1, c in lefts}
-    units = (("", w), (w, ""))  # coefficient 1 each, checked on the full form
-    return {k: c for k, c in coproduct_combinatorial(w, lam).items() if k not in units}
+    return {key: c for key, c in acc.items() if c}
 
 
 def star(f, g, w: str, lam) -> LaurentSeries:

@@ -127,14 +127,14 @@ def _unordered_pairs_total_weight(max_total: int):
                 yield u, v
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _bernoulli_compositions(total: int, parts: int) -> list:
+    """Tuples of `parts` parts summing to `total`, each part an m with
+    B_m != 0 (0, 1 or even), built one part at a time."""
+    allowed = [m for m in range(total + 1) if m < 2 or m % 2 == 0]
+    heads = [((), 0)]  # (the first parts, their sum)
+    for _ in range(parts - 1):
+        heads = [(h + (m,), used + m) for h, used in heads for m in allowed if used + m <= total]
+    return [h + (total - used,) for h, used in heads if total - used in allowed]
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +155,8 @@ def _check_cop_routes():
 
 def _check_coassoc():
     for lam in _LAMS_COP:
-        # every leg of a word to weight 6 is itself one of these words; the
-        # coefficients are narrowed to ints where integral, so the sums stay ints
-        cops = {}
-        for u in admissible_words(6, include_empty=True):
-            cop = coproduct_recursive(u, lam)
-            cops[u] = {k: c.numerator if c.denominator == 1 else c for k, c in cop.items()}
+        # every leg of a word to weight 6 is itself one of these words
+        cops = {u: coproduct_recursive(u, lam) for u in admissible_words(6, include_empty=True)}
         for w, cop in cops.items():
             left: dict = {}
             right: dict = {}
@@ -698,14 +694,13 @@ def _psi_coeff_oracle(k: tuple[int, ...], e: int) -> Fraction:
     bs = [bernoulli(j) for j in range(e + n + 1)]
     weights = [(b.numerator, b.denominator * factorial(j)) for j, b in enumerate(bs)]
     sums: dict = {}  # denominator -> sum of numerators
-    for m in _compositions(e + n, n):
+    for m in _bernoulli_compositions(e + n, n):
         num, den = 1, 1  # prod B_{m_i} / m_i! as num / den
         for mi in m:
             num, den = num * weights[mi][0], den * weights[mi][1]
-        if num:  # B_m = 0 at every odd m >= 3
-            C = psi_C(k, m)
-            den *= C.denominator
-            sums[den] = sums.get(den, 0) + num * C.numerator
+        C = psi_C(k, m)
+        den *= C.denominator
+        sums[den] = sums.get(den, 0) + num * C.numerator
     D = lcm(*sums)
     return Fr(sum(num * (D // den) for den, num in sums.items()), D)
 

@@ -7,7 +7,8 @@ nonempty admissible words biject with index vectors of non-negative integers:
     (k_1, ..., k_n)  <->  d^{k_1} y d^{k_2} y ... d^{k_n} y
 
 Linear combinations are finitely supported dicts word -> Fraction (WordSum)
-or (word, word) -> Fraction (TensorSum), normalized to carry no zeros.  The
+or (word, word) -> coefficient (TensorSum; the coproducts give ints at
+integral lambda, Fractions otherwise), normalized to carry no zeros.  The
 canonical ordering for printing and JSON is graded lexicographic — weight
 first, then letterwise with d < y — which plain (len(w), w) delivers since
 'd' < 'y' in ASCII.
@@ -26,7 +27,7 @@ from .errors import NotAdmissible
 Fr = Fraction
 
 WordSum = dict  # word -> Fraction
-TensorSum = dict  # (word, word) -> Fraction
+TensorSum = dict  # (word, word) -> int or Fraction
 
 # Every process-wide memo (shuffles, atoms, characters, counterterms, values)
 # is declared with @memo, so each keeps at most MEMO_ENTRIES results however

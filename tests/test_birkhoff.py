@@ -240,13 +240,13 @@ def test_each_coproduct_is_enumerated_once(monkeypatch):
     # the engine reads a word's coproduct only behind a memoized counterterm
     # or a top-level row, so a coproduct memo would never be hit
     seen = Counter()
-    enumerate_legs = birkhoff.reduced_legs
+    enumerate_coproduct = birkhoff.reduced_coproduct
 
     def counted(w, lam):
         seen[w, lam] += 1
-        return enumerate_legs(w, lam)
+        return enumerate_coproduct(w, lam)
 
-    monkeypatch.setattr(birkhoff, "reduced_legs", counted)
+    monkeypatch.setattr(birkhoff, "reduced_coproduct", counted)
     clear_caches()
     misses = _counterterm.cache_info().misses
     _zeta_plus_birkhoff((1,) * 5)
@@ -367,6 +367,14 @@ def test_deep_vectors_agree_at_both_lambdas():
     # and psi atoms, so each is the other's reference
     for k in [(1,) * 10, (1,) * 20, (3,) * 8]:
         assert zeta_plus(k).value == qzeta_plus(k).value, k
+
+
+@pytest.mark.parametrize("lam", [0, -1])
+def test_a_depth_one_placement_reads_f_once_at_k(lam):
+    for k in (0, 1, 7, 40):
+        calls = []
+        value = birkhoff._placements((k,), lam, lambda a: calls.append(a) or Fr(a + 1))
+        assert (value, calls) == (k + 1, [k]), k
 
 
 @pytest.mark.parametrize("kind", ["phi", "psi"])

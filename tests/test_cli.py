@@ -152,6 +152,46 @@ def test_coproduct_methods_agree_as_json():
     assert a.stdout == b.stdout
 
 
+# Every admissible word to weight 4 and the empty word, at four lambdas, full
+# and reduced, by both methods, as text and (to weight 3) as JSON: one
+# process runs the commands in turn and prints each after a "$ hopfmzv ..."
+# header.  The reduced coproduct of the empty word is an error, pinned below.
+_COPRODUCT_TRANSCRIPT = """
+import shlex, sys
+from hopfmzv.cli import main
+from hopfmzv.words import admissible_words, weight
+for w in admissible_words(4, include_empty=True):
+    for lam in ("0", "-1", "3", "-1/2"):
+        for reduced in ([], ["--reduced"]) if w else ([],):
+            for method in ("recursive", "combinatorial"):
+                for extra in ([], ["--json"]) if weight(w) <= 3 else ([],):
+                    argv = ["coproduct", w, "--lambda", lam, *reduced, "--method", method, *extra]
+                    print("$ hopfmzv " + shlex.join(argv))
+                    sys.stdout.flush()
+                    assert main(argv) == 0, argv
+"""
+
+
+def test_coproduct_golden():
+    r = subprocess.run(
+        [sys.executable, "-c", _COPRODUCT_TRANSCRIPT], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    golden = Path(__file__).with_name("golden") / "coproduct.txt"
+    assert r.stdout == golden.read_text()
+
+
+def test_reduced_coproduct_needs_a_nonempty_admissible_word():
+    for method in ("recursive", "combinatorial"):
+        for w in ("", "yd"):
+            r = run_cli("coproduct", w, "--reduced", "--method", method)
+            assert r.returncode == 1, (w, method)
+            assert r.stdout == "", (w, method)
+            assert r.stderr == (
+                f"error: reduced coproduct needs a nonempty admissible word, got {w!r}\n"
+            ), (w, method)
+
+
 def test_phi_series_line():
     r = run_cli("phi", "dydy", "--prec", "3")
     assert r.returncode == 0

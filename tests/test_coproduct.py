@@ -8,7 +8,6 @@ from hopfmzv.coproduct import (
     coproduct_combinatorial,
     coproduct_recursive,
     reduced_coproduct,
-    reduced_legs,
 )
 from hopfmzv.errors import NotAdmissible
 from hopfmzv.words import admissible_words, indices_to_word
@@ -103,12 +102,6 @@ def test_reduced_coproduct_at_minus_one_adds_corrections():
     }
 
 
-def test_both_methods_exposed_by_reduced():
-    a = reduced_coproduct("ddydy", Fr(-1), method="recursive")
-    b = reduced_coproduct("ddydy", Fr(-1), method="combinatorial")
-    assert a == b
-
-
 def test_inadmissible_words_rejected():
     with pytest.raises(NotAdmissible):
         coproduct_recursive("yd", Fr(-1))
@@ -128,20 +121,17 @@ def test_recursive_equals_combinatorial(k, lam):
     combinatorial = coproduct_combinatorial(w, lam)
     assert recursive == combinatorial
     reduced = reduced_coproduct(w, lam)
-    assert reduced == reduced_coproduct(w, lam, method="combinatorial")
+    assert reduced == {key: c for key, c in combinatorial.items() if "" not in key}
+    scalar = int if lam.denominator == 1 else Fraction  # int at integral lambda
     for t in (recursive, combinatorial, reduced):
-        assert all(type(c) is Fraction for c in t.values())
+        assert all(type(c) is scalar for c in t.values())
 
 
-def test_engine_form_equals_combinatorial_to_weight_8():
+def test_flat_form_equals_combinatorial_to_weight_8():
     for lam in (Fr(0), Fr(-1)):
         for w in admissible_words(8):
-            legs = reduced_legs(w, lam)
-            right = [w2 for w2, _ in legs]
-            assert len(set(right)) == len(right), w  # one group per right leg
-            flat = {(w1, w2): c for w2, lefts in legs for w1, c in lefts}
+            flat = reduced_coproduct(w, lam)
             assert all(w1 and w2 and type(c) is int and c for (w1, w2), c in flat.items())
-            assert flat == reduced_coproduct(w, lam, method="combinatorial"), (w, lam)
             full = {("", w): 1, **flat, (w, ""): 1}
             assert full == coproduct_combinatorial(w, lam), (w, lam)
     for lam in (Fr(3), Fr(-1, 2)):
