@@ -10,9 +10,11 @@ t^m/m! gives the convolution recurrence
 
     sum_{j=0}^{N-1} binom(N, j) B_j = N        (N >= 1),
 
-which determines B_{N-1} from its predecessors.  Values are cached; the cache
-is the only shared mutable state in the package's numeric core and is held
-under a lock so concurrent character evaluations can share it.
+which determines B_{N-1} from its predecessors.  Values are cached in one
+process-wide table, next to the seven `words.memo` caches of the other
+layers.  The table grows in place, one entry from the ones before it, so
+it is extended under a lock and concurrent character evaluations can
+share it.
 """
 
 from __future__ import annotations

@@ -34,10 +34,11 @@ sum_{m>=1} t^m, li_nested is the brute-force nested sum oracle.  Both count
 in ints over a power of L = lcm(1..T): J^e multiplies the m-th numerator by
 (L/m)^e and the denominator by L^e.
 
-q-side: bivariate truncations of t*Q[[t, q]] with the dilation E_q
+q-side: bivariate truncations of t*Z[[t, q]] with the dilation E_q
 (t^a q^b -> t^a q^{a+b}), the difference D_q = Id - E_q, and its inverse
 P_q (rowwise multiplication by 1/(1 - q^a)), a Rota-Baxter operator of
-weight -1.  The modified q-values below have integer coefficients.
+weight -1.  These, the product and t = q keep integer coefficients, so the
+modified q-values below are integer series.
 qz_series sums the modified nested q-value
 
     sum_{m_1 > ... > m_n > 0} q^{m_1} (1-q^{m_1})^{k_1} ... (1-q^{m_n})^{k_n}
@@ -45,14 +46,15 @@ qz_series sums the modified nested q-value
 directly; qz_rational expands the closed form
 sum_l prod_i [(-1)^{l_i+1} binom(k_i, l_i)] * prod_j q^{L_j}/(q^{L_j} - 1);
 qchar_realization builds the same series as D_q^{k_1}[y * D_q^{k_2}[...]](t)
-evaluated at t = q.
+evaluated at t = q, from the public operators.
 
-Both sides count in ints.  Each operator is one integer routine on
+Both sides count in ints.  The q-side is int rows end to end: each of E_q,
+D_q, P_q, the product and t = q is one function on BivariateSeries.  The
+t-side values are rational: each operator is one integer routine on
 numerators over a common denominator (_power for J and delta, convolve for
-the t-side product, _eq, _dq, _pq, _mul and _diagonal on rows).  The routes
-build their Fractions once, from the integer result, and the public op_J,
-op_delta, _ps_mul, op_Eq, op_Dq, op_Pq, mul_bivariate and eval_t_eq_q are
-Fraction wrappers over the same routines.
+the product), the routes build their Fractions once, from the integer
+result, and the public op_J, op_delta and _ps_mul are Fraction wrappers
+over the same routines.
 
 mero_depth1 / mero_depth2 are the closed-form continuation oracles
   zeta(-l) = -B_{l+1}/(l+1),
@@ -310,15 +312,15 @@ def li_nested(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# q-side: bivariate truncations of t Q[[t, q]]
+# q-side: bivariate truncations of t Z[[t, q]]
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BivariateSeries:
-    """Element of t*Q[[t, q]]: rows[a-1][b] = coefficient of t^a q^b."""
+    """Element of t*Z[[t, q]]: rows[a-1][b] = coefficient of t^a q^b."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def t_truncation(self) -> int:
@@ -331,100 +333,72 @@ class BivariateSeries:
 
 def y_bivariate(A: int, Q: int) -> BivariateSeries:
     """y(t) = sum_{m=1}^{A} t^m (no q-dependence)."""
-    row = (Fr(1),) + (Fr(0),) * Q
-    return BivariateSeries(tuple(row for _ in range(A)))
-
-
-def _int_rows(s: BivariateSeries, A: int, Q: int) -> tuple[list[list[int]], int]:
-    """Rows 1..A through q^Q as integer numerators over one denominator."""
-    flat, den = numerators_over_lcm([c for row in s.rows[:A] for c in row[: Q + 1]])
-    return [flat[i : i + Q + 1] for i in range(0, len(flat), Q + 1)], den
-
-
-def _rowwise(op, s: BivariateSeries) -> BivariateSeries:
-    """An integer-row operator applied to s over its common denominator."""
-    rows, den = _int_rows(s, s.t_truncation, s.q_truncation)
-    return BivariateSeries(tuple(_fractions(r, den) for r in op(rows, s.q_truncation)))
-
-
-def _eq(rows: list[list[int]], Q: int) -> list[list[int]]:
-    return [([0] * a + row)[: Q + 1] for a, row in enumerate(rows, start=1)]
-
-
-def _dq(rows: list[list[int]], Q: int) -> list[list[int]]:
-    return [[c - e for c, e in zip(r, er)] for r, er in zip(rows, _eq(rows, Q))]
-
-
-def _pq(rows: list[list[int]], Q: int) -> list[list[int]]:
-    rows = [list(row) for row in rows]
-    for a, row in enumerate(rows, start=1):
-        for b in range(a, Q + 1):
-            row[b] += row[b - a]  # the updated row: accumulates all q^{aj}
-    return rows
+    return BivariateSeries(((1,) + (0,) * Q,) * A)
 
 
 def op_Eq(s: BivariateSeries) -> BivariateSeries:
     """Dilation t -> qt: shifts row a up by a powers of q."""
-    return _rowwise(_eq, s)
+    return BivariateSeries(
+        tuple(((0,) * a + row)[: len(row)] for a, row in enumerate(s.rows, start=1))
+    )
 
 
 def op_Dq(s: BivariateSeries) -> BivariateSeries:
     """q-difference Id - E_q."""
-    return _rowwise(_dq, s)
+    return BivariateSeries(
+        tuple(
+            tuple(c - e for c, e in zip(row, (0,) * a + row))
+            for a, row in enumerate(s.rows, start=1)
+        )
+    )
 
 
 def op_Pq(s: BivariateSeries) -> BivariateSeries:
     """Inverse of D_q: row a multiplies by 1/(1 - q^a) = sum_j q^{aj}."""
-    return _rowwise(_pq, s)
-
-
-def _mul(rows1: list[list[int]], rows2: list[list[int]], Q: int) -> list[list[int]]:
-    A = min(len(rows1), len(rows2))
-    rows = [[0] * (Q + 1) for _ in range(A)]
-    for a1 in range(1, A):  # a1 + a2 <= A with a2 >= 1
-        r1 = rows1[a1 - 1]
-        for a2 in range(1, A - a1 + 1):
-            convolve(r1, rows2[a2 - 1], Q + 1, rows[a1 + a2 - 1])
-    return rows
+    rows = [list(row) for row in s.rows]
+    for a, row in enumerate(rows, start=1):
+        for b in range(a, len(row)):
+            row[b] += row[b - a]  # the updated row: accumulates all q^{aj}
+    return BivariateSeries(tuple(map(tuple, rows)))
 
 
 def mul_bivariate(s1: BivariateSeries, s2: BivariateSeries) -> BivariateSeries:
     A = min(s1.t_truncation, s2.t_truncation)
     Q = min(s1.q_truncation, s2.q_truncation)
-    (rows1, d1), (rows2, d2) = _int_rows(s1, A, Q), _int_rows(s2, A, Q)
-    return BivariateSeries(tuple(_fractions(r, d1 * d2) for r in _mul(rows1, rows2, Q)))
+    rows = [[0] * (Q + 1) for _ in range(A)]
+    for a1 in range(1, A):  # a1 + a2 <= A with a2 >= 1
+        r1 = s1.rows[a1 - 1]
+        for a2 in range(1, A - a1 + 1):
+            convolve(r1, s2.rows[a2 - 1], Q + 1, rows[a1 + a2 - 1])
+    return BivariateSeries(tuple(map(tuple, rows)))
 
 
-def _diagonal(rows: list[list[int]], Q: int) -> list[int]:
-    if len(rows) < Q:
-        raise TruncationMismatch(f"t-truncation {len(rows)} < q-truncation {Q}")
+def eval_t_eq_q(s: BivariateSeries) -> tuple[int, ...]:
+    """Substitute t = q; needs t-truncation >= q-truncation."""
+    A, Q = s.t_truncation, s.q_truncation
+    if A < Q:
+        raise TruncationMismatch(f"t-truncation {A} < q-truncation {Q}")
     out = [0] * (Q + 1)
-    for a, row in enumerate(rows[:Q], start=1):
+    for a, row in enumerate(s.rows[:Q], start=1):
         for b, c in enumerate(row[: Q + 1 - a]):
             out[a + b] += c
-    return out
+    return tuple(out)
 
 
-def eval_t_eq_q(s: BivariateSeries) -> tuple[Fraction, ...]:
-    """Substitute t = q; needs t-truncation >= q-truncation."""
-    rows, den = _int_rows(s, s.t_truncation, s.q_truncation)
-    return _fractions(_diagonal(rows, s.q_truncation), den)
-
-
-def qchar_realization(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
+def qchar_realization(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     """D_q^{k_1}[ y * D_q^{k_2}[ ... ] ](t) at t = q, to q^Q."""
     k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
     _check_truncation(k, Q)
-    y = [[1] + [0] * Q for _ in range(Q)]  # y_bivariate(Q, Q), integral
+    y = y_bivariate(Q, Q)
     acc = None
     for e in reversed(k):
-        acc = y if acc is None else _mul(y, acc, Q)
+        acc = y if acc is None else mul_bivariate(y, acc)
         for _ in range(e):
-            acc = _dq(acc, Q)
-    return _fractions(_diagonal(acc, Q), 1)
+            acc = op_Dq(acc)
+    return eval_t_eq_q(acc)
 
 
-def qz_series(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
+def qz_series(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     """Modified nested q-sum at arguments (-k_1, ..., -k_n), to q^Q.
 
     sum_{m_1 > ... > m_n > 0} q^{m_1} prod_i (1 - q^{m_i})^{k_i};
@@ -460,10 +434,10 @@ def qz_series(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
         row = layer[m]
         for b in range(Q + 1 - m):
             total[m + b] += row[b]  # the outer factor q^{m_1}
-    return tuple(Fr(x) for x in total)
+    return tuple(total)
 
 
-def qz_rational(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
+def qz_rational(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     """Closed-form expansion of the same value, to q^Q.
 
     sum over 0 <= l_i <= k_i of prod_i [(-1)^{l_i+1} binom(k_i, l_i)]
@@ -494,7 +468,7 @@ def qz_rational(k: tuple[int, ...], Q: int) -> tuple[Fraction, ...]:
             descend(j + 1, lsum + l, c, nxt)
 
     descend(0, 0, 1, None)
-    return tuple(Fr(x) for x in total)
+    return tuple(total)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,33 @@ def test_qz_json_golden():
     assert r.stdout == json.dumps(want, indent=2) + "\n"
 
 
+# Every k in {0..3}^n for n <= 2 and three depth-three vectors, at truncations
+# 0, 1 and 12, as text and as JSON: one process runs the commands in turn and
+# prints each after a "$ hopfmzv ..." header.
+_QZ_TRANSCRIPT = """
+import shlex, sys
+from itertools import product
+from hopfmzv.cli import main
+ks = [k for n in (1, 2) for k in product(range(4), repeat=n)]
+for k in ks + [(0, 0, 0), (1, 1, 1), (2, 0, 1)]:
+    for trunc in ("0", "1", "12"):
+        for extra in ([], ["--json"]):
+            argv = ["qz", "--k", ",".join(map(str, k)), "--trunc", trunc, *extra]
+            print("$ hopfmzv " + shlex.join(argv))
+            sys.stdout.flush()
+            assert main(argv) == 0, argv
+"""
+
+
+def test_qz_golden():
+    r = subprocess.run(
+        [sys.executable, "-c", _QZ_TRANSCRIPT], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    golden = Path(__file__).with_name("golden") / "qz.txt"
+    assert r.stdout == golden.read_text()
+
+
 def test_birkhoff_block():
     r = run_cli("birkhoff", "dydy", "--kind", "phi", "--prec", "1")
     assert r.returncode == 0

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from hopfmzv import verify
+from hopfmzv import realizations, verify
+from hopfmzv.realizations import BivariateSeries
 
 Fr = Fraction
 
@@ -93,6 +94,39 @@ def test_a_q_sum_off_by_one_is_caught(monkeypatch):
     assert not ok and "k=(2, 0, 1)" in detail
     monkeypatch.undo()
     assert _check("qseries", "qz-operator-realization")() == (True, "")
+
+
+def _off_by_one_at_t_q(op):
+    """op with the coefficient of t q in its result one too large."""
+
+    def faulty(s):
+        rows = op(s).rows
+        return BivariateSeries((_off_by_one_at(rows[0], 1),) + rows[1:])
+
+    return faulty
+
+
+def test_a_wrong_q_difference_coefficient_is_caught(monkeypatch):
+    # qchar_realization composes the public operators, so a fault in op_Dq
+    # reaches the realization route as well as the identity check
+    faulty = _off_by_one_at_t_q(realizations.op_Dq)
+    monkeypatch.setattr(realizations, "op_Dq", faulty)
+    monkeypatch.setattr(verify, "op_Dq", faulty)
+    ok, detail = _check("qseries", "qz-operator-realization")()
+    assert not ok and "k=(1,)" in detail
+    ok, detail = _check("rota-baxter", "q-operator-identities")()
+    assert not ok and "Leibniz" in detail
+    monkeypatch.undo()
+    assert _check("qseries", "qz-operator-realization")() == (True, "")
+    assert _check("rota-baxter", "q-operator-identities")() == (True, "")
+
+
+def test_a_wrong_q_summation_coefficient_is_caught(monkeypatch):
+    monkeypatch.setattr(verify, "op_Pq", _off_by_one_at_t_q(verify.op_Pq))
+    ok, detail = _check("rota-baxter", "q-operator-identities")()
+    assert not ok and "P_q" in detail
+    monkeypatch.undo()
+    assert _check("rota-baxter", "q-operator-identities")() == (True, "")
 
 
 def test_one_wrong_shuffle_coefficient_breaks_squaring(monkeypatch):
