@@ -57,8 +57,8 @@ __all__ = [
 
 _KINDS = {
     # kind -> (character, lambda of the compatible coproduct)
-    "phi": (phi, Fraction(0)),
-    "psi": (psi, Fraction(-1)),
+    "phi": (phi, 0),
+    "psi": (psi, -1),
 }
 # kind -> the grading additive across that coproduct: chi's pole order
 _GRADINGS = {"phi": weight, "psi": depth}
@@ -77,7 +77,7 @@ def _rows(kind: str, w: str, prec: int) -> tuple[LaurentSeries, ...]:
     P, ks = prec + _GRADINGS[kind](w), word_to_indices(w)
 
     def split(part):
-        placed = _placements(ks, int(lam), lambda a: part(char("d" * a + "y", P)))
+        placed = _placements(ks, lam, lambda a: part(char("d" * a + "y", P)))
         return series_slice(placed, prec)
 
     minus, plus = split(lambda s: -pole_part(s)), split(regular_part)
@@ -131,7 +131,7 @@ class CharacterTable:
         self.prec = prec
 
     @property
-    def lam(self) -> Fraction:
+    def lam(self) -> int:
         return _KINDS[self.kind][1]
 
     def chi(self, w: str) -> LaurentSeries:

@@ -32,10 +32,10 @@ d positions below the threshold, and the augmented right leg is the
 subword of complement(S) | J.  The two constructions are asserted equal in
 the verify suite.
 
-All three coproducts have int coefficients at integral lambda (phi uses 0,
-psi uses -1, the verify suite also 3) and Fractions otherwise; the
-combinatorial route counts the (S, J) per term and |J| in ints and applies
-lambda^|J| once to each count.
+Coefficients lie in Z[lambda]: words.scalar normalizes lambda once, so a
+coefficient is an int unless a non-integral lambda enters it.  The
+combinatorial oracle normalizes lambda itself, counts the (S, J) per term
+and |J| in ints and applies lambda^|J| once to each count.
 
 star(f, g, w, lambda) is the convolution sum f(w_1) * g(w_2) of two
 series-valued maps over the full coproduct.
@@ -47,9 +47,7 @@ from fractions import Fraction
 
 from .errors import NotAdmissible
 from .series import LaurentSeries, series_mul, series_sum
-from .words import TensorSum, is_admissible, word_to_indices
-
-Fr = Fraction
+from .words import TensorSum, is_admissible, scalar, word_to_indices
 
 __all__ = [
     "coproduct_combinatorial",
@@ -66,9 +64,8 @@ def reduced_coproduct(w: str, lam) -> TensorSum:
         raise NotAdmissible(
             f"reduced coproduct needs a nonempty admissible word, got {w!r}"
         )
-    lam = Fr(lam)
-    lam, one = (lam.numerator, 1) if lam.denominator == 1 else (lam, Fr(1))
-    pairs: dict = {("", ""): one}
+    lam = scalar(lam)
+    pairs: dict = {("", ""): 1}
     for ch in reversed(w):  # legs grow leftwards; an empty leg takes no d
         nxt: dict = {}
         get = nxt.get
@@ -94,16 +91,15 @@ def coproduct_recursive(w: str, lam) -> TensorSum:
     """Letterwise coproduct followed by the trailing-d projection."""
     if not is_admissible(w):
         raise NotAdmissible(f"coproduct needs an admissible word, got {w!r}")
-    one = 1 if Fr(lam).denominator == 1 else Fr(1)
     reduced = reduced_coproduct(w, lam) if w else {}  # Delta(e) = e (x) e
-    return {("", w): one, **reduced, (w, ""): one}
+    return {("", w): 1, **reduced, (w, ""): 1}
 
 
 def coproduct_combinatorial(w: str, lam) -> TensorSum:
     """Admissible-subset formula; must equal coproduct_recursive."""
     if not is_admissible(w):
         raise NotAdmissible(f"coproduct needs an admissible word, got {w!r}")
-    lam = Fr(lam)
+    lam = Fraction(lam)
     lam_c = lam.numerator if lam.denominator == 1 else lam  # int when integral
     n = len(w)
     threshold = n - (word_to_indices(w)[-1] + 1) if w else 0  # n_1 + ... + n_{k-1}
@@ -158,5 +154,5 @@ def tensor_shuffle(t1: TensorSum, t2: TensorSum, shuffle_fn) -> TensorSum:
             for lw, lc in shuffle_fn(l1, l2).items():
                 for rw, rc in right:
                     key = (lw, rw)
-                    acc[key] = acc.get(key, Fr(0)) + c * lc * rc
+                    acc[key] = acc.get(key, 0) + c * lc * rc
     return {k: v for k, v in acc.items() if v != 0}

@@ -12,8 +12,8 @@ The three rules:
 _lam_rule — the deformed shuffle for lambda != 0 (shuffle_lambda):
     (P3)  du x dv = (1/lambda)[d(u x v) - du x v - u x dv].
 Every P3 branch strictly decreases total length, so the recursion terminates.
-The result lives in the free algebra on {d, y}; words.project_T drops the
-words ending in d, i.e. lands in the admissible-word basis.
+Coefficients lie in Z[1/lambda], ints wherever 1/lambda is; words.project_T
+drops the words ending in d, i.e. lands in the admissible-word basis.
 
 _zero_rule — the lambda = 0 product on representatives (shuffle_zero).  When
 both words start with d the naive rule does not shrink, so the left word is
@@ -42,9 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LambdaZero
-from .words import WordSum, memo, word_key, ws_add
-
-Fr = Fraction
+from .words import WordSum, memo, scalar, word_key, ws_add
 
 __all__ = [
     "ordinary_shuffle",
@@ -58,32 +56,31 @@ __all__ = [
 # Callers pass all four arguments positionally: lru_cache keys
 # _shuffle(u, v, rule) and _shuffle(u, v, rule, None) as different entries.
 @memo
-def _shuffle(u: str, v: str, rule, lam) -> tuple:
+def _shuffle(u: str, v: str, rule, param) -> tuple:
     if not u:
-        return ((v, Fr(1)),)
+        return ((v, 1),)
     if not v:
-        return ((u, Fr(1)),)
+        return ((u, 1),)
     if u[0] == "y":
         terms = (("y", u[1:], v, 1),)
     elif v[0] == "y":
         terms = (("y", u, v[1:], 1),)
     else:
-        terms = rule(u, v, lam)
+        terms = rule(u, v, param)
     acc: dict = {}
     for prefix, left, right, coeff in terms:
-        for w, c in _shuffle(left, right, rule, lam):
+        for w, c in _shuffle(left, right, rule, param):
             w = prefix + w
-            # most terms carry coeff 1: skip a Fraction product for each of them
-            acc[w] = acc.get(w, Fr(0)) + (c if coeff == 1 else coeff * c)
+            # most terms carry coeff 1: skip a product for each of them
+            acc[w] = acc.get(w, 0) + (c if coeff == 1 else coeff * c)
     return tuple((w, acc[w]) for w in sorted(acc, key=word_key) if acc[w] != 0)
 
 
-def _lam_rule(u: str, v: str, lam: Fraction) -> tuple:
-    inv = 1 / lam
+def _lam_rule(u: str, v: str, inv) -> tuple:
     return (("d", u[1:], v[1:], inv), ("", u, v[1:], -inv), ("", u[1:], v, -inv))
 
 
-def _zero_rule(u: str, v: str, lam: None) -> tuple:
+def _zero_rule(u: str, v: str, param: None) -> tuple:
     if "y" not in u:
         return ()  # pure d-power annihilates against a d-initial word
     k = u.index("y")
@@ -97,7 +94,7 @@ def _zero_rule(u: str, v: str, lam: None) -> tuple:
     return tuple(terms)
 
 
-def _interleave(u: str, v: str, lam: None) -> tuple:
+def _interleave(u: str, v: str, param: None) -> tuple:
     return ((u[0], u[1:], v, 1), (v[0], u, v[1:], 1))
 
 
@@ -110,10 +107,10 @@ def _check_letters(u: str, v: str, alphabet: str, name: str) -> None:
 def shuffle_lambda(u: str, v: str, lam) -> WordSum:
     """Deformed shuffle of two words; LambdaZero routes lambda = 0 away."""
     _check_letters(u, v, "dy", "shuffle_lambda")
-    lam = lam if isinstance(lam, Fraction) else Fr(lam)
+    lam = Fraction(lam)
     if lam == 0:
         raise LambdaZero("the deformed shuffle divides by lambda; use shuffle_zero")
-    return dict(_shuffle(u, v, _lam_rule, lam))
+    return dict(_shuffle(u, v, _lam_rule, scalar(1 / lam)))
 
 
 def shuffle_zero(u: str, v: str) -> WordSum:

@@ -141,8 +141,8 @@ def _bernoulli_compositions(total: int, parts: int) -> list:
 # hopf suite
 # ---------------------------------------------------------------------------
 
-_LAMS_COP = (Fr(0), Fr(-1), Fr(3), Fr(-1, 2))
-_LAMS_SH = (Fr(-1), Fr(2), Fr(-1, 3))
+_LAMS_COP = (0, -1, 3, Fr(-1, 2))
+_LAMS_SH = (-1, 2, Fr(-1, 3))
 
 
 def _check_cop_routes():
@@ -267,7 +267,7 @@ def _check_squaring_zero():
     # at lambda = 0 the identity holds through the realization phi
     char = lambda u: phi(u, 14)  # noqa: E731
     for w in admissible_words(6):
-        lhs = star(char, char, w, Fr(0))
+        lhs = star(char, char, w, 0)
         rhs = series_scale(char(w), 2 ** depth(w))
         if not equal_on_window(lhs, rhs, 6):
             return False, f"phi-realized squaring fails at w={w!r}"
@@ -285,9 +285,9 @@ def _check_independent_minus_one():
         if hit is not None:
             return hit
         if not u:
-            out = {v: Fr(1)}
+            out = {v: 1}
         elif not v:
-            out = {u: Fr(1)}
+            out = {u: 1}
         elif u[0] == "y":
             out = {"y" + w: c for w, c in rec(u[1:], v).items()}
         elif v[0] == "y":
@@ -303,7 +303,7 @@ def _check_independent_minus_one():
 
     for u in _all_words(4):
         for v in _all_words(min(4, 6 - len(u))):
-            if rec(u, v) != shuffle_lambda(u, v, Fr(-1)):
+            if rec(u, v) != shuffle_lambda(u, v, -1):
                 return False, f"u={u!r}, v={v!r}"
     return True, ""
 
@@ -423,7 +423,7 @@ def _check_renorm_relations_qzeta():
         N = nu + nv
         table = CharacterTable("psi", prec=N + 2)
         lhs = Fr(0)
-        for w, c in project_T(shuffle_lambda(u, v, Fr(-1))).items():
+        for w, c in project_T(shuffle_lambda(u, v, -1)).items():
             lhs += c * table.chi_plus(w).coefficient(N)
         lhs *= (-1) ** N
         rhs = (
@@ -442,7 +442,7 @@ def _check_kstar_primitive():
             8,
             (
                 (c, series_mul(char(w1), char(w2)))
-                for (w1, w2), c in reduced_coproduct(w, Fr(0)).items()
+                for (w1, w2), c in reduced_coproduct(w, 0).items()
             ),
         )
         rhs = series_scale(char(w), 2 ** depth(w) - 2)
@@ -514,9 +514,7 @@ def _suite_birkhoff():
         ),
         (
             "psi-multiplicative-on-shuffle-minus1",
-            partial(
-                _check_character, psi, lambda u, v: shuffle_lambda(u, v, Fr(-1))
-            ),
+            partial(_check_character, psi, lambda u, v: shuffle_lambda(u, v, -1)),
         ),
         ("renormalized-relations-zeta", _check_renorm_relations_zeta),
         ("renormalized-relations-qzeta", _check_renorm_relations_qzeta),

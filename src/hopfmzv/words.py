@@ -6,12 +6,12 @@ nonempty admissible words biject with index vectors of non-negative integers:
 
     (k_1, ..., k_n)  <->  d^{k_1} y d^{k_2} y ... d^{k_n} y
 
-Linear combinations are finitely supported dicts word -> Fraction (WordSum)
-or (word, word) -> coefficient (TensorSum; the coproducts give ints at
-integral lambda, Fractions otherwise), normalized to carry no zeros.  The
-canonical ordering for printing and JSON is graded lexicographic — weight
-first, then letterwise with d < y — which plain (len(w), w) delivers since
-'d' < 'y' in ASCII.
+Linear combinations are finitely supported dicts word -> int or Fraction
+(WordSum) or (word, word) -> coefficient (TensorSum), normalized to carry no
+zeros; scalar() makes every scalar an int when integral.  The canonical
+ordering for printing and JSON is graded lexicographic — weight first, then
+letterwise with d < y — which plain (len(w), w) delivers since 'd' < 'y' in
+ASCII.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from typing import Iterable, Iterator
 
 from .errors import NotAdmissible
 
-Fr = Fraction
-
-WordSum = dict  # word -> Fraction
+WordSum = dict  # word -> int or Fraction
 TensorSum = dict  # (word, word) -> int or Fraction
 
 # Every process-wide memo (shuffles, atoms, characters, counterterms, values)
@@ -57,6 +55,7 @@ __all__ = [
     "is_admissible",
     "parse_word",
     "project_T",
+    "scalar",
     "tensorsum_to_json",
     "weight",
     "word_key",
@@ -123,16 +122,23 @@ def project_T(s: WordSum) -> WordSum:
     return {w: c for w, c in s.items() if is_admissible(w)}
 
 
+def scalar(c):
+    """c as an int when integral, else as a Fraction; c is anything
+    Fraction() accepts."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def ws_add(*sums: WordSum) -> WordSum:
     acc: WordSum = {}
     for s in sums:
         for w, c in s.items():
-            acc[w] = acc.get(w, Fr(0)) + c
+            acc[w] = acc.get(w, 0) + c
     return {w: c for w, c in acc.items() if c != 0}
 
 
 def ws_scale(s: WordSum, c) -> WordSum:
-    c = Fr(c)
+    c = scalar(c)
     if c == 0:
         return {}
     return {w: cv * c for w, cv in s.items()}

@@ -39,6 +39,11 @@ def test_unknown_kind_rejected():
         CharacterTable("chi")
 
 
+def test_table_lambda_is_an_int():
+    lams = [CharacterTable(kind).lam for kind in ("phi", "psi")]
+    assert lams == [0, -1] and all(type(lam) is int for lam in lams)
+
+
 def test_counterterm_of_a_primitive_is_one_pure_pole():
     table = CharacterTable("phi", prec=2)
     for k in range(5):

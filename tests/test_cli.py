@@ -1,9 +1,24 @@
-"""End-to-end checks of the command-line interface via subprocess."""
+"""End-to-end checks of the command-line interface.
 
+Single commands run `python -m hopfmzv` in a subprocess; the golden
+transcripts run many commands through cli.main in this process.
+"""
+
+import io
 import json
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
+
+import pytest
+
+from hopfmzv import clear_caches, coproduct, shuffle, verify, words
+from hopfmzv.cli import main
+from hopfmzv.words import admissible_words, weight
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -14,6 +29,22 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def transcript(argvs) -> str:
+    """Run each argv through cli.main in turn, each after a "$ hopfmzv ..."
+    header, and return everything printed."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for argv in argvs:
+            print("$ hopfmzv " + shlex.join(argv))
+            assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+def assert_golden(name: str, argvs) -> None:
+    golden = Path(__file__).with_name("golden") / f"{name}.txt"
+    assert transcript(argvs) == golden.read_text()
 
 
 def test_zeta_plus_value():
@@ -107,6 +138,40 @@ def test_shuffle_at_lambda_zero():
     assert r.stdout.strip() == "dyddy - ydddy"
 
 
+# Every ordered pair of admissible words, the empty word included, of total
+# weight at most 4, at six lambdas, projected, raw and as JSON.
+def _shuffle_argvs():
+    basis = list(admissible_words(4, include_empty=True))
+    return (
+        ["shuffle", u, v, "--lambda", lam, *extra]
+        for u in basis
+        for v in basis
+        if weight(u) + weight(v) <= 4
+        for lam in ("-1", "0", "1", "2", "-1/3", "1/2")
+        for extra in ([], ["--raw"], ["--json"])
+    )
+
+
+def test_shuffle_golden():
+    assert_golden("shuffle", _shuffle_argvs())
+
+
+def test_a_scalar_that_drops_denominators_is_caught(monkeypatch):
+    # the combinatorial oracle normalizes lambda on its own, so only the
+    # letter recursion and the shuffle see the fault
+    for mod in (words, coproduct, shuffle):
+        monkeypatch.setattr(mod, "scalar", lambda c: Fraction(c).numerator)
+    clear_caches()
+    routes = dict(verify.SUITES["hopf"]())["coproduct-recursive-equals-combinatorial"]
+    assert routes()[0] is False
+    with pytest.raises(AssertionError):
+        test_shuffle_golden()
+    monkeypatch.undo()
+    clear_caches()
+    assert routes() == (True, "")
+    test_shuffle_golden()
+
+
 def test_reduced_coproduct_listing():
     r = run_cli("coproduct", "dydy", "--lambda", "-1", "--reduced")
     assert r.returncode == 0
@@ -153,32 +218,17 @@ def test_coproduct_methods_agree_as_json():
 
 
 # Every admissible word to weight 4 and the empty word, at four lambdas, full
-# and reduced, by both methods, as text and (to weight 3) as JSON: one
-# process runs the commands in turn and prints each after a "$ hopfmzv ..."
-# header.  The reduced coproduct of the empty word is an error, pinned below.
-_COPRODUCT_TRANSCRIPT = """
-import shlex, sys
-from hopfmzv.cli import main
-from hopfmzv.words import admissible_words, weight
-for w in admissible_words(4, include_empty=True):
-    for lam in ("0", "-1", "3", "-1/2"):
-        for reduced in ([], ["--reduced"]) if w else ([],):
-            for method in ("recursive", "combinatorial"):
-                for extra in ([], ["--json"]) if weight(w) <= 3 else ([],):
-                    argv = ["coproduct", w, "--lambda", lam, *reduced, "--method", method, *extra]
-                    print("$ hopfmzv " + shlex.join(argv))
-                    sys.stdout.flush()
-                    assert main(argv) == 0, argv
-"""
-
-
+# and reduced, by both methods, as text and (to weight 3) as JSON.  The
+# reduced coproduct of the empty word is an error, pinned below.
 def test_coproduct_golden():
-    r = subprocess.run(
-        [sys.executable, "-c", _COPRODUCT_TRANSCRIPT], capture_output=True, text=True
-    )
-    assert r.returncode == 0, r.stderr
-    golden = Path(__file__).with_name("golden") / "coproduct.txt"
-    assert r.stdout == golden.read_text()
+    assert_golden("coproduct", (
+        ["coproduct", w, "--lambda", lam, *reduced, "--method", method, *extra]
+        for w in admissible_words(4, include_empty=True)
+        for lam in ("0", "-1", "3", "-1/2")
+        for reduced in (([], ["--reduced"]) if w else ([],))
+        for method in ("recursive", "combinatorial")
+        for extra in (([], ["--json"]) if weight(w) <= 3 else ([],))
+    ))
 
 
 def test_reduced_coproduct_needs_a_nonempty_admissible_word():
@@ -237,30 +287,15 @@ def test_qz_json_golden():
 
 
 # Every k in {0..3}^n for n <= 2 and three depth-three vectors, at truncations
-# 0, 1 and 12, as text and as JSON: one process runs the commands in turn and
-# prints each after a "$ hopfmzv ..." header.
-_QZ_TRANSCRIPT = """
-import shlex, sys
-from itertools import product
-from hopfmzv.cli import main
-ks = [k for n in (1, 2) for k in product(range(4), repeat=n)]
-for k in ks + [(0, 0, 0), (1, 1, 1), (2, 0, 1)]:
-    for trunc in ("0", "1", "12"):
-        for extra in ([], ["--json"]):
-            argv = ["qz", "--k", ",".join(map(str, k)), "--trunc", trunc, *extra]
-            print("$ hopfmzv " + shlex.join(argv))
-            sys.stdout.flush()
-            assert main(argv) == 0, argv
-"""
-
-
+# 0, 1 and 12, as text and as JSON.
 def test_qz_golden():
-    r = subprocess.run(
-        [sys.executable, "-c", _QZ_TRANSCRIPT], capture_output=True, text=True
-    )
-    assert r.returncode == 0, r.stderr
-    golden = Path(__file__).with_name("golden") / "qz.txt"
-    assert r.stdout == golden.read_text()
+    ks = [k for n in (1, 2) for k in product(range(4), repeat=n)]
+    assert_golden("qz", (
+        ["qz", "--k", ",".join(map(str, k)), "--trunc", trunc, *extra]
+        for k in ks + [(0, 0, 0), (1, 1, 1), (2, 0, 1)]
+        for trunc in ("0", "1", "12")
+        for extra in ([], ["--json"])
+    ))
 
 
 def test_birkhoff_block():
@@ -312,32 +347,16 @@ def test_birkhoff_empty_word_golden():
 
 
 # Every row of both kinds at a polar, the constant and a regular window, for
-# words from the empty word to dy^8, as text and as JSON: one process runs
-# the commands in turn and prints each after a "$ hopfmzv ..." header.
-_BIRKHOFF_WORDS = ["", "y", "dy", "yddy", "dydy", "ddydy", "dy" * 4, "dy" * 8]
-_BIRKHOFF_TRANSCRIPT = """
-import shlex, sys
-from hopfmzv.cli import main
-for kind in ("phi", "psi"):
-    for prec in ("-5", "0", "3"):
-        for w in %r:
-            for extra in ([], ["--json"]):
-                argv = ["birkhoff", w, "--kind", kind, "--prec", prec, *extra]
-                print("$ hopfmzv " + shlex.join(argv))
-                sys.stdout.flush()
-                assert main(argv) == 0, argv
-"""
-
-
+# words from the empty word to dy^8, as text and as JSON.
 def test_birkhoff_golden():
-    r = subprocess.run(
-        [sys.executable, "-c", _BIRKHOFF_TRANSCRIPT % (_BIRKHOFF_WORDS,)],
-        capture_output=True,
-        text=True,
-    )
-    assert r.returncode == 0, r.stderr
-    golden = Path(__file__).with_name("golden") / "birkhoff.txt"
-    assert r.stdout == golden.read_text()
+    words = ["", "y", "dy", "yddy", "dydy", "ddydy", "dy" * 4, "dy" * 8]
+    assert_golden("birkhoff", (
+        ["birkhoff", w, "--kind", kind, "--prec", prec, *extra]
+        for kind in ("phi", "psi")
+        for prec in ("-5", "0", "3")
+        for w in words
+        for extra in ([], ["--json"])
+    ))
 
 
 def test_verify_suite_runs_clean():

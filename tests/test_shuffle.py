@@ -38,6 +38,19 @@ def test_d_rule_at_two():
     assert shuffle_lambda("dy", "dy", Fr(2)) == {"dyy": Fr(1, 2), "ydy": Fr(-1)}
 
 
+def _types(s) -> set:
+    return {type(c) for c in s.values()}
+
+
+def test_coefficients_are_ints_wherever_one_over_lambda_is():
+    for lam in (-1, 1, Fr(-1, 3), Fr(1, 2)):
+        assert _types(shuffle_lambda("ddydy", "dyddy", lam)) == {int}, lam
+    assert Fraction in _types(shuffle_lambda("ddydy", "dyddy", 2))
+    assert _types(shuffle_zero("ddydy", "dyddy")) == {int}
+    assert _types(ordinary_shuffle("0101", "011")) == {int}
+    assert _types(sho_positive("jjyjy", "jyjjy")) == {int}
+
+
 def test_letters_outside_the_alphabet_are_rejected():
     # the recursion would read x as d and return a meaningless sum
     with pytest.raises(ValueError):

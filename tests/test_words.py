@@ -14,6 +14,7 @@ from hopfmzv.words import (
     is_admissible,
     parse_word,
     project_T,
+    scalar,
     weight,
     word_key,
     word_to_indices,
@@ -81,6 +82,17 @@ def test_wordsum_algebra_drops_zeros():
     b = {"dy": Fraction(-2)}
     assert ws_add(a, b) == {"y": Fraction(1)}
     assert ws_scale(a, 0) == {}
+
+
+def test_scalar_is_an_int_when_integral():
+    for c in (3, -4, Fraction(6, 3), "-4/2", "0", 2.0):
+        assert type(scalar(c)) is int and scalar(c) == Fraction(c), c
+    for c in (Fraction(-1, 2), "1/3", 1.5):
+        assert type(scalar(c)) is Fraction and scalar(c) == Fraction(c), c
+    with pytest.raises(ValueError):
+        scalar("x")  # what Fraction() rejects
+    total = ws_add({"y": 1}, ws_scale({"y": 1, "dy": 2}, "6/3"))
+    assert total == {"y": 3, "dy": 4} and all(type(c) is int for c in total.values())
 
 
 def test_wordsum_json_round_trip():
