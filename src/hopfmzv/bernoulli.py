@@ -10,24 +10,26 @@ t^m/m! gives the convolution recurrence
 
     sum_{j=0}^{N-1} binom(N, j) B_j = N        (N >= 1),
 
-which determines B_{N-1} from its predecessors.  Values are cached in one
-process-wide table, next to the seven `words.memo` caches of the other
-layers.  The table grows in place, one entry from the ones before it, so
-it is extended under a lock and concurrent character evaluations can
-share it.
+which determines B_{N-1} from its predecessors.  It runs on the integers
+D*B_j, with D = lcm(1..n+1) when the table grows through B_n: by von
+Staudt-Clausen den(B_m) is the product of the primes p with p - 1 | m, so
+it divides D for every m <= n.  The vanishing odd B_j (j >= 3) are
+skipped, and each division by m + 1 must be exact: a remainder raises
+ArithmeticError instead of returning a wrong value.  Values are cached in
+one process-wide table, next to the seven `words.memo` caches of the other
+layers.  The table grows in place under a lock, each new entry a Fraction
+built once, so concurrent character evaluations can share it.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
-
-Fr = Fraction  # local binding, also keeps the recurrence below readable
+from math import comb, lcm
 
 __all__ = ["bernoulli"]
 
-_cache: list[Fraction] = [Fr(1)]
+_cache: list[Fraction] = [Fraction(1)]
 _lock = threading.Lock()
 
 
@@ -43,9 +45,14 @@ def bernoulli(n: int) -> Fraction:
         raise ValueError("Bernoulli numbers are indexed by n >= 0")
     if n >= len(_cache):
         with _lock:
-            # re-check under the lock; another thread may have extended it
-            while len(_cache) <= n:
-                m = len(_cache)
-                acc = sum(comb(m + 1, j) * _cache[j] for j in range(m))
-                _cache.append(Fr(m + 1 - acc, m + 1))
+            D = lcm(*range(1, n + 2))
+            # D*B_j; another thread may have extended the table past n meanwhile
+            b = [B.numerator * (D // B.denominator) for B in _cache[: n + 1]]
+            for m in range(len(b), n + 1):
+                acc = sum(comb(m + 1, j) * b[j] for j in range(m) if j == 1 or j % 2 == 0)
+                q, r = divmod(D * (m + 1) - acc, m + 1)
+                if r:
+                    raise ArithmeticError(f"B_{m} is not a multiple of 1/{D}")
+                b.append(q)
+                _cache.append(Fraction(q, D))
     return _cache[n]

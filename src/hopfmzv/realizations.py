@@ -63,6 +63,7 @@ mero_depth1 / mero_depth2 are the closed-form continuation oracles
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -78,6 +79,7 @@ from .errors import (
 )
 from .series import (
     LaurentSeries,
+    _make,
     constant,
     convolve,
     numerators_over_lcm,
@@ -124,14 +126,25 @@ __all__ = [
 
 @memo
 def psi_factor(level: int, valid_through: int) -> LaurentSeries:
-    """f(level * z) with f(u) = sum_{m>=0} B_m/m! u^{m-1}; residue 1/level."""
-    if level < 1:
+    """f(L z), L = level, with f(u) = sum_{m>=0} B_m/m! u^{m-1}; residue 1/L.
+
+    L f(L z) = sum_m B_m/m! L^m z^m, so the numerators b_m (V+1)!/m! L^m
+    over D (V+1)! L, with b_m = D B_m, come from running products in ints.
+    """
+    try:
+        L = operator.index(level)
+    except TypeError:
+        L = 0
+    if L < 1:
         raise ValueError("level must be a positive integer")
-    coeffs = [
-        bernoulli(m) * Fr(level) ** (m - 1) / factorial(m)
-        for m in range(valid_through + 2)
-    ]
-    return LaurentSeries(-1, tuple(coeffs))
+    bs = [bernoulli(m) for m in range(valid_through + 2)]  # z^-1 .. z^V
+    D = lcm(*(B.denominator for B in bs))
+    F = factorial(max(len(bs) - 1, 0))  # (V+1)!
+    nums, f, p = [], F, 1
+    for m, B in enumerate(bs):  # f = (V+1)!/m!, p = L^m
+        nums.append(B.numerator * (D // B.denominator) * f * p)
+        f, p = f // (m + 1), p * L
+    return _make(-1, nums, D * F * L)
 
 
 def x_series(valid_through: int) -> LaurentSeries:

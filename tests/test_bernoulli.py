@@ -1,3 +1,5 @@
+import doctest
+import importlib
 from fractions import Fraction
 from math import comb
 
@@ -5,6 +7,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfmzv.bernoulli import bernoulli
+
+# the package re-exports the function under the submodule's name
+bernoulli_module = importlib.import_module("hopfmzv.bernoulli")
+
+
+def _fraction_recurrence(n):
+    """B_0..B_n by the recurrence one Fraction at a time: the oracle."""
+    table = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = sum(comb(m + 1, j) * table[j] for j in range(m))
+        table.append(Fraction(m + 1 - acc, m + 1))
+    return table
 
 
 def test_first_values():
@@ -42,3 +56,26 @@ def test_cache_is_consistent_after_big_jump():
     big = bernoulli(80)
     assert bernoulli(80) == big
     assert bernoulli(2) == Fraction(1, 6)
+
+
+@pytest.mark.parametrize("calls", [(150,), (3, 26, 27, 80, 150)])
+def test_integer_table_equals_the_fraction_recurrence(monkeypatch, calls):
+    # clear_caches() leaves the Bernoulli table alone, so start a fresh one
+    monkeypatch.setattr(bernoulli_module, "_cache", [Fraction(1)])
+    for n in calls:
+        bernoulli(n)
+    assert bernoulli_module._cache == _fraction_recurrence(150)
+
+
+def test_a_denominator_off_the_common_one_raises(monkeypatch):
+    # B_2 = -1/10 is no multiple of 1/lcm(1..4): the division by m + 1 is
+    # inexact, and the table refuses to grow instead of returning a value
+    table = [Fraction(1), Fraction(1, 2), Fraction(-1, 10)]
+    monkeypatch.setattr(bernoulli_module, "_cache", table)
+    with pytest.raises(ArithmeticError):
+        bernoulli(3)
+
+
+def test_docstring_examples_run():
+    failed, attempted = doctest.testmod(bernoulli_module)
+    assert attempted and not failed

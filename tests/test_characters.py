@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from hopfmzv.bernoulli import bernoulli
 from hopfmzv.errors import EvenWeight, NotAdmissible, PrecisionExceeded
 from hopfmzv.realizations import (
     mero_depth1,
@@ -16,6 +17,7 @@ from hopfmzv.realizations import (
     x_series,
 )
 from hopfmzv.series import (
+    LaurentSeries,
     equal_on_window,
     series_diff,
     series_from_json,
@@ -66,6 +68,22 @@ def test_psi_depth_one_pole_is_simple():
     # every psi(d^k y) keeps a simple pole: sum_l binom(k,l)(-1)^(l+1)/(l+1)
     for k in range(1, 5):
         assert psi("d" * k + "y", 1).ord == -1
+
+
+def test_atoms_equal_the_fraction_series():
+    # f(Lz) = sum_m B_m L^(m-1)/m! z^(m-1) as one Fraction per coefficient
+    for L in range(1, 17):
+        for V in range(-2, 31):
+            a = psi_factor(L, V)
+            coeffs = [bernoulli(m) * Fr(L) ** (m - 1) / factorial(m) for m in range(V + 2)]
+            b = LaurentSeries(-1, coeffs)
+            assert (a.ord, a.nums, a.den) == (b.ord, b.nums, b.den)
+
+
+@pytest.mark.parametrize("level", [2.5, Fr(3, 2), 0, -1, "2"])
+def test_atom_level_must_be_a_positive_integer(level):
+    with pytest.raises(ValueError, match="level must be a positive integer"):
+        psi_factor(level, 2)
 
 
 def test_psi_dydy_as_an_explicit_f_combination():

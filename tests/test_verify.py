@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from hopfmzv import realizations, verify
+from hopfmzv import clear_caches, realizations, verify
 from hopfmzv.realizations import BivariateSeries
+from hopfmzv.series import LaurentSeries
 
 Fr = Fraction
 
@@ -68,6 +69,25 @@ def test_a_constant_off_by_one_at_one_m_is_caught(monkeypatch):
 
 def _off_by_one_at(coeffs, m):
     return coeffs[:m] + (coeffs[m] + 1,) + coeffs[m + 1 :]
+
+
+def test_a_wrong_atom_numerator_is_caught(monkeypatch):
+    # psi_C shares no code with the atoms, so a fault in psi_factor shows
+    real = realizations.psi_factor
+
+    def faulty(level, V):
+        s = real(level, V)
+        if level != 2 or V < 2:
+            return s
+        return LaurentSeries(s.ord, [Fr(x, s.den) for x in _off_by_one_at(s.nums, 3)])
+
+    monkeypatch.setattr(realizations, "psi_factor", faulty)
+    clear_caches()
+    ok, detail = _check("qseries", "psi-vs-constant-oracle")()
+    assert not ok and "psi coefficient" in detail
+    monkeypatch.undo()
+    clear_caches()
+    assert _check("qseries", "psi-vs-constant-oracle")() == (True, "")
 
 
 def test_a_nested_sum_off_by_one_is_caught(monkeypatch):
