@@ -279,6 +279,18 @@ def test_li_json_golden():
     assert r.stdout == json.dumps(want, indent=2) + "\n"
 
 
+# Every k in {-2..3}^n for n <= 2 and three depth-three vectors, at
+# truncations 0, 1 and 12, as text and as JSON.
+def test_li_golden():
+    ks = [k for n in (1, 2) for k in product(range(-2, 4), repeat=n)]
+    assert_golden("li", (
+        ["li", "--k", ",".join(map(str, k)), "--trunc", trunc, *extra]
+        for k in ks + [(1, 1, 1), (-1, 2, 0), (2, -1, 1)]
+        for trunc in ("0", "1", "12")
+        for extra in ([], ["--json"])
+    ))
+
+
 def test_qz_json_golden():
     r = run_cli("qz", "--k", "1,1", "--trunc", "6", "--json")
     assert r.returncode == 0, r.stderr
