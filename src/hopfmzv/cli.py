@@ -355,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_character_command(char))
 
     for name, expand, var, text in (
-        ("li", li_J, "t", "one-variable polylogarithm truncation"),
+        ("li", lambda k, T: li_J(k, T).coeffs, "t", "one-variable polylogarithm truncation"),
         ("qz", qz_series, "q", "nested q-sum truncation at arguments -k_i"),
     ):
         p = sub.add_parser(name, help=text)

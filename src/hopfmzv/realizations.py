@@ -27,12 +27,13 @@ with the same V at every level, and reuses the memoized suffix; psi runs
 the l-sum as a dynamic program over blocks with n * wt states instead of
 the prod(k_j + 1) leaves of the sum as written.
 
-t-side (one-variable polylogarithm realization): J divides the m-th
-coefficient by m, delta multiplies by m, J o delta = delta o J = Id on power
-series with no constant term; li_J iterates them from y(t) = t/(1-t) =
-sum_{m>=1} t^m, li_nested is the brute-force nested sum oracle.  Both count
-in ints over a power of L = lcm(1..T): J^e multiplies the m-th numerator by
-(L/m)^e and the denominator by L^e.
+t-side (one-variable polylogarithm realization): a truncation through t^T
+is a LaurentSeries at ord 0, valid through t^T.  J divides the m-th
+coefficient by m, delta multiplies it by m, J o delta = delta o J = Id on
+series with no constant term; each is one pass over the integer numerators,
+J over the extra denominator L = lcm(1..T).  li_J composes op_J, op_delta
+and series_mul from y(t) = t/(1-t) = sum_{m>=1} t^m; li_nested is the
+brute-force nested sum oracle, counted in ints over a power of L.
 
 q-side: bivariate truncations of t*Z[[t, q]] with the dilation E_q
 (t^a q^b -> t^a q^{a+b}), the difference D_q = Id - E_q, and its inverse
@@ -50,11 +51,8 @@ evaluated at t = q, from the public operators.
 
 Both sides count in ints.  The q-side is int rows end to end: each of E_q,
 D_q, P_q, the product and t = q is one function on BivariateSeries.  The
-t-side values are rational: each operator is one integer routine on
-numerators over a common denominator (_power for J and delta, convolve for
-the product), the routes build their Fractions once, from the integer
-result, and the public op_J, op_delta and _ps_mul are Fraction wrappers
-over the same routines.
+t-side values are rational, held as integer numerators over one denominator
+in the same LaurentSeries as the z-side, with the same product.
 
 mero_depth1 / mero_depth2 are the closed-form continuation oracles
   zeta(-l) = -B_{l+1}/(l+1),
@@ -82,7 +80,6 @@ from .series import (
     _make,
     constant,
     convolve,
-    numerators_over_lcm,
     series_diff,
     series_mul,
     series_scale,
@@ -243,45 +240,38 @@ def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:
 # ---------------------------------------------------------------------------
 # t-side: power series in t, J and delta, polylogarithms
 # ---------------------------------------------------------------------------
-# A power series truncated at t^T is a tuple of T+1 Fractions (index = power).
+# A power series truncated at t^T is a LaurentSeries at ord 0, valid through
+# t^T.
 
 
-def y_powerseries(T: int) -> tuple[Fraction, ...]:
+def y_powerseries(T: int) -> LaurentSeries:
     """y(t) = t/(1-t) = sum_{m>=1} t^m."""
-    return (Fr(0),) + (Fr(1),) * T
+    return _make(0, (0,) + (1,) * T, 1)
 
 
-def _fractions(nums, den: int) -> tuple[Fraction, ...]:
-    return tuple(Fr(x, den) for x in nums)
-
-
-def _power(nums: list[int], den: int, e: int, L: int) -> tuple[list[int], int]:
-    """J^e on nums/den, delta^{-e} when e < 0; L is a common multiple of 1..T.
-
-    J divides the m-th coefficient by m, so J^e multiplies it by (L/m)^e
-    and the denominator by L^e; delta multiplies it by m.
-    """
-    if e and nums[0]:
-        op = "J" if e > 0 else "delta"
+def _operand(op: str, s: LaurentSeries) -> None:
+    """J and delta act on t-side series with a vanishing constant term."""
+    if s.ord != 0:
+        raise ValueError(f"{op} takes a series at ord 0, got ord {s.ord}")
+    if s.nums and s.nums[0]:
         raise NonzeroConstantTerm(f"{op} needs a vanishing constant term")
-    if e > 0:
-        return [0] + [c * (L // m) ** e for m, c in enumerate(nums[1:], 1)], den * L**e
-    return nums[:1] + [c * m**-e for m, c in enumerate(nums[1:], 1)], den
 
 
-def op_J(s: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Divide the m-th coefficient by m (weight-0 Rota-Baxter operator)."""
-    return _fractions(*_power(*numerators_over_lcm(s), 1, lcm(*range(1, len(s)))))
+def op_J(s: LaurentSeries) -> LaurentSeries:
+    """Divide the m-th coefficient by m (weight-0 Rota-Baxter operator).
+
+    With L = lcm(1..T), the numerator of t^m is multiplied by L/m and the
+    denominator by L.
+    """
+    _operand("J", s)
+    L = lcm(*range(1, s.valid_through + 1))
+    return _make(0, [x * (L // m) if m else 0 for m, x in enumerate(s.nums)], s.den * L)
 
 
-def op_delta(s: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def op_delta(s: LaurentSeries) -> LaurentSeries:
     """Multiply the m-th coefficient by m (Euler derivation t d/dt)."""
-    return _fractions(*_power(*numerators_over_lcm(s), -1, 1))
-
-
-def _ps_mul(a, b):
-    (na, da), (nb, db) = numerators_over_lcm(a), numerators_over_lcm(b)
-    return _fractions(convolve(na, nb, len(a)), da * db)
+    _operand("delta", s)
+    return _make(0, [m * x for m, x in enumerate(s.nums)], s.den)
 
 
 def _check_truncation(k: tuple[int, ...], T: int) -> None:
@@ -292,21 +282,22 @@ def _check_truncation(k: tuple[int, ...], T: int) -> None:
         raise ValueError(f"truncation must be >= 0, got {T}")
 
 
-def li_J(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
+def li_J(k: tuple[int, ...], T: int) -> LaurentSeries:
     """One-variable polylogarithm at integer indices of any sign, to t^T.
 
     J^{k_1}[ y * J^{k_2}[ ... J^{k_n}[y] ] ] with J^{-m} = delta^m.
     """
     _check_truncation(k, T)
-    L = lcm(*range(1, T + 1))
-    y = [0] + [1] * T
-    nums, den = _power(y, 1, k[-1], L)
-    for e in reversed(k[:-1]):
-        nums, den = _power(convolve(y, nums, T + 1), den, e, L)
-    return _fractions(nums, den)
+    y = y_powerseries(T)
+    acc = None
+    for e in reversed(k):
+        acc = y if acc is None else series_mul(y, acc)
+        for _ in range(abs(e)):
+            acc = op_J(acc) if e > 0 else op_delta(acc)
+    return acc
 
 
-def li_nested(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
+def li_nested(k: tuple[int, ...], T: int) -> LaurentSeries:
     """Oracle: sum_{m_1 > ... > m_n > 0} t^{m_1} / prod m_i^{k_i}.
 
     Counted in ints over L^{sum of the positive k_i}, L = lcm(1..T), as
@@ -321,7 +312,7 @@ def li_nested(k: tuple[int, ...], T: int) -> tuple[Fraction, ...]:
             below[m] * ((L // m) ** e if e > 0 else m**-e) for m in range(1, T + 1)
         ]
         den *= L ** max(e, 0)
-    return _fractions(layer, den)
+    return _make(0, layer, den)
 
 
 # ---------------------------------------------------------------------------

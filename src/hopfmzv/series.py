@@ -81,7 +81,10 @@ class LaurentSeries:
     den: int
 
     def __new__(cls, ord: int, coeffs=()):
-        return _make(ord, *numerators_over_lcm(coeffs))
+        # a value that is neither an int nor a Fraction goes through Fraction()
+        fracs = [c if isinstance(c, (int, Fraction)) else Fr(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        return _make(ord, [c.numerator * (den // c.denominator) for c in fracs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LaurentSeries is immutable; cannot set {name!r}")
@@ -122,19 +125,6 @@ class LaurentSeries:
         return f"LaurentSeries(ord={self.ord}, coeffs={self.coeffs!r})"
 
 
-def numerators_over_lcm(coeffs) -> tuple[list[int], int]:
-    """Integer numerators of coeffs over the lcm of their denominators.
-
-    Returns (nums, den) with coeffs[i] == nums[i] / den; a value that is
-    neither an int nor a Fraction goes through Fraction() first.
-    """
-    fracs = [c if isinstance(c, (int, Fraction)) else Fr(c) for c in coeffs]
-    den = lcm(*(c.denominator for c in fracs))
-    if den == 1:
-        return [c.numerator for c in fracs], 1
-    return [c.numerator * (den // c.denominator) for c in fracs], den
-
-
 def _make(ord_: int, nums, den: int) -> LaurentSeries:
     """The series nums/den at ord, reduced by gcd(den, *nums); den > 0."""
     g = gcd(den, *nums)
@@ -152,7 +142,7 @@ def convolve(a, b, n, out=None):
     """First n coefficients of the Cauchy product of coefficient vectors.
 
     The entries are ints: a rational caller convolves numerators over a
-    common denominator (numerators_over_lcm) and divides once afterwards.
+    common denominator and divides once afterwards, as series_mul does.
     Zero entries are skipped (exact zeros are common in these series: odd
     Bernoulli tails, parity gaps).  The products are added into `out` when
     it is given (at least n int slots), else into a fresh list of zeros.

@@ -69,8 +69,15 @@ from .realizations import (
     qz_series,
     x_series,
 )
-from .realizations import _ps_mul  # package-internal; fine for the suite
-from .series import equal_on_window, series_mul, series_scale, series_sum, zero_series
+from .series import (
+    LaurentSeries,
+    equal_on_window,
+    series_add,
+    series_mul,
+    series_scale,
+    series_sum,
+    zero_series,
+)
 from .shuffle import (
     map_wordsum,
     ordinary_shuffle,
@@ -531,9 +538,9 @@ def _suite_birkhoff():
 # ---------------------------------------------------------------------------
 
 
-def _rand_powerseries(rng: random.Random, T: int) -> tuple:
-    return (Fr(0),) + tuple(
-        Fr(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(T)
+def _rand_powerseries(rng: random.Random, T: int) -> LaurentSeries:
+    return LaurentSeries(
+        0, [0] + [Fr(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(T)]
     )
 
 
@@ -559,15 +566,16 @@ def _check_J_delta():
     rng = random.Random(_SEED)
     for _ in range(5):
         s = _rand_powerseries(rng, 30)
-        if op_J(op_delta(s)) != s or op_delta(op_J(s)) != s:
+        back = op_J(op_delta(s)), op_delta(op_J(s))
+        if not all(equal_on_window(r, s, 31) for r in back):
             return False, "J and delta are not mutually inverse"
     try:
-        op_J((Fr(1), Fr(2)))
+        op_J(LaurentSeries(0, (1, 2)))
         return False, "J accepted a nonzero constant term"
     except NonzeroConstantTerm:
         pass
     try:
-        op_delta((Fr(3),))
+        op_delta(LaurentSeries(0, (3,)))
         return False, "delta accepted a nonzero constant term"
     except NonzeroConstantTerm:
         pass
@@ -579,11 +587,9 @@ def _check_J_rota_baxter():
     for _ in range(4):
         f = _rand_powerseries(rng, 24)
         g = _rand_powerseries(rng, 24)
-        lhs = _ps_mul(op_J(f), op_J(g))
-        inner = tuple(
-            a + b for a, b in zip(_ps_mul(op_J(f), g), _ps_mul(f, op_J(g)))
-        )
-        if lhs != op_J(inner):
+        lhs = series_mul(op_J(f), op_J(g))
+        inner = series_add(series_mul(op_J(f), g), series_mul(f, op_J(g)))
+        if not equal_on_window(lhs, op_J(inner), 25):
             return False, "J fails the weight-0 Rota-Baxter identity"
     return True, ""
 
@@ -625,18 +631,18 @@ def _check_li_routes():
         for k in product(entries, repeat=n)
     ]
     for k in vectors:
-        if li_J(k, 30) != li_nested(k, 30):
+        if not equal_on_window(li_J(k, 30), li_nested(k, 30), 31):
             return False, f"li routes disagree at k={k}"
     return True, ""
 
 
 def _check_li_closed_forms():
     T = 12
-    if li_J((0,), T) != tuple(Fr(0 if m == 0 else 1) for m in range(T + 1)):
+    if li_J((0,), T).coeffs != tuple(Fr(0 if m == 0 else 1) for m in range(T + 1)):
         return False, "li(0) != sum t^m"
-    if li_J((-1,), T) != tuple(Fr(m) for m in range(T + 1)):
+    if li_J((-1,), T).coeffs != tuple(Fr(m) for m in range(T + 1)):
         return False, "li(-1) != sum m t^m"
-    if li_J((0, 0), T) != tuple(Fr(max(m - 1, 0)) for m in range(T + 1)):
+    if li_J((0, 0), T).coeffs != tuple(Fr(max(m - 1, 0)) for m in range(T + 1)):
         return False, "li(0, 0) != sum (m-1) t^m"
     return True, ""
 

@@ -31,13 +31,15 @@ TensorSum = dict  # (word, word) -> int or Fraction
 # is declared with @memo, so each keeps at most MEMO_ENTRIES results however
 # long the process lives.  The bound is above every per-process count the
 # benchmark workloads reach, so none of them evicts.  memo also records each
-# cache, so that clear_caches() empties all of them.
+# cache, so that clear_caches() empties all of them.  The caches are typed:
+# 2 and 2.0 compare equal, and an untyped cache would hand the result for 2
+# to a call with 2.0 that the function itself rejects.
 MEMO_ENTRIES = 1 << 14
 _MEMOS: list = []
 
 
 def memo(fn):
-    cached = lru_cache(maxsize=MEMO_ENTRIES)(fn)
+    cached = lru_cache(maxsize=MEMO_ENTRIES, typed=True)(fn)
     _MEMOS.append(cached)
     return cached
 

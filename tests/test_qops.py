@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hopfmzv.errors import NonzeroConstantTerm, TruncationMismatch
 from hopfmzv.realizations import (
     BivariateSeries,
-    _ps_mul,
     eval_t_eq_q,
     li_J,
     li_nested,
@@ -25,6 +24,7 @@ from hopfmzv.realizations import (
     y_bivariate,
     y_powerseries,
 )
+from hopfmzv.series import LaurentSeries, series_mul
 
 Fr = Fraction
 
@@ -34,18 +34,18 @@ Fr = Fraction
 
 def test_li_closed_forms():
     T = 8
-    assert li_J((0,), T) == y_powerseries(T)
-    assert li_J((1,), T) == (Fr(0),) + tuple(Fr(1, m) for m in range(1, T + 1))
-    assert li_J((2,), T) == (Fr(0),) + tuple(Fr(1, m * m) for m in range(1, T + 1))
+    assert li_J((0,), T).coeffs == y_powerseries(T).coeffs
+    assert li_J((1,), T).coeffs == (Fr(0),) + tuple(Fr(1, m) for m in range(1, T + 1))
+    assert li_J((2,), T).coeffs == (Fr(0),) + tuple(Fr(1, m * m) for m in range(1, T + 1))
     # J^{-1} = delta:  t/(1-t)^2
-    assert li_J((-1,), T) == (Fr(0),) + tuple(Fr(m) for m in range(1, T + 1))
+    assert li_J((-1,), T).coeffs == (Fr(0),) + tuple(Fr(m) for m in range(1, T + 1))
 
 
 def test_li_double_index_is_the_nested_sum():
     for k in [(1, 1), (2, 1), (0, 0), (-1, 2), (1, -2, 0)]:
         for T in (0, 1, 2, 12):
-            got = li_J(k, T)
-            assert got == li_nested(k, T)
+            got = li_J(k, T).coeffs
+            assert got == li_nested(k, T).coeffs
             assert all(type(c) is Fr for c in got)
 
 
@@ -56,7 +56,9 @@ def test_negative_truncations_are_rejected(route):
     for T in (-1, -3):
         with pytest.raises(ValueError):
             route((1,), T)
-    assert route((1,), 0) == (Fr(0),)  # every route has the same shape at 0
+    # every route has the same shape at 0: a t-side series or a q-side tuple
+    got = route((1,), 0)
+    assert getattr(got, "coeffs", got) == (Fr(0),)
 
 
 @pytest.mark.parametrize("route", [qz_series, qz_rational, qchar_realization])
@@ -69,15 +71,19 @@ def test_q_side_routes_reject_negative_indices(route):
 
 def test_li_nested_literal():
     # sum_{m1 > m2 > 0} t^{m1} / m2:  coefficient of t^m is H_{m-1}
-    got = li_nested((0, 1), 5)
+    got = li_nested((0, 1), 5).coeffs
     assert got == (Fr(0), Fr(0), Fr(1), Fr(3, 2), Fr(11, 6), Fr(25, 12))
 
 
 def test_J_and_delta_guard_the_constant_term():
     with pytest.raises(NonzeroConstantTerm):
-        op_J((Fr(1), Fr(0)))
+        op_J(LaurentSeries(0, (Fr(1), Fr(0))))
     with pytest.raises(NonzeroConstantTerm):
-        op_delta((Fr(2), Fr(1)))
+        op_delta(LaurentSeries(0, (Fr(2), Fr(1))))
+    # a t-side series starts at t^0: exponents are not read off a shifted window
+    for op in (op_J, op_delta):
+        with pytest.raises(ValueError, match="ord 0"):
+            op(LaurentSeries(1, (Fr(1), Fr(2))))
 
 
 def test_J_keeps_int_input_exact():
@@ -85,15 +91,15 @@ def test_J_keeps_int_input_exact():
         ((0, 1, 2), (0, 1, 1)),
         ((0, 1, 1, 1), (0, 1, Fr(1, 2), Fr(1, 3))),
     ]:
-        got = op_J(s)
+        got = op_J(LaurentSeries(0, s)).coeffs
         assert got == want
         assert all(type(c) is Fraction for c in got)
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8))
 def test_delta_inverts_J(tail):
-    s = (Fr(0),) + tuple(Fr(c) for c in tail)
-    assert op_delta(op_J(s)) == s
+    s = LaurentSeries(0, (Fr(0),) + tuple(Fr(c) for c in tail))
+    assert op_delta(op_J(s)).coeffs == s.coeffs
 
 
 def test_empty_index_vector_rejected():
@@ -160,8 +166,13 @@ def test_route_outputs_are_fractions_on_t_and_ints_on_q():
     # the t-side values are rational: an int handed out there would turn into
     # a float under J, so each coefficient comes back as a canonical Fraction;
     # the q-side lives in t*Z[[t, q]] and hands out ints
-    for coeffs in [li_J((2, 1, 3), 10), li_nested((1, -2), 10), op_J((0, 1, 1, 1))]:
-        assert _canonical(coeffs)
+    for s, T in [
+        (li_J((2, 1, 3), 10), 10),
+        (li_nested((1, -2), 10), 10),
+        (op_J(LaurentSeries(0, (0, 1, 1, 1))), 3),
+    ]:
+        assert s.ord == 0 and s.valid_through == T
+        assert _canonical(s.coeffs)
     outputs = [
         qz_series((1, 2), 10),
         qz_rational((2, 1), 10),
@@ -228,7 +239,7 @@ def bivariate_pairs(draw):
 @given(power_series_pairs())
 def test_ps_mul_matches_a_fraction_double_loop(pair):
     a, b = pair
-    got = _ps_mul(a, b)
+    got = series_mul(LaurentSeries(0, a), LaurentSeries(0, b)).coeffs
     assert got == _ps_mul_reference(a, b)
     assert all(type(c) is Fr for c in got)
 
@@ -289,7 +300,7 @@ def _li_J_reference(k, T):
             )
         return s
 
-    y = y_powerseries(T)
+    y = (Fr(0),) + (Fr(1),) * T
     acc = power(y, k[-1])
     for e in reversed(k[:-1]):
         acc = power(_ps_mul_reference(y, acc), e)
@@ -321,7 +332,7 @@ def test_li_routes_equal_their_fraction_references():
     for n in (1, 2, 3):
         for k in product(range(-2, 4), repeat=n):
             for route, reference in _LI_ROUTES:
-                got = route(k, 30)
+                got = route(k, 30).coeffs
                 assert got == reference(k, 30), (route.__name__, k)
                 assert _canonical(got), (route.__name__, k)
 
@@ -337,8 +348,8 @@ def test_qchar_realization_equals_the_nested_q_sum():
 def test_routes_at_the_smallest_truncations():
     for k in [(0,), (2,), (-1, 3), (3, 0, -2)]:
         for route, reference in _LI_ROUTES:
-            assert route(k, 0) == reference(k, 0) == (Fr(0),)
-            got = route(k, 1)
+            assert route(k, 0).coeffs == reference(k, 0) == (Fr(0),)
+            got = route(k, 1).coeffs
             assert got == reference(k, 1) and _canonical(got)
     for k in [(0,), (3,), (1, 2), (0, 0, 1)]:
         for Q in (0, 1):

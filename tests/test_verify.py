@@ -10,7 +10,7 @@ import pytest
 
 from hopfmzv import clear_caches, realizations, verify
 from hopfmzv.realizations import BivariateSeries
-from hopfmzv.series import LaurentSeries
+from hopfmzv.series import LaurentSeries, _make
 
 Fr = Fraction
 
@@ -94,13 +94,34 @@ def test_a_nested_sum_off_by_one_is_caught(monkeypatch):
     real = verify.li_nested
 
     def faulty(k, T):
-        return _off_by_one_at(real(k, T), 17) if k == (2, -1) else real(k, T)
+        s = real(k, T)
+        return _make(s.ord, _off_by_one_at(s.nums, 17), s.den) if k == (2, -1) else s
 
     monkeypatch.setattr(verify, "li_nested", faulty)
     ok, detail = _check("rota-baxter", "li-route-agreement")()
     assert not ok and "k=(2, -1)" in detail
     monkeypatch.undo()
     assert _check("rota-baxter", "li-route-agreement")() == (True, "")
+
+
+def test_a_wrong_J_numerator_is_caught(monkeypatch):
+    # li_J composes the public op_J, so a fault in it reaches the route
+    # check as well as the Rota-Baxter identity
+    real = realizations.op_J
+
+    def faulty(s):
+        r = real(s)
+        return _make(r.ord, _off_by_one_at(r.nums, 2), r.den) if len(r.nums) > 2 else r
+
+    monkeypatch.setattr(realizations, "op_J", faulty)
+    monkeypatch.setattr(verify, "op_J", faulty)
+    ok, detail = _check("rota-baxter", "li-route-agreement")()
+    assert not ok and "k=(1,)" in detail
+    ok, detail = _check("rota-baxter", "J-weight0-rota-baxter")()
+    assert not ok and "Rota-Baxter" in detail
+    monkeypatch.undo()
+    assert _check("rota-baxter", "li-route-agreement")() == (True, "")
+    assert _check("rota-baxter", "J-weight0-rota-baxter")() == (True, "")
 
 
 def test_a_q_sum_off_by_one_is_caught(monkeypatch):

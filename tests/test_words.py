@@ -124,7 +124,28 @@ def test_every_process_wide_memo_is_bounded():
         "_primitive_value",
     }
     for name, fn in caches.items():
-        assert fn.cache_info().maxsize == MEMO_ENTRIES, name
+        assert fn.cache_parameters() == {"maxsize": MEMO_ENTRIES, "typed": True}, name
+
+
+@pytest.mark.parametrize(
+    "name, bad, good, error",
+    [
+        ("psi_factor", (2.0, 2), (2, 2), ValueError),
+        ("psi_factor", (Fraction(2), 2), (2, 2), ValueError),
+        ("phi", ("dy", 3.0), ("dy", 3), TypeError),
+    ],
+)
+def test_a_memo_hit_does_not_skip_the_argument_check(name, bad, good, error):
+    # an argument equal to a cached one but of another type is a miss, so
+    # the bad call raises the same error cold and after the good call
+    fn = getattr(realizations, name)
+    hopfmzv.clear_caches()
+    with pytest.raises(error) as cold:
+        fn(*bad)
+    fn(*good)
+    with pytest.raises(error) as warm:
+        fn(*bad)
+    assert str(warm.value) == str(cold.value)
 
 
 def test_clear_caches_empties_every_memo():
