@@ -260,6 +260,17 @@ def test_psi_series_json():
     assert doc["coeffs"] == ["-1/2", "0", "1/12", "0", "-7/720", "0", "31/30240", "0"]
 
 
+# Every admissible word of weight <= 5, the empty word included, at a polar,
+# the constant and a regular window, as text and as JSON.
+def test_psi_golden():
+    assert_golden("psi", (
+        ["psi", w, "--prec", prec, *extra]
+        for w in admissible_words(5, include_empty=True)
+        for prec in ("-3", "0", "4")
+        for extra in ([], ["--json"])
+    ))
+
+
 def test_li_line():
     r = run_cli("li", "--k", "-1", "--trunc", "6")
     assert r.returncode == 0
