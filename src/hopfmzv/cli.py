@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 from itertools import product
+from pathlib import Path
 
 from .birkhoff import CharacterTable, zeta_plus
 from .coproduct import coproduct_combinatorial, coproduct_recursive
@@ -138,37 +139,39 @@ def _cmd_zeta_plus(args) -> int:
 
 
 def _load_table_reference(path: str):
-    if path == "":
-        text = (
-            resources.files("hopfmzv").joinpath("fixtures/table1.json").read_text()
-        )
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    entries = json.loads(text)
-    return {tuple(e["k"]): Fraction(e["value"]) for e in entries}
+    """{k: value} from a JSON list of {"k": [...], "value": "p/q"} entries
+    (the packaged fixture for path ""); ValueError for anything else."""
+    fixture = resources.files("hopfmzv") / "fixtures/table1.json"
+    source = fixture if path == "" else Path(path)
+    try:
+        entries = json.loads(source.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot read reference table: {exc}") from exc
+    if not isinstance(entries, list):
+        raise ValueError(f"reference table {path!r} is not a JSON list")
+    try:
+        return {tuple(e["k"]): Fraction(e["value"]) for e in entries}
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f'reference table {path!r}: every entry needs "k" and a rational "value"'
+        ) from exc
 
 
 def _cmd_table(args) -> int:
     if args.depth < 1 or args.max_k < 0:
         raise ValueError("table needs --depth >= 1 and --max-k >= 0")
+    reference = None if args.check is None else _load_table_reference(args.check)
     vectors = list(product(range(args.max_k + 1), repeat=args.depth))
     computed = [(k, zeta_plus(k).value) for k in vectors]
     if args.json:
-        payload = {
-            "depth": args.depth,
-            "max_k": args.max_k,
-            "entries": [
-                {"k": list(k), "value": str(v)} for k, v in computed
-            ],
-        }
+        entries = [{"k": list(k), "value": str(v)} for k, v in computed]
+        payload = {"depth": args.depth, "max_k": args.max_k, "entries": entries}
         print(json.dumps(payload, indent=2))
-    if args.check is None:
-        if not args.json:
-            for k, v in computed:
-                print(f"k={k}  {v}")
         return 0
-    reference = _load_table_reference(args.check)
+    if reference is None:
+        for k, v in computed:
+            print(f"k={k}  {v}")
+        return 0
     failures = 0
     for k, v in computed:
         ref = reference.get(k)
@@ -307,8 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="tabulate renormalized values")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--max-k", type=int, default=3)
-    p.add_argument("--json", action="store_true")
-    p.add_argument(
+    out = p.add_mutually_exclusive_group()  # --json keeps stdout one JSON document
+    out.add_argument("--json", action="store_true")
+    out.add_argument(
         "--check",
         nargs="?",
         const="",

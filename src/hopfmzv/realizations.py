@@ -23,9 +23,9 @@ order -dpt(w), so psi(w, P) needs V = P + dpt(w) - 1.  Either is valid
 through exactly P; anything else is a PrecisionExceeded bug, not a retry.
 phi and psi are memoized per (word, P), so both checks run once per entry.
 phi recurses on suffixes, phi(d^k y w', P) = D^k[x * phi(w', P + k + 1)],
-with the same V at every level, and reuses the memoized suffix; psi runs
-the l-sum as a dynamic program over blocks with n * wt states instead of
-the prod(k_j + 1) leaves of the sum as written.
+with the same V at every level, and reuses the memoized suffix.  psi and
+qz_rational run one l-sum, _lsum, a dynamic program over the blocks with
+n * wt states instead of the prod(k_j + 1) leaves of the sum as written.
 
 t-side (one-variable polylogarithm realization): a truncation through t^T
 is a LaurentSeries at ord 0, valid through t^T.  J divides the m-th
@@ -44,10 +44,11 @@ qz_series sums the modified nested q-value
 
     sum_{m_1 > ... > m_n > 0} q^{m_1} (1-q^{m_1})^{k_1} ... (1-q^{m_n})^{k_n}
 
-directly; qz_rational expands the closed form
-sum_l prod_i [(-1)^{l_i+1} binom(k_i, l_i)] * prod_j q^{L_j}/(q^{L_j} - 1);
-qchar_realization builds the same series as D_q^{k_1}[y * D_q^{k_2}[...]](t)
-evaluated at t = q, from the public operators.
+directly; qz_rational is psi's l-sum with the atom q^L/(q^L - 1) =
+-(q^L + q^{2L} + ...) in place of f(L z), the same formula read on the
+other side of q = exp(z); qchar_realization builds the same series as
+D_q^{k_1}[y * D_q^{k_2}[...]](t) evaluated at t = q, from the public
+operators.
 
 Both sides count in ints.  The q-side is int rows end to end: each of E_q,
 D_q, P_q, the product and t = q is one function on BivariateSeries.  The
@@ -178,6 +179,26 @@ def phi(w: str, P: int) -> LaurentSeries:
     return _exact("phi", w, P, acc)
 
 
+def _lsum(ks: tuple[int, ...], atom) -> LaurentSeries:
+    """psi's l-sum with atom(L) in place of f(L z), as a dynamic program
+    over the blocks, last first.  F[s] is the l-sum over blocks j.. when the
+    l of the blocks before j add up to s; G[t] = atom(t + 1) * (F of block
+    j + 1)[t] serves every l with s + l = t.
+    """
+    F = None  # past the last block: the empty product 1
+    for j in reversed(range(len(ks))):
+        k, S = ks[j], sum(ks[:j])
+        G = [
+            atom(t + 1) if F is None else series_mul(atom(t + 1), F[t])
+            for t in range(S + k + 1)
+        ]
+        F = [
+            series_sum(((-1) ** (l + 1) * comb(k, l), G[s + l]) for l in range(k + 1))
+            for s in range(S + 1)
+        ]
+    return F[0]
+
+
 @memo
 def psi(w: str, P: int) -> LaurentSeries:
     """The modified q-value character at q = exp(z), valid through exactly z^P."""
@@ -188,23 +209,8 @@ def psi(w: str, P: int) -> LaurentSeries:
         return zero_series(P)
     if w == "":
         return constant(1, P)
-    ks = word_to_indices(w)
     V = P + n - 1
-    # DP over the blocks, last first.  F[s] is the l-sum over blocks j.. when
-    # the l of the blocks before j add up to s; G[t] = f((t + 1) z) * (F of
-    # block j + 1)[t] serves every l with s + l = t.
-    F = None  # past the last block: the empty product 1
-    for j in reversed(range(n)):
-        k, S = ks[j], sum(ks[:j])
-        G = [
-            psi_factor(t + 1, V) if F is None else series_mul(psi_factor(t + 1, V), F[t])
-            for t in range(S + k + 1)
-        ]
-        F = [
-            series_sum(((-1) ** (l + 1) * comb(k, l), G[s + l]) for l in range(k + 1))
-            for s in range(S + 1)
-        ]
-    return _exact("psi", w, P, F[0])
+    return _exact("psi", w, P, _lsum(word_to_indices(w), lambda L: psi_factor(L, V)))
 
 
 def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:
@@ -410,7 +416,6 @@ def qz_series(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     """
     k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
     _check_truncation(k, Q)
-    n = len(k)
 
     def binom_poly(m: int, e: int) -> list[int]:
         # (1 - q^m)^e truncated at Q
@@ -422,17 +427,13 @@ def qz_series(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
         return out
 
     # layer[m] = sum over admissible (m_j, ..., m_n) with m_j = m
-    layer = [binom_poly(m, k[n - 1]) if m else [0] * (Q + 1) for m in range(Q + 1)]
-    for j in range(n - 2, -1, -1):
-        partial = [[0] * (Q + 1) for _ in range(Q + 1)]
-        run = [0] * (Q + 1)
+    layer = [binom_poly(m, k[-1]) if m else [0] * (Q + 1) for m in range(Q + 1)]
+    for e in reversed(k[:-1]):
+        below, run = layer, [0] * (Q + 1)  # run = sum(below[1:m])
+        layer = [[0] * (Q + 1)]
         for m in range(1, Q + 1):
-            partial[m] = run
-            run = [x + y for x, y in zip(run, layer[m])]
-        layer = [
-            convolve(binom_poly(m, k[j]), partial[m], Q + 1) if m else [0] * (Q + 1)
-            for m in range(Q + 1)
-        ]
+            layer.append(convolve(binom_poly(m, e), run, Q + 1))
+            run = [x + y for x, y in zip(run, below[m])]
     total = [0] * (Q + 1)
     for m in range(1, Q + 1):
         row = layer[m]
@@ -442,37 +443,21 @@ def qz_series(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
 
 
 def qz_rational(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
-    """Closed-form expansion of the same value, to q^Q.
+    """Closed-form expansion of the same value, to q^Q: psi's l-sum with the
+    atom q^L/(q^L - 1) = -(q^L + q^{2L} + ...) in place of f(L z).
 
-    sum over 0 <= l_i <= k_i of prod_i [(-1)^{l_i+1} binom(k_i, l_i)]
-    * prod_j q^{L_j}/(q^{L_j} - 1) with L_j = l_1 + ... + l_j + 1; each
-    factor q^L/(q^L - 1) = -(q^L + q^{2L} + ...).
+    Every atom is an integer series over denominator 1, so the l-sum's
+    numerators are the coefficients.
     """
     k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
     _check_truncation(k, Q)
-    n = len(k)
 
-    def geom_factor(L: int) -> list[int]:
-        out = [0] * (Q + 1)
-        for i in range(L, Q + 1, L):
-            out[i] = -1
-        return out
+    def atom(L: int) -> LaurentSeries:
+        nums = [0] * (Q + 1)
+        nums[L::L] = [-1] * (Q // L)
+        return _make(0, nums, 1)
 
-    total = [0] * (Q + 1)
-
-    def descend(j: int, lsum: int, coeff: int, prod):
-        if j == n:
-            for i, c in enumerate(prod):
-                total[i] += coeff * c
-            return
-        for l in range(k[j] + 1):
-            c = coeff * comb(k[j], l) * (-1) ** (l + 1)
-            factor = geom_factor(lsum + l + 1)
-            nxt = factor if prod is None else convolve(prod, factor, Q + 1)
-            descend(j + 1, lsum + l, c, nxt)
-
-    descend(0, 0, 1, None)
-    return tuple(total)
+    return _lsum(k, atom).nums
 
 
 # ---------------------------------------------------------------------------

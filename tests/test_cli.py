@@ -115,6 +115,40 @@ def test_table_check_flags_a_corrupt_reference(tmp_path):
     assert "1 fail" in r.stdout
 
 
+def _write(directory, doc):
+    path = directory / "ref.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda d: d / "missing.json", "cannot read reference table"),
+        (lambda d: d, "cannot read reference table"),
+        (lambda d: _write(d, {"k": [0, 0], "value": "1/4"}), "is not a JSON list"),
+        (lambda d: _write(d, [{"value": "1/4"}]), 'every entry needs "k"'),
+        (lambda d: _write(d, [{"k": [0, 0], "value": "1/0"}]), 'a rational "value"'),
+    ],
+    ids=["missing", "directory", "object", "entry-without-k", "zero-denominator"],
+)
+def test_table_check_rejects_an_unreadable_reference(tmp_path, make, message):
+    r = run_cli("table", "--check", str(make(tmp_path)))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_table_json_and_check_are_exclusive():
+    # --json keeps stdout one JSON document, so it takes no PASS/FAIL lines
+    for args in (["--json", "--check"], ["--check", "--json"]):
+        r = run_cli("table", *args)
+        assert r.returncode == 2, args
+        assert r.stdout == "", args
+        assert "not allowed with argument" in r.stderr, args
+
+
 def test_table_json_shape():
     r = run_cli("table", "--json", "--max-k", "1")
     assert r.returncode == 0

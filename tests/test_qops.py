@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given
@@ -24,7 +24,7 @@ from hopfmzv.realizations import (
     y_bivariate,
     y_powerseries,
 )
-from hopfmzv.series import LaurentSeries, series_mul
+from hopfmzv.series import LaurentSeries, convolve, series_mul
 
 Fr = Fraction
 
@@ -283,6 +283,44 @@ def test_both_q_routes_equal_the_direct_sum():
                 got = route(k, 12)
                 assert got == want, (route.__name__, k)
                 assert all(type(c) is int for c in got)
+
+
+def _qz_rational_leaves(k, Q):
+    """qz_rational's closed form summed leaf by leaf, one convolution per
+    level: the prod(k_i + 1) leaves of the l-sum as written."""
+    n = len(k)
+
+    def geom_factor(L: int) -> list[int]:
+        out = [0] * (Q + 1)
+        for i in range(L, Q + 1, L):
+            out[i] = -1
+        return out
+
+    total = [0] * (Q + 1)
+
+    def descend(j: int, lsum: int, coeff: int, prod):
+        if j == n:
+            for i, c in enumerate(prod):
+                total[i] += coeff * c
+            return
+        for l in range(k[j] + 1):
+            c = coeff * comb(k[j], l) * (-1) ** (l + 1)
+            factor = geom_factor(lsum + l + 1)
+            nxt = factor if prod is None else convolve(prod, factor, Q + 1)
+            descend(j + 1, lsum + l, c, nxt)
+
+    descend(0, 0, 1, None)
+    return tuple(total)
+
+
+def test_qz_rational_equals_its_leaf_enumeration():
+    # the block DP shared with psi against the sum over every leaf
+    for n in (1, 2, 3):
+        for k in product(range(4), repeat=n):
+            for Q in (0, 1, 30):
+                got = qz_rational(k, Q)
+                assert got == _qz_rational_leaves(k, Q), (k, Q)
+                assert all(type(c) is int for c in got), (k, Q)
 
 
 # ------------------------------ integer routes against Fraction references

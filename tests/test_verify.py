@@ -10,7 +10,7 @@ import pytest
 
 from hopfmzv import clear_caches, realizations, verify
 from hopfmzv.realizations import BivariateSeries
-from hopfmzv.series import LaurentSeries, _make
+from hopfmzv.series import LaurentSeries, _make, series_mul, series_sum
 
 Fr = Fraction
 
@@ -88,6 +88,29 @@ def test_a_wrong_atom_numerator_is_caught(monkeypatch):
     monkeypatch.undo()
     clear_caches()
     assert _check("qseries", "psi-vs-constant-oracle")() == (True, "")
+
+
+def test_a_wrong_sign_in_the_shared_l_sum_is_caught(monkeypatch):
+    # psi and qz_rational both run realizations._lsum; psi_C and the nested
+    # q-sum do not, so one term of the wrong sign fails both checks
+    real = realizations._lsum
+
+    def faulty(ks, atom):
+        leaf = atom(1)  # the l = 0 term, (-1)^n atom(1)^n
+        for _ in ks[1:]:
+            leaf = series_mul(leaf, atom(1))
+        return series_sum(((1, real(ks, atom)), (2 * (-1) ** (len(ks) + 1), leaf)))
+
+    checks = ["psi-vs-constant-oracle", "qz-nested-equals-rational"]
+    monkeypatch.setattr(realizations, "_lsum", faulty)
+    clear_caches()
+    for name in checks:
+        ok, detail = _check("qseries", name)()
+        assert not ok and "k=(0,)" in detail, name
+    monkeypatch.undo()
+    clear_caches()
+    for name in checks:
+        assert _check("qseries", name)() == (True, ""), name
 
 
 def test_a_nested_sum_off_by_one_is_caught(monkeypatch):
