@@ -15,10 +15,11 @@ D*B_j, with D = lcm(1..n+1) when the table grows through B_n: by von
 Staudt-Clausen den(B_m) is the product of the primes p with p - 1 | m, so
 it divides D for every m <= n.  The vanishing odd B_j (j >= 3) are
 skipped, and each division by m + 1 must be exact: a remainder raises
-ArithmeticError instead of returning a wrong value.  Values are cached in
-one process-wide table, next to the seven `words.memo` caches of the other
-layers.  The table grows in place under a lock, each new entry a Fraction
-built once, so concurrent character evaluations can share it.
+ArithmeticError instead of returning a wrong value.  An odd n >= 3 returns
+0 before the table grows.  Values are cached in one process-wide table,
+next to the seven `words.memo` caches of the other layers.  The table grows
+in place under a lock, each new entry a Fraction built once, so concurrent
+character evaluations can share it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("Bernoulli numbers are indexed by n >= 0")
+    if n >= 3 and n % 2:  # B_n = 0: the table need not grow to it
+        return Fraction(0)
     if n >= len(_cache):
         with _lock:
             D = lcm(*range(1, n + 2))

@@ -16,7 +16,8 @@ placement sums of depth-one data, polynomial in the depth:
     (-k_1, ..., -k_n): the lambda = 0 sum of zeta(-a) = mero_depth1(a).
   * qzeta_plus(k) is (-1)^{|k|} [z^{|k|}] psi_plus, |k| = k_1 + ... + k_n
     (the (1-q)^{-|k|} rescaling before q -> 1): the lambda = 0 sum of the
-    depth-one q-limits (-1)^a [z^a] psi(d^a y) (see qzeta_plus).
+    depth-one q-limits (-1)^a [z^a] psi(d^a y), off an integer triangle
+    (see qzeta_plus).
 
 The paper's Bogoliubov recursion is the oracle of both; it is exponential in
 depth, and only _zeta_plus_birkhoff, _qzeta_plus_birkhoff and tests run it:
@@ -42,7 +43,7 @@ from math import comb
 
 from .coproduct import reduced_coproduct
 from .errors import DepthOne, NonvanishingLowerTerm
-from .realizations import mero_depth1, phi, psi
+from .realizations import _psi_limits, mero_depth1, phi, psi
 from .series import LaurentSeries, pole_part, regular_part, series_mul
 from .series import series_pad, series_scale, series_slice, series_sum
 from .words import depth, indices_to_word, memo, weight, word_to_indices
@@ -198,30 +199,19 @@ def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized q-side value at (-k_1, ..., -k_n) after the q -> 1 limit.
 
     The lambda = 0 placement sum of the depth-one q-limits
-    qzeta_plus((a,)) = (-1)^a [z^a] psi(d^a y), each checked to have no
-    coefficient below z^a (it would blow up under the (1-q)^{-a} rescaling
-    otherwise).  This is (-1)^{|k|} [z^{|k|}] of psi_plus: the regular part
-    of psi(d^a y) starts at z^a and the a_j of a placement sum to |k| only
-    when no d is shared, so [z^{|k|}] of each lambda = 0 product is the
-    product of the leading coefficients, and (-1)^{|k|} = prod (-1)^{a_j}.
+    qzeta_plus((a,)) = (-1)^a [z^a] psi(d^a y), read off one integer
+    triangle, with z^0 .. z^{a-1} checked 0, by realizations._psi_limits.
+    This is (-1)^{|k|} [z^{|k|}] of psi_plus: the regular part of psi(d^a y)
+    starts at z^a and the a_j of a placement sum to |k| only when no d is
+    shared, so [z^{|k|}] of each lambda = 0 product is the product of the
+    leading coefficients, and (-1)^{|k|} = prod (-1)^{a_j}.
     """
     ks = word_to_indices(indices_to_word(k))
-    N = sum(ks)
-
-    def limit(a):
-        # Every factor is read at the call's one window N, not at its own a:
-        # psi's psi_factor atoms are memoized per window, so N builds them once.
-        u = "d" * a + "y"
-        return _rescaled_limit(u, psi(u, N), a)
-
-    return RenormValue(ks, _placements(ks, 0, limit), "psi-placement-dp")
+    return RenormValue(ks, _placements(ks, 0, _psi_limits(sum(ks))), "psi-placement-dp")
 
 
 def _rescaled_limit(w: str, plus: LaurentSeries, N: int) -> Fraction:
-    """(-1)^N [z^N] of psi_plus(w), once z^0 .. z^{N-1} are checked 0.
-
-    At depth one psi_plus(w) and psi(w) agree from z^0 on, so either serves.
-    """
+    """(-1)^N [z^N] of psi_plus(w), once z^0 .. z^{N-1} are checked 0."""
     for m in range(N):
         c = plus.coefficient(m)
         if c != 0:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfmzv.bernoulli import bernoulli
+from hopfmzv.birkhoff import zeta_plus
 
 # the package re-exports the function under the submodule's name
 bernoulli_module = importlib.import_module("hopfmzv.bernoulli")
@@ -68,12 +69,19 @@ def test_integer_table_equals_the_fraction_recurrence(monkeypatch, calls):
 
 
 def test_a_denominator_off_the_common_one_raises(monkeypatch):
-    # B_2 = -1/10 is no multiple of 1/lcm(1..4): the division by m + 1 is
+    # B_2 = -1/11 is no multiple of 1/lcm(1..5): the division by m + 1 is
     # inexact, and the table refuses to grow instead of returning a value
-    table = [Fraction(1), Fraction(1, 2), Fraction(-1, 10)]
+    table = [Fraction(1), Fraction(1, 2), Fraction(-1, 11)]
     monkeypatch.setattr(bernoulli_module, "_cache", table)
     with pytest.raises(ArithmeticError):
-        bernoulli(3)
+        bernoulli(4)
+
+
+def test_an_odd_index_does_not_grow_the_table():
+    size = len(bernoulli_module._cache)
+    assert bernoulli(2001) == 0
+    assert len(bernoulli_module._cache) == size
+    assert zeta_plus((2000,)).value == 0
 
 
 def test_docstring_examples_run():

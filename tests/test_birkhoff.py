@@ -9,7 +9,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfmzv import birkhoff, clear_caches
+from hopfmzv import birkhoff, clear_caches, realizations
+from hopfmzv.bernoulli import bernoulli
 from hopfmzv.birkhoff import (
     CharacterTable,
     _counterterm,
@@ -21,7 +22,7 @@ from hopfmzv.birkhoff import (
 )
 from hopfmzv.coproduct import star
 from hopfmzv.errors import DepthOne, NonvanishingLowerTerm
-from hopfmzv.realizations import mero_depth2, phi, psi
+from hopfmzv.realizations import mero_depth2, phi, psi, psi_factor
 from hopfmzv.series import (
     constant,
     equal_on_window,
@@ -29,6 +30,7 @@ from hopfmzv.series import (
     regular_part,
     series_add,
 )
+from hopfmzv.verify import run_suite
 from hopfmzv.words import admissible_words, depth, indices_to_word, word_to_indices
 
 Fr = Fraction
@@ -129,6 +131,60 @@ def test_regular_part_of_psi_depth_one_starts_at_z_a():
         assert all(s.coefficient(m) == 0 for m in range(a)), a
 
 
+def _triangle_mismatches(N):
+    # the triangle's [z^j] psi(d^a y) = -B_{j+1}/(j+1)! E(a, j), j <= a <= N,
+    # and its limits, against the series psi builds by its l-sum
+    E = {
+        (a, j): e
+        for j, col in enumerate(realizations._psi_triangle(N))
+        for a, e in enumerate(col, j)
+    }
+    limit, bad = realizations._psi_limits(N), []
+    for a in range(N + 1):
+        s = psi("d" * a + "y", a)
+        coeffs = [-bernoulli(j + 1) / factorial(j + 1) * E[a, j] for j in range(a + 1)]
+        if coeffs != [s.coefficient(j) for j in range(a + 1)]:
+            bad.append(a)
+        elif limit(a) != (-1) ** a * s.coefficient(a):
+            bad.append(a)
+    return bad
+
+
+def test_the_triangle_is_psi_at_depth_one():
+    assert _triangle_mismatches(60) == []
+
+
+def test_qzeta_plus_builds_no_psi_series():
+    clear_caches()
+    qzeta_plus((7, 7))
+    assert psi.cache_info().misses == 0
+    assert psi_factor.cache_info().misses == 0
+
+
+def _off_by_one_triangle(N):
+    # _psi_triangle with a E(a - 1, j - 1) read as (a + 1) E(a - 1, j - 1)
+    col = [1] + [0] * N
+    for j in range(N + 1):
+        yield col
+        col = [(a + 1) * (e - p) for a, e, p in zip(range(j + 1, N + 1), col[1:], col)]
+
+
+def test_an_off_by_one_in_the_triangle_is_caught(monkeypatch):
+    checks = {"qzeta-equals-zeta-spots", "renormalized-relations-qzeta"}
+    monkeypatch.setattr(realizations, "_psi_triangle", _off_by_one_triangle)
+    assert _triangle_mismatches(60) != []
+    assert {r["name"] for r in run_suite("birkhoff") if not r["ok"]} == checks
+    monkeypatch.undo()
+    assert _triangle_mismatches(60) == []
+    assert all(r["ok"] for r in run_suite("birkhoff"))
+
+
+def test_the_q_side_frontier_equals_the_classical_values():
+    # |k| = 201 and 401: the depth-one limits must not cost a series each
+    for k in [(100, 101), (200, 201)]:
+        assert qzeta_plus(k).value == zeta_plus(k).value, k
+
+
 def test_provenance_tags():
     assert zeta_plus((1,)).provenance == "phi-placement-dp"
     assert qzeta_plus((1,)).provenance == "psi-placement-dp"
@@ -218,10 +274,20 @@ def _with_constant_at_ddy(char):
     return wrapper
 
 
+def _with_a_lower_term_at_ddy(triangle):
+    # E(2, 0) = 1: psi(ddy) gets z^0 coefficient -B_1 != 0, its limit blows up
+    def wrapper(N):
+        for j, col in enumerate(triangle(N)):
+            yield col[:2] + [1] + col[3:] if j == 0 else col
+
+    return wrapper
+
+
 @pytest.mark.parametrize("k", [(2,), (1, 0, 1)])
 def test_a_nonvanishing_lower_term_is_raised(monkeypatch, k):
     expected = qzeta_plus(k).value
-    monkeypatch.setattr(birkhoff, "psi", _with_constant_at_ddy(psi))
+    faulty = _with_a_lower_term_at_ddy(realizations._psi_triangle)
+    monkeypatch.setattr(realizations, "_psi_triangle", faulty)
     with pytest.raises(NonvanishingLowerTerm, match="'ddy'"):
         qzeta_plus(k)
     monkeypatch.undo()
