@@ -58,6 +58,13 @@ def test_zeta_plus_rejects_positive_arguments():
     assert r.returncode == 2
 
 
+# Every k in {0..5}^n for n <= 3, then deep, heavy and high-weight vectors.
+def test_zeta_plus_golden():
+    ks = [k for n in (1, 2, 3) for k in product(range(6), repeat=n)]
+    ks += [(1,) * 30, (12, 13), (50,) * 3, (200, 201)]
+    assert_golden("zeta_plus", (["zeta-plus", "--", *(str(-a) for a in k)] for k in ks))
+
+
 def test_bad_word_is_a_usage_error():
     r = run_cli("phi", "dxy")
     assert r.returncode == 2
