@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, lcm
 
 from .coproduct import reduced_coproduct
 from .errors import DepthOne, NonvanishingLowerTerm
@@ -163,7 +163,7 @@ def _placements(ks: tuple[int, ...], lam: int, f):
     block j, u of the d's seen are in no leg and s = seen - u in some.  Leg
     j takes a1 of the u and a2 of the s, C(u, a1) C(s, a2) lam^{a2} ways;
     the last leg takes all u.  The a2-sum is formed once per (s, a1), so a
-    state costs u + 1 products.  f's values need + and * (Fraction, series).
+    state costs u + 1 products.  f's values need + and * (ints, Fraction, series).
     """
     # one block (one leg) reads only f(k); more may read any of f(0) .. f(|k|)
     fs = {a: f(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
@@ -186,13 +186,23 @@ def _placements(ks: tuple[int, ...], lam: int, f):
     return states[0]
 
 
+def _value(ks: tuple[int, ...], f) -> Fraction:
+    """_placements at lambda = 0 on ints: each f(a) it reads, a reduced Fraction
+    read once, becomes its numerator over D, the lcm of their denominators; a
+    product has one factor per leg, so the sum is over D^n."""
+    fs = {a: f(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
+    D = lcm(*(v.denominator for v in fs.values()))
+    nums = {a: v.numerator * (D // v.denominator) for a, v in fs.items()}
+    return Fraction(_placements(ks, 0, nums.__getitem__), D ** len(ks))
+
+
 def zeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized multiple zeta value at (-k_1, ..., -k_n).
 
     The lambda = 0 placement sum of the depth-one values zeta(-a).
     """
     ks = word_to_indices(indices_to_word(k))
-    return RenormValue(ks, _placements(ks, 0, mero_depth1), "phi-placement-dp")
+    return RenormValue(ks, _value(ks, mero_depth1), "phi-placement-dp")
 
 
 def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
@@ -207,7 +217,7 @@ def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     leading coefficients, and (-1)^{|k|} = prod (-1)^{a_j}.
     """
     ks = word_to_indices(indices_to_word(k))
-    return RenormValue(ks, _placements(ks, 0, _psi_limits(sum(ks))), "psi-placement-dp")
+    return RenormValue(ks, _value(ks, _psi_limits(sum(ks))), "psi-placement-dp")
 
 
 def _rescaled_limit(w: str, plus: LaurentSeries, N: int) -> Fraction:

@@ -242,7 +242,7 @@ def _psi_limits(N: int):
                 f"psi_plus({w!r}) has z^{j} coefficient {c} != 0; "
                 "the q -> 1 limit does not exist"
             )
-    return lambda a: (-1) ** a * -bernoulli(a + 1) * diag[a] / factorial(a + 1)
+    return lambda a: (-1) ** (a + 1) * diag[a] * bernoulli(a + 1) / factorial(a + 1)
 
 
 def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:
@@ -499,15 +499,18 @@ def qz_rational(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
 
 def mero_depth1(k: int) -> Fraction:
     """zeta(-k) = -B_{k+1}/(k+1)."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        k = -1  # no float, str or Fraction
     if k < 0:
-        raise ValueError("depth-1 oracle takes k >= 0")
-    return -bernoulli(k + 1) / (k + 1)
+        raise ValueError("depth-1 oracle takes an integer k >= 0")
+    return bernoulli(k + 1) / -(k + 1)
 
 
 def mero_depth2(a: int, b: int) -> Fraction:
     """zeta(-a, -b) = (1/2)(1 + delta_0(b)) B_{a+b+1}/(a+b+1), a+b odd."""
-    if a < 0 or b < 0:
-        raise ValueError("depth-2 oracle takes a, b >= 0")
+    a, b = word_to_indices(indices_to_word((a, b)))  # integers a, b >= 0
     if (a + b) % 2 == 0:
         raise EvenWeight(f"(-{a}, -{b}) lies in the singular set (a+b even)")
     scale = Fr(1, 2) * (2 if b == 0 else 1)

@@ -1,6 +1,10 @@
 import doctest
 import importlib
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
@@ -8,11 +12,13 @@ from hypothesis import given, strategies as st
 
 from hopfmzv.bernoulli import bernoulli
 from hopfmzv.birkhoff import zeta_plus
+from hopfmzv.realizations import mero_depth1, mero_depth2
 
 # the package re-exports the function under the submodule's name
 bernoulli_module = importlib.import_module("hopfmzv.bernoulli")
 
 
+@cache
 def _fraction_recurrence(n):
     """B_0..B_n by the recurrence one Fraction at a time: the oracle."""
     table = [Fraction(1)]
@@ -59,22 +65,78 @@ def test_cache_is_consistent_after_big_jump():
     assert bernoulli(2) == Fraction(1, 6)
 
 
-@pytest.mark.parametrize("calls", [(150,), (3, 26, 27, 80, 150)])
+def _fresh_table(monkeypatch):
+    # clear_caches() leaves the Bernoulli table alone: start from B_0, B_1
+    monkeypatch.setattr(bernoulli_module, "_cache", bernoulli_module._cache[:2])
+
+
+@pytest.mark.parametrize("calls", [(400,), (3, 26, 27, 80, 150, 400)])
 def test_integer_table_equals_the_fraction_recurrence(monkeypatch, calls):
-    # clear_caches() leaves the Bernoulli table alone, so start a fresh one
-    monkeypatch.setattr(bernoulli_module, "_cache", [Fraction(1)])
+    # each growth at least doubles the table, so only B_0 .. B_n are asked for
+    _fresh_table(monkeypatch)
     for n in calls:
         bernoulli(n)
-    assert bernoulli_module._cache == _fraction_recurrence(150)
+    assert bernoulli_module._cache[: n + 1] == _fraction_recurrence(n)
 
 
 def test_a_denominator_off_the_common_one_raises(monkeypatch):
-    # B_2 = -1/11 is no multiple of 1/lcm(1..5): the division by m + 1 is
-    # inexact, and the table refuses to grow instead of returning a value
-    table = [Fraction(1), Fraction(1, 2), Fraction(-1, 11)]
-    monkeypatch.setattr(bernoulli_module, "_cache", table)
-    with pytest.raises(ArithmeticError):
-        bernoulli(4)
+    # T_M + 1 in place of the last tangent number: B_{2M} leaves the von
+    # Staudt-Clausen denominator, and the table refuses to grow instead of
+    # returning a value
+    tangents = bernoulli_module._tangents
+
+    def planted(M):
+        T = tangents(M)
+        T[-1] += 1
+        return T
+
+    monkeypatch.setattr(bernoulli_module, "_tangents", planted)
+    for n in (4, 40, 400):
+        _fresh_table(monkeypatch)
+        with pytest.raises(ArithmeticError, match="von Staudt-Clausen"):
+            bernoulli(n)
+        assert len(bernoulli_module._cache) < n + 1
+
+
+def test_the_triangle_is_built_once_per_doubling(monkeypatch):
+    builds, tangents = [], bernoulli_module._tangents
+    _fresh_table(monkeypatch)
+    monkeypatch.setattr(bernoulli_module, "_tangents", lambda M: builds.append(M) or tangents(M))
+    values = [bernoulli(n) for n in range(401)]
+    assert builds == [1, 3, 7, 15, 31, 63, 127, 255]  # B_3, B_7, ..., B_511
+    assert values == _fraction_recurrence(400)
+
+
+def test_concurrent_growth_builds_one_table(monkeypatch):
+    # more threads than cores ask for B_n out of order while the table grows;
+    # a lost or doubled entry would shift every index after it
+    _fresh_table(monkeypatch)
+    jobs = list(range(301)) * 4
+    random.Random(11).shuffle(jobs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            values = list(pool.map(lambda n: (n, bernoulli(n)), jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    table = _fraction_recurrence(300)
+    assert all(v == table[n] for n, v in values)
+    assert bernoulli_module._cache[:301] == table
+
+
+@pytest.mark.parametrize("bad", [2.0, 3.0, 4.0, Fraction(4), "4"])
+def test_a_non_integer_index_is_refused_cold_and_warm(monkeypatch, bad):
+    # the check runs before the odd-index return and before the table is read
+    calls = (bernoulli, mero_depth1, lambda a: mero_depth2(a, 1), lambda b: mero_depth2(1, b))
+    _fresh_table(monkeypatch)
+    for _ in ("cold", "warm"):
+        for call in calls:
+            with pytest.raises(ValueError):
+                call(bad)
+        assert (bernoulli(10), mero_depth1(3), mero_depth2(1, 2)) == (
+            Fraction(5, 66), Fraction(1, 120), Fraction(-1, 240)
+        )
 
 
 def test_an_odd_index_does_not_grow_the_table():
