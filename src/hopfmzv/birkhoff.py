@@ -36,10 +36,11 @@ builds no counterterms: the phi-realized product identity on constant terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
+from typing import NamedTuple
 
 from .coproduct import reduced_coproduct
 from .errors import DepthOne, NonvanishingLowerTerm
@@ -128,6 +129,10 @@ class CharacterTable:
     def __init__(self, kind: str, *, prec: int = 1):
         if kind not in _KINDS:
             raise ValueError(f"unknown character kind {kind!r}")
+        try:
+            operator.index(prec)  # no float, str or Fraction
+        except TypeError:
+            raise ValueError(f"prec must be an integer, not {prec!r}") from None
         self.kind = kind
         self.prec = prec
 
@@ -148,8 +153,7 @@ class CharacterTable:
         return _rows(self.kind, w, self.prec)[1] if w else self.chi(w)
 
 
-@dataclass(frozen=True)
-class RenormValue:
+class RenormValue(NamedTuple):
     k: tuple[int, ...]
     value: Fraction
     provenance: str

@@ -51,7 +51,7 @@ D_q^{k_1}[y * D_q^{k_2}[...]](t) evaluated at t = q, from the public
 operators.
 
 Both sides count in ints.  The q-side is int rows end to end: each of E_q,
-D_q, P_q, the product and t = q is one function on BivariateSeries.  The
+D_q, P_q, the product and t = q is one function on a tuple of int rows.  The
 t-side values are rational, held as integer numerators over one denominator
 in the same LaurentSeries as the z-side, with the same product.
 
@@ -63,7 +63,6 @@ mero_depth1 / mero_depth2 are the closed-form continuation oracles
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, lcm
@@ -93,7 +92,6 @@ from .words import depth, indices_to_word, is_admissible, memo, weight, word_to_
 Fr = Fraction
 
 __all__ = [
-    "BivariateSeries",
     "eval_t_eq_q",
     "li_J",
     "li_nested",
@@ -313,7 +311,16 @@ def op_delta(s: LaurentSeries) -> LaurentSeries:
 
 
 def _check_truncation(k: tuple[int, ...], T: int) -> None:
-    """The shared preconditions of the t- and q-side truncations below."""
+    """The shared preconditions of the t- and q-side truncations below: the
+    entries of k and T are integers (operator.index: no float, str or
+    Fraction), k is nonempty and T >= 0."""
+    try:
+        for x in (*k, T):
+            operator.index(x)
+    except TypeError:
+        raise ValueError(
+            f"index entries and truncation must be integers: k={k!r}, T={T!r}"
+        ) from None
     if not k:
         raise ValueError("index vector must have length >= 1")
     if T < 0:
@@ -356,72 +363,58 @@ def li_nested(k: tuple[int, ...], T: int) -> LaurentSeries:
 # ---------------------------------------------------------------------------
 # q-side: bivariate truncations of t Z[[t, q]]
 # ---------------------------------------------------------------------------
+# A truncation through t^A and q^Q is a tuple of A int rows of Q + 1 each:
+# rows[a-1][b] = coefficient of t^a q^b.  Its t-truncation is len(rows), its
+# q-truncation len(rows[0]) - 1, or 0 when there are no rows.
+
+_Rows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class BivariateSeries:
-    """Element of t*Z[[t, q]]: rows[a-1][b] = coefficient of t^a q^b."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def t_truncation(self) -> int:
-        return len(self.rows)
-
-    @property
-    def q_truncation(self) -> int:
-        return len(self.rows[0]) - 1 if self.rows else 0
-
-
-def y_bivariate(A: int, Q: int) -> BivariateSeries:
+def y_bivariate(A: int, Q: int) -> _Rows:
     """y(t) = sum_{m=1}^{A} t^m (no q-dependence)."""
-    return BivariateSeries(((1,) + (0,) * Q,) * A)
+    return ((1,) + (0,) * Q,) * A
 
 
-def op_Eq(s: BivariateSeries) -> BivariateSeries:
+def op_Eq(rows: _Rows) -> _Rows:
     """Dilation t -> qt: shifts row a up by a powers of q."""
-    return BivariateSeries(
-        tuple(((0,) * a + row)[: len(row)] for a, row in enumerate(s.rows, start=1))
-    )
+    return tuple(((0,) * a + row)[: len(row)] for a, row in enumerate(rows, start=1))
 
 
-def op_Dq(s: BivariateSeries) -> BivariateSeries:
+def op_Dq(rows: _Rows) -> _Rows:
     """q-difference Id - E_q."""
-    return BivariateSeries(
-        tuple(
-            tuple(c - e for c, e in zip(row, (0,) * a + row))
-            for a, row in enumerate(s.rows, start=1)
-        )
+    return tuple(
+        tuple(c - e for c, e in zip(row, (0,) * a + row))
+        for a, row in enumerate(rows, start=1)
     )
 
 
-def op_Pq(s: BivariateSeries) -> BivariateSeries:
+def op_Pq(rows: _Rows) -> _Rows:
     """Inverse of D_q: row a multiplies by 1/(1 - q^a) = sum_j q^{aj}."""
-    rows = [list(row) for row in s.rows]
+    rows = [list(row) for row in rows]
     for a, row in enumerate(rows, start=1):
         for b in range(a, len(row)):
             row[b] += row[b - a]  # the updated row: accumulates all q^{aj}
-    return BivariateSeries(tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
-def mul_bivariate(s1: BivariateSeries, s2: BivariateSeries) -> BivariateSeries:
-    A = min(s1.t_truncation, s2.t_truncation)
-    Q = min(s1.q_truncation, s2.q_truncation)
+def mul_bivariate(s1: _Rows, s2: _Rows) -> _Rows:
+    A = min(len(s1), len(s2))
+    Q = min(len(s[0]) - 1 if s else 0 for s in (s1, s2))
     rows = [[0] * (Q + 1) for _ in range(A)]
     for a1 in range(1, A):  # a1 + a2 <= A with a2 >= 1
-        r1 = s1.rows[a1 - 1]
+        r1 = s1[a1 - 1]
         for a2 in range(1, A - a1 + 1):
-            convolve(r1, s2.rows[a2 - 1], Q + 1, rows[a1 + a2 - 1])
-    return BivariateSeries(tuple(map(tuple, rows)))
+            convolve(r1, s2[a2 - 1], Q + 1, rows[a1 + a2 - 1])
+    return tuple(map(tuple, rows))
 
 
-def eval_t_eq_q(s: BivariateSeries) -> tuple[int, ...]:
+def eval_t_eq_q(rows: _Rows) -> tuple[int, ...]:
     """Substitute t = q; needs t-truncation >= q-truncation."""
-    A, Q = s.t_truncation, s.q_truncation
+    A, Q = len(rows), (len(rows[0]) - 1 if rows else 0)
     if A < Q:
         raise TruncationMismatch(f"t-truncation {A} < q-truncation {Q}")
     out = [0] * (Q + 1)
-    for a, row in enumerate(s.rows[:Q], start=1):
+    for a, row in enumerate(rows[:Q], start=1):
         for b, c in enumerate(row[: Q + 1 - a]):
             out[a + b] += c
     return tuple(out)

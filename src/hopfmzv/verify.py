@@ -48,7 +48,6 @@ from .coproduct import (
 )
 from .errors import EvenWeight, NonzeroConstantTerm, TruncationMismatch
 from .realizations import (
-    BivariateSeries,
     eval_t_eq_q,
     li_J,
     li_nested,
@@ -117,6 +116,15 @@ def _linear(f, s: dict) -> dict:
 def _total(P: int, terms):
     """sum c * s over (c, s) terms; an empty sum is zero_series(P)."""
     return series_sum(chain([(1, zero_series(P))], terms))
+
+
+def _raises(exc: type, fn, *args) -> bool:
+    """Whether fn(*args) raises exc; any other exception propagates."""
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
 
 
 def _all_words(max_len: int, min_len: int = 1):
@@ -483,11 +491,8 @@ def _check_mero_compat():
                 continue
             if zeta_plus((a, b)).value != mero_depth2(a, b):
                 return False, f"depth-2 mismatch at (a, b)=({a}, {b})"
-    try:
-        mero_depth2(1, 1)
+    if not _raises(EvenWeight, mero_depth2, 1, 1):
         return False, "mero_depth2(1, 1) should raise EvenWeight"
-    except EvenWeight:
-        pass
     return True, ""
 
 
@@ -544,22 +549,20 @@ def _rand_powerseries(rng: random.Random, T: int) -> LaurentSeries:
     )
 
 
-def _rand_bivariate(rng: random.Random, A: int, Q: int) -> BivariateSeries:
-    return BivariateSeries(
-        tuple(tuple(rng.randint(-5, 5) for _ in range(Q + 1)) for _ in range(A))
-    )
+def _rand_bivariate(rng: random.Random, A: int, Q: int) -> tuple:
+    return tuple(tuple(rng.randint(-5, 5) for _ in range(Q + 1)) for _ in range(A))
 
 
 def _bv_combine(*signed):
     rows = None
     for sign, s in signed:
         if rows is None:
-            rows = [[sign * c for c in row] for row in s.rows]
+            rows = [[sign * c for c in row] for row in s]
         else:
-            for i, row in enumerate(s.rows):
+            for i, row in enumerate(s):
                 for j, c in enumerate(row):
                     rows[i][j] += sign * c
-    return BivariateSeries(tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 def _check_J_delta():
@@ -569,16 +572,10 @@ def _check_J_delta():
         back = op_J(op_delta(s)), op_delta(op_J(s))
         if not all(equal_on_window(r, s, 31) for r in back):
             return False, "J and delta are not mutually inverse"
-    try:
-        op_J(LaurentSeries(0, (1, 2)))
+    if not _raises(NonzeroConstantTerm, op_J, LaurentSeries(0, (1, 2))):
         return False, "J accepted a nonzero constant term"
-    except NonzeroConstantTerm:
-        pass
-    try:
-        op_delta(LaurentSeries(0, (3,)))
+    if not _raises(NonzeroConstantTerm, op_delta, LaurentSeries(0, (3,))):
         return False, "delta accepted a nonzero constant term"
-    except NonzeroConstantTerm:
-        pass
     return True, ""
 
 
@@ -600,16 +597,16 @@ def _check_q_operators():
         f = _rand_bivariate(rng, 8, 8)
         g = _rand_bivariate(rng, 8, 8)
         fg = mul_bivariate(f, g)
-        if op_Eq(fg).rows != mul_bivariate(op_Eq(f), op_Eq(g)).rows:
+        if op_Eq(fg) != mul_bivariate(op_Eq(f), op_Eq(g)):
             return False, "E_q is not multiplicative"
         leib = _bv_combine(
             (1, mul_bivariate(op_Dq(f), g)),
             (1, mul_bivariate(f, op_Dq(g))),
             (-1, mul_bivariate(op_Dq(f), op_Dq(g))),
         )
-        if op_Dq(fg).rows != leib.rows:
+        if op_Dq(fg) != leib:
             return False, "D_q fails its generalized Leibniz rule"
-        if op_Pq(op_Dq(f)).rows != f.rows or op_Dq(op_Pq(f)).rows != f.rows:
+        if op_Pq(op_Dq(f)) != f or op_Dq(op_Pq(f)) != f:
             return False, "P_q and D_q are not mutually inverse"
         rb = op_Pq(
             _bv_combine(
@@ -618,7 +615,7 @@ def _check_q_operators():
                 (-1, fg),
             )
         )
-        if mul_bivariate(op_Pq(f), op_Pq(g)).rows != rb.rows:
+        if mul_bivariate(op_Pq(f), op_Pq(g)) != rb:
             return False, "P_q fails the weight -1 Rota-Baxter identity"
     return True, ""
 
@@ -648,12 +645,10 @@ def _check_li_closed_forms():
 
 
 def _check_truncation_guard():
-    s = BivariateSeries(((1,) * 6, (0,) * 6))  # A=2, Q=5
-    try:
-        eval_t_eq_q(s)
+    s = ((1,) * 6, (0,) * 6)  # A=2, Q=5
+    if not _raises(TruncationMismatch, eval_t_eq_q, s):
         return False, "eval_t_eq_q accepted A < Q"
-    except TruncationMismatch:
-        return True, ""
+    return True, ""
 
 
 def _suite_rota_baxter():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from importlib import resources
 from itertools import product
 from pathlib import Path
 
@@ -19,8 +20,6 @@ import pytest
 from hopfmzv import clear_caches, coproduct, shuffle, verify, words
 from hopfmzv.cli import main
 from hopfmzv.words import admissible_words, weight
-
-PKG_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -113,7 +112,9 @@ def test_table_check_against_packaged_reference():
 
 
 def test_table_check_flags_a_corrupt_reference(tmp_path):
-    ref = json.loads((PKG_ROOT / "fixtures" / "table1.json").read_text())
+    ref = json.loads(
+        resources.files("hopfmzv").joinpath("fixtures/table1.json").read_text()
+    )
     ref[0]["value"] = "3/8"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(ref))
@@ -444,8 +445,13 @@ def test_output_is_deterministic():
     assert a.stdout == b.stdout
 
 
-def test_packaged_fixtures_match_repo_copies():
-    for name in ("table1.json", "example_series.json"):
-        repo = (PKG_ROOT / "fixtures" / name).read_bytes()
-        packaged = (PKG_ROOT / "src" / "hopfmzv" / "fixtures" / name).read_bytes()
-        assert repo == packaged, name
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call is a fresh process that pays for each module the
+    # package imports; dataclasses alone pulls in inspect, ast, dis, tokenize
+    code = (
+        "import sys, hopfmzv, hopfmzv.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
