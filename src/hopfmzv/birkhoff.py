@@ -13,14 +13,13 @@ placement sums of depth-one data, polynomial in the depth:
   * CharacterTable rows: the sums of -pi chi(d^a y) and (1 - pi) chi(d^a y)
     at the kind's lambda.
   * zeta_plus(k) is the constant term of phi_plus at the word of
-    (-k_1, ..., -k_n): the lambda = 0 sum of zeta(-a) = mero_depth1(a).
-  * qzeta_plus(k) is (-1)^{|k|} [z^{|k|}] psi_plus, |k| = k_1 + ... + k_n
-    (the (1-q)^{-|k|} rescaling before q -> 1): the lambda = 0 sum of the
-    depth-one q-limits (-1)^a [z^a] psi(d^a y), off an integer triangle
-    (see qzeta_plus).
+    (-k_1, ..., -k_n), and qzeta_plus(k) is (-1)^{|k|} [z^{|k|}] psi_plus,
+    |k| = k_1 + ... + k_n (the (1-q)^{-|k|} rescaling before q -> 1).  Both
+    are the lambda = 0 sum of zeta(-a) = mero_depth1(a) (see qzeta_plus).
 
 The paper's Bogoliubov recursion is the oracle of both; it is exponential in
-depth, and only _zeta_plus_birkhoff, _qzeta_plus_birkhoff and tests run it:
+depth.  _zeta_plus_birkhoff and _qzeta_plus_birkhoff run it, and so do the
+tests and verify's birkhoff/qzeta-equals-zeta-spots:
 
     chi_bar(w)   = chi(w) + sum_{reduced coproduct} chi_minus(w') chi(w'')
     chi_minus(w) = -pi(chi_bar(w)),   chi_plus(w) = (Id - pi)(chi_bar(w)).
@@ -44,7 +43,7 @@ from typing import NamedTuple
 
 from .coproduct import reduced_coproduct
 from .errors import DepthOne, NonvanishingLowerTerm
-from .realizations import _psi_limits, mero_depth1, phi, psi
+from .realizations import mero_depth1, phi, psi
 from .series import LaurentSeries, pole_part, regular_part, series_mul
 from .series import series_pad, series_scale, series_slice, series_sum
 from .words import depth, indices_to_word, memo, weight, word_to_indices
@@ -190,11 +189,11 @@ def _placements(ks: tuple[int, ...], lam: int, f):
     return states[0]
 
 
-def _value(ks: tuple[int, ...], f) -> Fraction:
-    """_placements at lambda = 0 on ints: each f(a) it reads, a reduced Fraction
-    read once, becomes its numerator over D, the lcm of their denominators; a
-    product has one factor per leg, so the sum is over D^n."""
-    fs = {a: f(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
+def _value(ks: tuple[int, ...]) -> Fraction:
+    """_placements at lambda = 0 on ints: each zeta(-a) it reads, a reduced
+    Fraction read once, becomes its numerator over D, the lcm of their
+    denominators; a product has one factor per leg, so the sum is over D^n."""
+    fs = {a: mero_depth1(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
     D = lcm(*(v.denominator for v in fs.values()))
     nums = {a: v.numerator * (D // v.denominator) for a, v in fs.items()}
     return Fraction(_placements(ks, 0, nums.__getitem__), D ** len(ks))
@@ -206,22 +205,22 @@ def zeta_plus(k: tuple[int, ...]) -> RenormValue:
     The lambda = 0 placement sum of the depth-one values zeta(-a).
     """
     ks = word_to_indices(indices_to_word(k))
-    return RenormValue(ks, _value(ks, mero_depth1), "phi-placement-dp")
+    return RenormValue(ks, _value(ks), "phi-placement-dp")
 
 
 def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized q-side value at (-k_1, ..., -k_n) after the q -> 1 limit.
 
-    The lambda = 0 placement sum of the depth-one q-limits
-    qzeta_plus((a,)) = (-1)^a [z^a] psi(d^a y), read off one integer
-    triangle, with z^0 .. z^{a-1} checked 0, by realizations._psi_limits.
-    This is (-1)^{|k|} [z^{|k|}] of psi_plus: the regular part of psi(d^a y)
-    starts at z^a and the a_j of a placement sum to |k| only when no d is
-    shared, so [z^{|k|}] of each lambda = 0 product is the product of the
-    leading coefficients, and (-1)^{|k|} = prod (-1)^{a_j}.
+    (-1)^{|k|} [z^{|k|}] of psi_plus.  The regular part of psi(d^a y) starts
+    at z^a, and the a_j of a placement sum to |k| only when no d is shared,
+    so this is the lambda = 0 sum of the leading coefficients (-1)^a [z^a]
+    psi(d^a y).  psi's l-sum gives [z^j] psi(d^a y) = -B_{j+1}/(j+1)! sum_l
+    (-1)^l C(a, l) (l + 1)^j, and sum_l (-1)^l C(a, l) p(l), an a-th finite
+    difference, is 0 when deg p < a and (-1)^a a! lead(p) when deg p = a.
+    So each leading coefficient is -B_{a+1}/(a+1) = zeta(-a), as in zeta_plus.
     """
     ks = word_to_indices(indices_to_word(k))
-    return RenormValue(ks, _value(ks, _psi_limits(sum(ks))), "psi-placement-dp")
+    return RenormValue(ks, _value(ks), "psi-placement-dp")
 
 
 def _rescaled_limit(w: str, plus: LaurentSeries, N: int) -> Fraction:

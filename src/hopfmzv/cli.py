@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .birkhoff import CharacterTable, zeta_plus
 from .coproduct import coproduct_combinatorial, coproduct_recursive
-from .errors import NonvanishingLowerTerm, NotAdmissible, PrecisionExceeded
+from .errors import NotAdmissible, PrecisionExceeded
 from .realizations import li_J, phi, psi, qz_series
 from .series import series_to_json
 from .shuffle import shuffle_lambda, shuffle_zero
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
     except SyntaxError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, PrecisionExceeded, NonvanishingLowerTerm) as exc:
+    except (ValueError, PrecisionExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -111,9 +111,10 @@ def coproduct_combinatorial(w: str, lam) -> TensorSum:
         sub[S] = w[low.bit_length() - 1] + sub[S ^ low]
     counts: dict = {}  # (left, right, |J|) -> number of (S, J) giving it
     full = (1 << n) - 1
+    # subwords of w are over {d, y}: one is admissible unless it ends in d
     for S, left in enumerate(sub):
         comp = full ^ S
-        if not (is_admissible(left) and is_admissible(sub[comp])):
+        if left[-1:] == "d" or sub[comp][-1:] == "d":
             continue
         key = (left, sub[comp], 0)
         counts[key] = counts.get(key, 0) + 1
@@ -121,7 +122,7 @@ def coproduct_combinatorial(w: str, lam) -> TensorSum:
         J = avail
         while J:  # the nonempty submasks of avail
             aug_right = sub[comp | J]
-            if is_admissible(aug_right):
+            if aug_right[-1:] != "d":
                 key = (left, aug_right, J.bit_count())
                 counts[key] = counts.get(key, 0) + 1
             J = (J - 1) & avail

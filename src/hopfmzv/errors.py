@@ -7,7 +7,8 @@ precondition.
 
 
 class NotAdmissible(ValueError):
-    """Word is empty or ends in d where an admissible word is required."""
+    """Word is empty, ends in d or has a letter other than d and y, where an
+    admissible word is required."""
 
 
 class LambdaZero(ValueError):

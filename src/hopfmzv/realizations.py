@@ -70,7 +70,6 @@ from math import comb, factorial, lcm
 from .bernoulli import bernoulli
 from .errors import (
     EvenWeight,
-    NonvanishingLowerTerm,
     NonzeroConstantTerm,
     NotAdmissible,
     PrecisionExceeded,
@@ -210,37 +209,6 @@ def psi(w: str, P: int) -> LaurentSeries:
         return constant(1, P)
     V = P + n - 1
     return _exact("psi", w, P, _lsum(word_to_indices(w), lambda L: psi_factor(L, V)))
-
-
-def _psi_triangle(N: int):
-    """Yield, for j = 0..N, [E(a, j) for a = j..N], E(a, j) = sum_l (-1)^l
-    C(a, l) (l + 1)^j: [z^j] psi(d^a y) = -B_{j+1}/(j+1)! E(a, j) is the
-    l-sum with the atom f(L z), one coefficient at a time.  As (a - l) C(a, l)
-    = a C(a - 1, l), E(a, j) = (a + 1) E(a, j - 1) - a E(a - 1, j - 1) with
-    E(a, 0) = [a = 0]: one integer operation per entry, two lists at a time.
-    """
-    col = [1] + [0] * N
-    for j in range(N + 1):
-        yield col
-        col = [(a + 1) * e - a * p for a, e, p in zip(range(j + 1, N + 1), col[1:], col)]
-
-
-def _psi_limits(N: int):
-    """a -> (-1)^a [z^a] psi(d^a y) for a <= N, each z^j (0 <= j < a) checked
-    0: the (1-q)^{-a} rescaling of the q -> 1 limit would blow it up.
-    """
-    diag = []
-    for j, col in enumerate(_psi_triangle(N)):
-        diag.append(col[0])
-        lower = [(a, e) for a, e in enumerate(col[1:], j + 1) if e]
-        if lower and bernoulli(j + 1):  # E(a, j) B_{j+1} != 0 for some a > j
-            a, e = lower[0]
-            c, w = -bernoulli(j + 1) * e / factorial(j + 1), "d" * a + "y"
-            raise NonvanishingLowerTerm(
-                f"psi_plus({w!r}) has z^{j} coefficient {c} != 0; "
-                "the q -> 1 limit does not exist"
-            )
-    return lambda a: (-1) ** (a + 1) * diag[a] * bernoulli(a + 1) / factorial(a + 1)
 
 
 def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:

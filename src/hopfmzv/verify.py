@@ -12,7 +12,8 @@ Four suites, each a list of named checks that return (ok, detail):
               character multiplicativity of phi and psi, renormalized
               product relations on both sides, the K * K primitive identity,
               primitive-decomposition agreement, closed-form continuation
-              compatibility, and the 1/4-vs-3/8 negative control
+              compatibility, the 1/4-vs-3/8 negative control, and zeta_plus
+              at spots against the rescaled psi rows and the recursion on psi
   rota-baxter J/delta and P_q/E_q/D_q operator identities (Rota-Baxter of
               weight 0 and -1), polylogarithm route agreement li_J = li_nested
   qseries     q-sum route agreement (nested sum vs rational closed form vs
@@ -35,6 +36,8 @@ from math import factorial, lcm
 from .bernoulli import bernoulli
 from .birkhoff import (
     CharacterTable,
+    _qzeta_plus_birkhoff,
+    _rescaled_limit,
     qzeta_plus,
     zeta_plus,
     zeta_plus_via_primitives,
@@ -433,18 +436,13 @@ def _check_renorm_relations_zeta():
 
 def _check_renorm_relations_qzeta():
     for u, v in _unordered_pairs_total_weight(6):
-        nu = weight(u) - depth(u)
-        nv = weight(v) - depth(v)
-        N = nu + nv
+        N = weight(u) + weight(v) - depth(u) - depth(v)
         table = CharacterTable("psi", prec=N + 2)
         lhs = Fr(0)
         for w, c in project_T(shuffle_lambda(u, v, -1)).items():
             lhs += c * table.chi_plus(w).coefficient(N)
         lhs *= (-1) ** N
-        rhs = (
-            qzeta_plus(word_to_indices(u)).value
-            * qzeta_plus(word_to_indices(v)).value
-        )
+        rhs = qzeta_plus(word_to_indices(u)).value * qzeta_plus(word_to_indices(v)).value
         if lhs != rhs:
             return False, f"qzeta relation fails at u={u!r}, v={v!r} (N={N})"
     return True, ""
@@ -508,11 +506,16 @@ def _check_negative_control():
 
 
 def _check_qzeta_equals_zeta_spots():
-    for k in [(1,), (2,), (0, 0), (1, 1), (2, 1), (0, 1, 0)]:
-        zq = qzeta_plus(k).value
-        zz = zeta_plus(k).value
-        if zq != zz:
-            return False, f"k={k}: qzeta_plus={zq}, zeta_plus={zz}"
+    # two q-side routes that read no zeta(-a): the psi rows (the lambda = -1
+    # placements of psi(d^a y)), rescaled, and to weight 9 the recursion on psi
+    for k in [(1,), (2,), (0, 0), (1, 1), (2, 1), (0, 1, 0), (2, 2, 2), (7, 7)]:
+        w, N, zz = indices_to_word(k), sum(k), zeta_plus(k).value
+        rows = _rescaled_limit(w, CharacterTable("psi", prec=N).chi_plus(w), N)
+        if rows != zz:
+            return False, f"k={k}: the psi rows give {rows}, zeta_plus gives {zz}"
+        rec = _qzeta_plus_birkhoff(k).value if weight(w) <= 9 else zz
+        if rec != zz:
+            return False, f"k={k}: the recursion gives {rec}, zeta_plus gives {zz}"
     return True, ""
 
 

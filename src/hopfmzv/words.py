@@ -77,7 +77,8 @@ def parse_word(text: str) -> str:
 
 
 def is_admissible(w: str) -> bool:
-    return w == "" or w[-1] == "y"
+    """Whether w is a word over {d, y} that is empty or ends in y."""
+    return (w == "" or w[-1] == "y") and not w.strip("dy")
 
 
 def weight(w: str) -> int:
@@ -114,8 +115,8 @@ def indices_to_word(k: Iterable[int]) -> str:
 
 def word_to_indices(w: str) -> tuple[int, ...]:
     """Inverse of indices_to_word on nonempty admissible words."""
-    if w == "" or w[-1] != "y":
-        raise NotAdmissible(f"word {w!r} is empty or ends in d")
+    if w == "" or not is_admissible(w):
+        raise NotAdmissible(f"word {w!r} is empty or not admissible")
     return tuple(len(run) for run in w.split("y")[:-1])
 
 

@@ -95,7 +95,6 @@ def test_criterion_4_q_to_classical_equality():
     count = 0
     for n in (1, 2, 3):
         for k in itertools.product(range(4), repeat=n):
-            # qzeta_plus itself asserts the lower z-coefficients vanish
             assert qzeta_plus(k).value == zeta_plus(k).value, k
             count += 1
     elapsed = time.monotonic() - t0

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfmzv import birkhoff, clear_caches, realizations
-from hopfmzv.bernoulli import bernoulli
 from hopfmzv.birkhoff import (
     CharacterTable,
     _counterterm,
     _qzeta_plus_birkhoff,
+    _rescaled_limit,
     _zeta_plus_birkhoff,
     qzeta_plus,
     zeta_plus,
@@ -22,13 +22,16 @@ from hopfmzv.birkhoff import (
 )
 from hopfmzv.coproduct import star
 from hopfmzv.errors import DepthOne, NonvanishingLowerTerm
-from hopfmzv.realizations import mero_depth2, phi, psi, psi_factor
+from hopfmzv.realizations import mero_depth1, mero_depth2, psi, psi_factor
 from hopfmzv.series import (
     constant,
     equal_on_window,
+    monomial,
     pole_part,
     regular_part,
     series_add,
+    series_scale,
+    zero_series,
 )
 from hopfmzv.verify import run_suite
 from hopfmzv.words import admissible_words, depth, indices_to_word, word_to_indices
@@ -125,33 +128,13 @@ def test_psi_plus_rescaling_window():
 
 def test_regular_part_of_psi_depth_one_starts_at_z_a():
     # qzeta_plus keeps only the lambda = 0 placements: a d shared by two legs
-    # counts in both legs' a, so such a placement starts above z^{|k|}
-    for a in range(21):
+    # counts in both legs' a, so such a placement starts above z^{|k|}.  The
+    # finite-difference lemma, against psi's own l-sum: z^0 .. z^{a-1} are 0
+    # and the z^a coefficient is (-1)^a zeta(-a)
+    for a in range(61):
         s = psi("d" * a + "y", a)
         assert all(s.coefficient(m) == 0 for m in range(a)), a
-
-
-def _triangle_mismatches(N):
-    # the triangle's [z^j] psi(d^a y) = -B_{j+1}/(j+1)! E(a, j), j <= a <= N,
-    # and its limits, against the series psi builds by its l-sum
-    E = {
-        (a, j): e
-        for j, col in enumerate(realizations._psi_triangle(N))
-        for a, e in enumerate(col, j)
-    }
-    limit, bad = realizations._psi_limits(N), []
-    for a in range(N + 1):
-        s = psi("d" * a + "y", a)
-        coeffs = [-bernoulli(j + 1) / factorial(j + 1) * E[a, j] for j in range(a + 1)]
-        if coeffs != [s.coefficient(j) for j in range(a + 1)]:
-            bad.append(a)
-        elif limit(a) != (-1) ** a * s.coefficient(a):
-            bad.append(a)
-    return bad
-
-
-def test_the_triangle_is_psi_at_depth_one():
-    assert _triangle_mismatches(60) == []
+        assert s.coefficient(a) == (-1) ** a * mero_depth1(a), a
 
 
 def test_qzeta_plus_builds_no_psi_series():
@@ -159,30 +142,6 @@ def test_qzeta_plus_builds_no_psi_series():
     qzeta_plus((7, 7))
     assert psi.cache_info().misses == 0
     assert psi_factor.cache_info().misses == 0
-
-
-def _off_by_one_triangle(N):
-    # _psi_triangle with a E(a - 1, j - 1) read as (a + 1) E(a - 1, j - 1)
-    col = [1] + [0] * N
-    for j in range(N + 1):
-        yield col
-        col = [(a + 1) * (e - p) for a, e, p in zip(range(j + 1, N + 1), col[1:], col)]
-
-
-def test_an_off_by_one_in_the_triangle_is_caught(monkeypatch):
-    checks = {"qzeta-equals-zeta-spots", "renormalized-relations-qzeta"}
-    monkeypatch.setattr(realizations, "_psi_triangle", _off_by_one_triangle)
-    assert _triangle_mismatches(60) != []
-    assert {r["name"] for r in run_suite("birkhoff") if not r["ok"]} == checks
-    monkeypatch.undo()
-    assert _triangle_mismatches(60) == []
-    assert all(r["ok"] for r in run_suite("birkhoff"))
-
-
-def test_the_q_side_frontier_equals_the_classical_values():
-    # |k| = 201 and 401: the depth-one limits must not cost a series each
-    for k in [(100, 101), (200, 201)]:
-        assert qzeta_plus(k).value == zeta_plus(k).value, k
 
 
 def test_provenance_tags():
@@ -272,26 +231,6 @@ def _with_constant_at_ddy(char):
         return series_add(s, constant(1, P)) if w == "ddy" else s
 
     return wrapper
-
-
-def _with_a_lower_term_at_ddy(triangle):
-    # E(2, 0) = 1: psi(ddy) gets z^0 coefficient -B_1 != 0, its limit blows up
-    def wrapper(N):
-        for j, col in enumerate(triangle(N)):
-            yield col[:2] + [1] + col[3:] if j == 0 else col
-
-    return wrapper
-
-
-@pytest.mark.parametrize("k", [(2,), (1, 0, 1)])
-def test_a_nonvanishing_lower_term_is_raised(monkeypatch, k):
-    expected = qzeta_plus(k).value
-    faulty = _with_a_lower_term_at_ddy(realizations._psi_triangle)
-    monkeypatch.setattr(realizations, "_psi_triangle", faulty)
-    with pytest.raises(NonvanishingLowerTerm, match="'ddy'"):
-        qzeta_plus(k)
-    monkeypatch.undo()
-    assert qzeta_plus(k).value == expected
 
 
 def test_the_oracle_raises_a_nonvanishing_lower_term(monkeypatch):
@@ -433,11 +372,13 @@ def test_q_side_dp_equals_the_engine_to_weight_8():
 
 
 def test_deep_vectors_agree_at_both_lambdas():
-    # past the engine's reach (its cost grows about 5x per unit of depth);
-    # the two lambdas build on independent depth-one data, Bernoulli numbers
-    # and psi atoms, so each is the other's reference
+    # past the engine's reach (its cost grows about 5x per unit of depth):
+    # the lambda = 0 sum of zeta(-a) against the lambda = -1 placements of
+    # the psi rows, built from psi atoms with their shared-d terms, rescaled
     for k in [(1,) * 10, (1,) * 20, (3,) * 8]:
-        assert zeta_plus(k).value == qzeta_plus(k).value, k
+        w, N = indices_to_word(k), sum(k)
+        rows = _rescaled_limit(w, CharacterTable("psi", prec=N).chi_plus(w), N)
+        assert zeta_plus(k).value == rows, k
 
 
 @pytest.mark.parametrize("lam", [0, -1])
@@ -462,23 +403,22 @@ def test_values_run_the_placement_sum_on_integers(monkeypatch):
             assert read and all(type(v) is int for v in read), (route.__name__, k)
 
 
-def _lift_off_by_one(ks, f):
+def _lift_off_by_one(ks):
     # birkhoff._value with the sum read over D^(n-1) (D + 1) instead of D^n
-    fs = {a: f(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
+    fs = {a: mero_depth1(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
     D = lcm(*(v.denominator for v in fs.values()))
     nums = {a: v.numerator * (D // v.denominator) for a, v in fs.items()}
     return Fr(birkhoff._placements(ks, 0, nums.__getitem__), D ** (len(ks) - 1) * (D + 1))
 
 
 def test_a_wrong_denominator_in_the_lift_is_caught(monkeypatch):
-    # zeta_plus and qzeta_plus share the lift, so qzeta-equals-zeta-spots
-    # cannot see a fault in it: the closed forms and the primitive route do
     checks = {
         "closed-form-compatibility",
         "primitive-decomposition-agreement",
         "quarter-not-three-eighths",
         "renormalized-relations-zeta",
         "renormalized-relations-qzeta",
+        "qzeta-equals-zeta-spots",
     }
     monkeypatch.setattr(birkhoff, "_value", _lift_off_by_one)
     clear_caches()
@@ -489,6 +429,74 @@ def test_a_wrong_denominator_in_the_lift_is_caught(monkeypatch):
     clear_caches()
     assert all(r["ok"] for r in run_suite("birkhoff"))
     test_depth_two_matches_the_closed_form_below_40()
+
+
+def _bar_with(word, fault):
+    # birkhoff._bar with fault(P) added to psi's bar at one word
+    bar = birkhoff._bar
+
+    def wrapper(kind, w, P):
+        s = bar(kind, w, P)
+        return series_add(s, fault(P)) if (kind, w) == ("psi", word) else s
+
+    return wrapper
+
+
+def _lsum_with_one_at_dydy(lsum):
+    # psi(dydy) and qz_rational((1, 1)) gain 1 at the last coefficient
+    def wrapper(ks, atom):
+        s = lsum(ks, atom)
+        return series_add(s, constant(1, s.valid_through)) if ks == (1, 1) else s
+
+    return wrapper
+
+
+def _placements_doubled_at_depth_two(placements):
+    # the psi rows' lambda = -1 sum, which no value reads, doubled at depth two
+    def wrapper(ks, lam, f):
+        s = placements(ks, lam, f)
+        return series_scale(s, 2) if lam == -1 and len(ks) == 2 else s
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, failing",
+    [
+        # a pole in the counterterm of dyy, a left leg of the spot ydyy
+        (birkhoff, "_bar", _bar_with("dyy", lambda P: monomial(-1, 1, P)), set()),
+        # a constant in the bar of the spot yy itself
+        (
+            birkhoff,
+            "_bar",
+            _bar_with("yy", lambda P: constant(1, P) if P >= 0 else zero_series(P)),
+            set(),
+        ),
+        (
+            realizations,
+            "_lsum",
+            _lsum_with_one_at_dydy(realizations._lsum),
+            {"convolution-reconstruction", "psi-multiplicative-on-shuffle-minus1"},
+        ),
+        (
+            birkhoff,
+            "_placements",
+            _placements_doubled_at_depth_two(birkhoff._placements),
+            {"convolution-reconstruction", "renormalized-relations-qzeta"},
+        ),
+    ],
+    ids=["bar-counterterm", "bar-top", "lsum", "placements"],
+)
+def test_a_q_side_fault_fails_the_spot_check(monkeypatch, module, name, fault, failing):
+    # the values never reach the recursion, psi or the rows: the spot check
+    # reads the rescaled psi rows and, to weight 9, the recursion on psi
+    monkeypatch.setattr(module, name, fault)
+    clear_caches()
+    failed = {r["name"] for r in run_suite("birkhoff") if not r["ok"]}
+    assert failed == failing | {"qzeta-equals-zeta-spots"}
+    monkeypatch.undo()
+    clear_caches()
+    assert all(r["ok"] for r in run_suite("birkhoff"))
 
 
 @pytest.mark.parametrize("kind", ["phi", "psi"])

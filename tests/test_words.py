@@ -42,6 +42,21 @@ def test_admissibility_weight_depth():
     assert weight("") == 0 and depth("") == 0
 
 
+def test_a_letter_other_than_d_or_y_is_not_admissible():
+    # each of these once read only the last letter and returned dy's value
+    assert not any(is_admissible(w) for w in ("xy", "zy", "dxy", "Dy", "d y"))
+    calls = [
+        (word_to_indices, "xy"),
+        (realizations.phi, "xy", 2),
+        (realizations.psi, "xy", 2),
+        (hopfmzv.CharacterTable("phi").chi_plus, "zy"),
+        (coproduct.coproduct_recursive, "xy", 0),
+    ]
+    for fn, *args in calls:
+        with pytest.raises(NotAdmissible):
+            fn(*args)
+
+
 def test_index_vector_round_trip():
     assert indices_to_word((2, 1)) == "ddydy"
     assert indices_to_word((0,)) == "y"
