@@ -15,7 +15,8 @@ placement sums of depth-one data, polynomial in the depth:
   * zeta_plus(k) is the constant term of phi_plus at the word of
     (-k_1, ..., -k_n), and qzeta_plus(k) is (-1)^{|k|} [z^{|k|}] psi_plus,
     |k| = k_1 + ... + k_n (the (1-q)^{-|k|} rescaling before q -> 1).  Both
-    are the lambda = 0 sum of zeta(-a) = mero_depth1(a) (see qzeta_plus).
+    are the lambda = 0 sum of zeta(-a) = mero_depth1(a) (see qzeta_plus),
+    which _value runs on ints, reduced by a gcd after each block.
 
 The paper's Bogoliubov recursion is the oracle of both; it is exponential in
 depth.  _zeta_plus_birkhoff and _qzeta_plus_birkhoff run it, and so do the
@@ -38,7 +39,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from .coproduct import reduced_coproduct
@@ -190,13 +191,22 @@ def _placements(ks: tuple[int, ...], lam: int, f):
 
 
 def _value(ks: tuple[int, ...]) -> Fraction:
-    """_placements at lambda = 0 on ints: each zeta(-a) it reads, a reduced
-    Fraction read once, becomes its numerator over D, the lcm of their
-    denominators; a product has one factor per leg, so the sum is over D^n."""
+    """_placements at lambda = 0 (no a2-sum) on ints: each zeta(-a), read once,
+    is its numerator over D, the lcm of the denominators.  After each block the
+    states are over den * D, and den and they are divided by their gcd."""
     fs = {a: mero_depth1(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
     D = lcm(*(v.denominator for v in fs.values()))
     nums = {a: v.numerator * (D // v.denominator) for a, v in fs.items()}
-    return Fraction(_placements(ks, 0, nums.__getitem__), D ** len(ks))
+    states, den = {0: 1}, 1
+    for j, k in enumerate(ks):
+        nxt: dict = {}
+        for u, acc in states.items():
+            u += k
+            for a1 in range(u + 1) if j < len(ks) - 1 else (u,):
+                nxt[u - a1] = nxt.get(u - a1, 0) + acc * (comb(u, a1) * nums[a1])
+        g = gcd(den * D, *nxt.values())
+        states, den = {u: c // g for u, c in nxt.items()}, den * D // g
+    return Fraction(states[0], den)
 
 
 def zeta_plus(k: tuple[int, ...]) -> RenormValue:

@@ -32,10 +32,10 @@ d positions below the threshold, and the augmented right leg is the
 subword of complement(S) | J.  The two constructions are asserted equal in
 the verify suite.
 
-Coefficients lie in Z[lambda]: words.scalar normalizes lambda once, so a
-coefficient is an int unless a non-integral lambda enters it.  The
-combinatorial oracle normalizes lambda itself, counts the (S, J) per term
-and |J| in ints and applies lambda^|J| once to each count.
+Coefficients lie in Z[lambda]; both routes count in ints.  reduced_coproduct
+counts with p for lambda = p/q and divides a term with j > 0 doubled d's once
+by q^j, and every other term stays an int; the oracle counts the (S, J) per
+term and |J| and applies lambda^|J| once per count.
 
 star(f, g, w, lambda) is the convolution sum f(w_1) * g(w_2) of two
 series-valued maps over the full coproduct.
@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .errors import NotAdmissible
 from .series import LaurentSeries, series_mul, series_sum
-from .words import TensorSum, is_admissible, scalar, word_to_indices
+from .words import TensorSum, is_admissible, word_to_indices
 
 __all__ = [
     "coproduct_combinatorial",
@@ -64,7 +64,7 @@ def reduced_coproduct(w: str, lam) -> TensorSum:
         raise NotAdmissible(
             f"reduced coproduct needs a nonempty admissible word, got {w!r}"
         )
-    lam = scalar(lam)
+    p, q = Fraction(lam).as_integer_ratio()  # the loop counts with p for lambda
     pairs: dict = {("", ""): 1}
     for ch in reversed(w):  # legs grow leftwards; an empty leg takes no d
         nxt: dict = {}
@@ -78,13 +78,19 @@ def reduced_coproduct(w: str, lam) -> TensorSum:
                 grown = (("d" + l, r),)
             else:
                 grown = (("d" + l, r), (l, "d" + r))
-                if lam:
+                if p:
                     key = ("d" + l, "d" + r)
-                    nxt[key] = get(key, 0) + c * lam
+                    nxt[key] = get(key, 0) + c * p
             for key in grown:
                 nxt[key] = get(key, 0) + c
         pairs = nxt
-    return {(l, r): c for (l, r), c in pairs.items() if c and l and r}
+    kept = {(l, r): c for (l, r), c in pairs.items() if c and l and r}
+    if q == 1:
+        return kept
+    for (l, r), c in kept.items():
+        if len(l + r) > len(w):  # j doubled d's make len(l + r) = len(w) + j
+            kept[l, r] = Fraction(c, q ** (len(l + r) - len(w)))
+    return kept
 
 
 def coproduct_recursive(w: str, lam) -> TensorSum:

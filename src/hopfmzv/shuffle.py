@@ -76,7 +76,8 @@ def _shuffle(u: str, v: str, rule, param) -> tuple:
     return tuple((w, acc[w]) for w in sorted(acc, key=word_key) if acc[w] != 0)
 
 
-def _lam_rule(u: str, v: str, inv) -> tuple:
+def _lam_rule(u: str, v: str, lam) -> tuple:
+    inv = scalar(Fraction(1, lam))  # formed on a memo miss only
     return (("d", u[1:], v[1:], inv), ("", u, v[1:], -inv), ("", u[1:], v, -inv))
 
 
@@ -100,17 +101,17 @@ def _interleave(u: str, v: str, param: None) -> tuple:
 
 def _check_letters(u: str, v: str, alphabet: str, name: str) -> None:
     # the recursion reads any non-y letter as the rule's other letter
-    if any(ch not in alphabet for ch in u + v):
+    if (u + v).strip(alphabet):
         raise ValueError(f"{u!r} x {v!r}: {name} takes words over {alphabet!r}")
 
 
 def shuffle_lambda(u: str, v: str, lam) -> WordSum:
     """Deformed shuffle of two words; LambdaZero routes lambda = 0 away."""
     _check_letters(u, v, "dy", "shuffle_lambda")
-    lam = Fraction(lam)
+    lam = scalar(lam)
     if lam == 0:
         raise LambdaZero("the deformed shuffle divides by lambda; use shuffle_zero")
-    return dict(_shuffle(u, v, _lam_rule, scalar(1 / lam)))
+    return dict(_shuffle(u, v, _lam_rule, lam))
 
 
 def shuffle_zero(u: str, v: str) -> WordSum:

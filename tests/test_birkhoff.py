@@ -4,7 +4,8 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import product
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,37 +390,119 @@ def test_a_depth_one_placement_reads_f_once_at_k(lam):
         assert (value, calls) == (k + 1, [k]), k
 
 
-def test_values_run_the_placement_sum_on_integers(monkeypatch):
-    read, placements = [], birkhoff._placements
-
-    def spy(ks, lam, f):
-        return placements(ks, lam, lambda a: read.append(f(a)) or read[-1])
-
-    monkeypatch.setattr(birkhoff, "_placements", spy)
+def test_values_make_no_placements_call(monkeypatch):
+    # the values run their own lambda = 0 loop; _placements serves the rows
+    calls = []
+    placements = birkhoff._placements
+    monkeypatch.setattr(
+        birkhoff, "_placements", lambda *args: calls.append(args) or placements(*args)
+    )
     for route in (zeta_plus, qzeta_plus):
         for k in [(0,), (7,), (1, 2), (3, 0, 4), (1,) * 8, (12, 13)]:
-            read.clear()
             route(k)
-            assert read and all(type(v) is int for v in read), (route.__name__, k)
+    assert calls == []
+
+
+def _lift(ks):
+    # birkhoff._value's numerators over D, the lcm of the zeta(-a) it reads
+    fs = {a: mero_depth1(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
+    D = lcm(*(v.denominator for v in fs.values()))
+    return {a: v.numerator * (D // v.denominator) for a, v in fs.items()}, D
 
 
 def _lift_off_by_one(ks):
-    # birkhoff._value with the sum read over D^(n-1) (D + 1) instead of D^n
-    fs = {a: mero_depth1(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
-    D = lcm(*(v.denominator for v in fs.values()))
-    nums = {a: v.numerator * (D // v.denominator) for a, v in fs.items()}
+    # the unreduced sum read over D^(n-1) (D + 1) instead of D^n
+    nums, D = _lift(ks)
     return Fr(birkhoff._placements(ks, 0, nums.__getitem__), D ** (len(ks) - 1) * (D + 1))
 
 
+# every k in {0..4}^n with n <= 4
+_SMALL = [k for n in range(1, 5) for k in product(range(5), repeat=n)]
+
+
+def _unreduced_mismatches(value):
+    # the vectors where value differs from the unreduced sum on ints
+    bad = []
+    for k in _SMALL + [(1,) * 40]:
+        nums, D = _lift(k)
+        if value(k) != Fr(birkhoff._placements(k, 0, nums.__getitem__), D ** len(k)):
+            bad.append(k)
+    return bad
+
+
+def test_the_reduced_loop_equals_the_unreduced_sum():
+    assert _unreduced_mismatches(birkhoff._value) == []
+
+
+def _reduced_with(fault):
+    # birkhoff._value with one planted fault in its reduction
+    def value(ks):
+        nums, D = _lift(ks)
+        states, den = {0: 1}, 1
+        for j, k in enumerate(ks):
+            nxt: dict = {}
+            for u, acc in states.items():
+                u += k
+                for a1 in range(u + 1) if j < len(ks) - 1 else (u,):
+                    nxt[u - a1] = nxt.get(u - a1, 0) + acc * comb(u, a1) * nums[a1]
+            lifted = den if fault == "first-block-skips-D" and j == 0 else den * D
+            g = gcd(lifted, *nxt.values())
+            states = {u: c // g for u, c in nxt.items()}
+            den = lifted if fault == "den-not-divided" else lifted // g
+        return Fr(states[0], den)
+
+    return value
+
+
+_VALUE_CHECKS = {
+    "closed-form-compatibility",
+    "primitive-decomposition-agreement",
+    "qzeta-equals-zeta-spots",
+    "renormalized-relations-qzeta",
+    "renormalized-relations-zeta",
+}
+
+
+@pytest.mark.parametrize(
+    "fault, checks",
+    [
+        ("den-not-divided", _VALUE_CHECKS),
+        ("first-block-skips-D", _VALUE_CHECKS | {"quarter-not-three-eighths"}),
+    ],
+    ids=["den-not-divided", "first-block-skips-D"],
+)
+def test_a_fault_in_the_reduction_is_caught(monkeypatch, fault, checks):
+    value = _reduced_with(fault)
+    assert _unreduced_mismatches(value)
+    monkeypatch.setattr(birkhoff, "_value", value)
+    clear_caches()
+    assert {r["name"] for r in run_suite("birkhoff") if not r["ok"]} == checks
+    monkeypatch.undo()
+    clear_caches()
+
+
+def _split_atom_chain(ks):
+    # D^{k_1}[F D^{k_2}[F ... D^{k_n}[F]]] at 0, with F^(a)(0) = zeta(-a): at
+    # lambda = 0 each d of block i goes to one leg j >= i, the Leibniz rule.
+    # A level is its vector of derivatives at 0; D^k shifts it by k, and a
+    # product is h_m = sum_i C(m, i) f_i g_{m-i}.  No _placements, no _value.
+    f = [mero_depth1(a) for a in range(sum(ks) + 1)]
+    g = [Fr(1)] + [Fr(0)] * sum(ks)  # the constant 1 under the innermost F
+    for k in reversed(ks):
+        g = [
+            sum(comb(m, i) * f[i] * g[m - i] for i in range(m + 1) if f[i])
+            for m in range(k, len(g))
+        ]
+    return g[0]
+
+
+def test_values_equal_the_split_atom_chain():
+    for k in _SMALL + [(1,) * 60, (5,) * 12, (50,) * 3, (7, 0, 3, 9, 2)]:
+        assert zeta_plus(k).value == _split_atom_chain(k) == qzeta_plus(k).value, k
+
+
 def test_a_wrong_denominator_in_the_lift_is_caught(monkeypatch):
-    checks = {
-        "closed-form-compatibility",
-        "primitive-decomposition-agreement",
-        "quarter-not-three-eighths",
-        "renormalized-relations-zeta",
-        "renormalized-relations-qzeta",
-        "qzeta-equals-zeta-spots",
-    }
+    checks = _VALUE_CHECKS | {"quarter-not-three-eighths"}
     monkeypatch.setattr(birkhoff, "_value", _lift_off_by_one)
     clear_caches()
     assert {r["name"] for r in run_suite("birkhoff") if not r["ok"]} == checks
