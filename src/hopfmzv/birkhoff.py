@@ -6,12 +6,12 @@ character's lambda (0 for phi, the polylogarithm limit; -1 for psi, the
 modified q-sums), chi_plus = chi_minus * chi with chi_minus purely polar and
 chi_plus pole-free off e, where both are 1; chi_bar = chi_plus - chi_minus.
 
-Rows and values by placements.  The characters form an abelian group and
-Z = log chi lives on depth one (README: "Renormalized values by
-placements"), so chi_minus = exp(-pi Z) and chi_plus = exp((1 - pi) Z) are
-placement sums of depth-one data, polynomial in the depth:
-  * CharacterTable rows: the sums of -pi chi(d^a y) and (1 - pi) chi(d^a y)
-    at the kind's lambda.
+Rows and values from depth one.  The characters form an abelian group and
+Z = log chi lives on depth one (README: "Rows and values from depth one"), so
+chi_minus = exp(-pi Z) and chi_plus = exp((1 - pi) Z) are placement sums of
+depth-one data (the commutative Spitzer identity):
+  * CharacterTable rows: the character's own construction on its split atom,
+    phi's chain on -pi x or (1 - pi) x, psi's l-sum on -pi or (1 - pi) f(L z).
   * zeta_plus(k) is the constant term of phi_plus at the word of
     (-k_1, ..., -k_n), and qzeta_plus(k) is (-1)^{|k|} [z^{|k|}] psi_plus,
     |k| = k_1 + ... + k_n (the (1-q)^{-|k|} rescaling before q -> 1).  Both
@@ -38,15 +38,14 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from .coproduct import reduced_coproduct
 from .errors import DepthOne, NonvanishingLowerTerm
-from .realizations import mero_depth1, phi, psi
+from .realizations import _chain, _lsum, mero_depth1, phi, psi, psi_factor, x_series
 from .series import LaurentSeries, pole_part, regular_part, series_mul
-from .series import series_pad, series_scale, series_slice, series_sum
+from .series import series_diff, series_pad, series_scale, series_sum, zero_series
 from .words import depth, indices_to_word, memo, weight, word_to_indices
 
 __all__ = [
@@ -58,7 +57,8 @@ __all__ = [
 ]
 
 _KINDS = {
-    # kind -> (character, lambda of the compatible coproduct)
+    # kind -> (character, lambda of the compatible coproduct); _bar and
+    # CharacterTable.chi look it up on each call, so a rebound _KINDS is seen
     "phi": (phi, 0),
     "psi": (psi, -1),
 }
@@ -66,21 +66,37 @@ _KINDS = {
 _GRADINGS = {"phi": weight, "psi": depth}
 
 
-# Both memos look the character up in _KINDS on every miss rather than
-# binding it at import, so a caller that rebinds _KINDS is seen.
 @memo
 def _rows(kind: str, w: str, prec: int) -> tuple[LaurentSeries, ...]:
     """(chi_minus, chi_plus, chi_bar) of a nonempty admissible word through
-    exactly z^prec.  Each factor chi(d^a y) is read through prec + g(w), g the
-    kind's grading: the other factors of a placement have orders summing to
-    g(d^a y) - g(w) or more, so every product is valid through prec.
+    exactly z^prec: the character's loop (phi's chain, psi's l-sum), not the
+    character, on the split atom -pi a or (1 - pi) a, a the atom (x, f(L z))
+    through the character's V = prec + g(w) - 1, g the kind's grading.  Below
+    the leading pole z^{-g(w)} all three rows are zero.
+
+    Why.  chi_minus = exp(-pi Z) and chi_plus = exp((1 - pi) Z) are sums over
+    placements of prod_j part(chi(d^{a_j} y)): leg j is headed by the j-th y,
+    each d of block i joins a nonempty set S of the legs j >= i with weight
+    lam^{|S| - 1}, and a_j counts leg j's d's.
+      * lambda = 0: no d is shared, and pi commutes with D = d/dz (negative
+        exponents stay negative, z^0 goes to 0), so part(D^a x) = D^a part(x)
+        and the placement sum is the Leibniz expansion of the chain.
+      * lambda = -1: in psi's depth-one l-sum each d is taken (sign -1, level
+        + 1) or not.  For one d of block i, summing (-1)^{|S| - 1} over the S
+        and each leg's take-or-not leaves 1 - prod_{j >= i} t_j, t_j raising
+        leg j's level: no leg takes the d, or every leg j >= i at once, as in
+        psi's cumulative level L_j = 1 + l_1 + ... + l_j.
+    Neither argument reads the atoms, so both hold for any atom family.
     """
-    char, lam = _KINDS[kind]
-    P, ks = prec + _GRADINGS[kind](w), word_to_indices(w)
+    ks, g = word_to_indices(w), _GRADINGS[kind](w)
+    if prec < -g:  # below the leading pole
+        return (zero_series(prec),) * 3
+    V = prec + g - 1
 
     def split(part):
-        placed = _placements(ks, lam, lambda a: part(char("d" * a + "y", P)))
-        return series_slice(placed, prec)
+        if kind == "phi":
+            return _chain(ks, part(x_series(V)), series_mul, series_diff)
+        return _lsum(ks, lambda L: part(psi_factor(L, V)))
 
     minus, plus = split(lambda s: -pole_part(s)), split(regular_part)
     return minus, plus, plus - minus
@@ -122,8 +138,9 @@ class CharacterTable:
 
     Every row is valid through exactly z^prec; the empty word's rows are all
     chi("", prec).  The table holds no state of its own: the three split
-    rows of a word come from the placement sum together, memoized once per
-    (kind, word, prec) for every table of the kind.
+    rows of a word come together from the character's construction on its
+    split atom (_rows), memoized once per (kind, word, prec) for every table
+    of the kind.
     """
 
     def __init__(self, kind: str, *, prec: int = 1):
@@ -159,41 +176,11 @@ class RenormValue(NamedTuple):
     provenance: str
 
 
-def _placements(ks: tuple[int, ...], lam: int, f):
-    """sum over placements of prod_j f(a_j) for w = d^{k_1}y ... d^{k_n}y.
-
-    Leg j is headed by the j-th y; each d of block i joins a nonempty set S
-    of the legs j >= i, weight lam^{|S| - 1}; a_j counts leg j's d's.  After
-    block j, u of the d's seen are in no leg and s = seen - u in some.  Leg
-    j takes a1 of the u and a2 of the s, C(u, a1) C(s, a2) lam^{a2} ways;
-    the last leg takes all u.  The a2-sum is formed once per (s, a1), so a
-    state costs u + 1 products.  f's values need + and * (ints, Fraction, series).
-    """
-    # one block (one leg) reads only f(k); more may read any of f(0) .. f(|k|)
-    fs = {a: f(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
-
-    @cache
-    def leg(s, a1):  # sum over a2 of C(s, a2) lam^a2 f(a1 + a2)
-        shared = range(1, s + 1 if lam else 1)
-        return sum((fs[a1 + a2] * (comb(s, a2) * lam**a2) for a2 in shared), fs[a1])
-
-    states, seen = {0: 1}, 0
-    for j, k in enumerate(ks):
-        seen += k
-        nxt: dict = {}
-        for u, acc in states.items():
-            u += k
-            for a1 in range(u + 1) if j < len(ks) - 1 else (u,):
-                term = leg(seen - u, a1) * acc * comb(u, a1)
-                nxt[u - a1] = nxt[u - a1] + term if u - a1 in nxt else term
-        states = nxt
-    return states[0]
-
-
 def _value(ks: tuple[int, ...]) -> Fraction:
-    """_placements at lambda = 0 (no a2-sum) on ints: each zeta(-a), read once,
-    is its numerator over D, the lcm of the denominators.  After each block the
-    states are over den * D, and den and they are divided by their gcd."""
+    """The lambda = 0 placement sum (see _rows) of the zeta(-a) on ints: of the
+    u d's in no leg after block j, leg j takes a1, C(u, a1) ways (the last all).
+    Each zeta(-a), read once, is its numerator over D, the lcm of the
+    denominators; after each block, den * D and the states are divided by their gcd."""
     fs = {a: mero_depth1(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
     D = lcm(*(v.denominator for v in fs.values()))
     nums = {a: v.numerator * (D // v.denominator) for a, v in fs.items()}

@@ -22,10 +22,11 @@ so a character's window ends at its order plus V + 1.  phi(w) has order
 order -dpt(w), so psi(w, P) needs V = P + dpt(w) - 1.  Either is valid
 through exactly P; anything else is a PrecisionExceeded bug, not a retry.
 phi and psi are memoized per (word, P), so both checks run once per entry.
-phi recurses on suffixes, phi(d^k y w', P) = D^k[x * phi(w', P + k + 1)],
-with the same V at every level, and reuses the memoized suffix.  psi and
-qz_rational run one l-sum, _lsum, a dynamic program over the blocks with
-n * wt states instead of the prod(k_j + 1) leaves of the sum as written.
+phi and qchar_realization run one chain loop, _chain, innermost block
+first; phi's atom is x through V at every level.  psi and qz_rational run
+one l-sum, _lsum, a dynamic program over the blocks with n * wt states
+instead of the prod(k_j + 1) leaves of the sum as written.  The Birkhoff
+rows run phi's chain and psi's l-sum on the atoms' pole or regular parts.
 
 t-side (one-variable polylogarithm realization): a truncation through t^T
 is a LaurentSeries at ord 0, valid through t^T.  J divides the m-th
@@ -167,14 +168,20 @@ def phi(w: str, P: int) -> LaurentSeries:
         return zero_series(P)
     if w == "":
         return constant(1, P)
-    # w = d^k y w': phi(w) = D^k[x * phi(w')], the suffix through P + k + 1
-    k = w.index("y")
-    acc = x_series(P + wt - 1)
-    if k + 1 < wt:
-        acc = series_mul(acc, phi(w[k + 1 :], P + k + 1))
-    for _ in range(k):
-        acc = series_diff(acc)
-    return _exact("phi", w, P, acc)
+    x = x_series(P + wt - 1)
+    return _exact("phi", w, P, _chain(word_to_indices(w), x, series_mul, series_diff))
+
+
+def _chain(ks: tuple[int, ...], atom, mul, d):
+    """d^{k_1}[atom * d^{k_2}[atom * ... d^{k_n}[atom]]], innermost block
+    first, * being mul: phi's chain with D = d/dz, and the q-side's with D_q.
+    """
+    acc = None
+    for k in reversed(ks):
+        acc = atom if acc is None else mul(atom, acc)
+        for _ in range(k):
+            acc = d(acc)
+    return acc
 
 
 def _lsum(ks: tuple[int, ...], atom) -> LaurentSeries:
@@ -392,13 +399,7 @@ def qchar_realization(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     """D_q^{k_1}[ y * D_q^{k_2}[ ... ] ](t) at t = q, to q^Q."""
     k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
     _check_truncation(k, Q)
-    y = y_bivariate(Q, Q)
-    acc = None
-    for e in reversed(k):
-        acc = y if acc is None else mul_bivariate(y, acc)
-        for _ in range(e):
-            acc = op_Dq(acc)
-    return eval_t_eq_q(acc)
+    return eval_t_eq_q(_chain(k, y_bivariate(Q, Q), mul_bivariate, op_Dq))
 
 
 def qz_series(k: tuple[int, ...], Q: int) -> tuple[int, ...]:

@@ -130,9 +130,9 @@ def _raises(exc: type, fn, *args) -> bool:
     return False
 
 
-def _all_words(max_len: int, min_len: int = 1):
-    """Every word over {d, y} in the given length range (not nec. admissible)."""
-    for n in range(min_len, max_len + 1):
+def _all_words(max_len: int):
+    """Every nonempty word over {d, y} up to max_len (not nec. admissible)."""
+    for n in range(1, max_len + 1):
         for tup in product("dy", repeat=n):
             yield "".join(tup)
 
@@ -506,8 +506,8 @@ def _check_negative_control():
 
 
 def _check_qzeta_equals_zeta_spots():
-    # two q-side routes that read no zeta(-a): the psi rows (the lambda = -1
-    # placements of psi(d^a y)), rescaled, and to weight 9 the recursion on psi
+    # two q-side routes that read no zeta(-a): the psi rows (psi's l-sum on
+    # the split atoms f(L z)), rescaled, and to weight 9 the recursion on psi
     for k in [(1,), (2,), (0, 0), (1, 1), (2, 1), (0, 1, 0), (2, 2, 2), (7, 7)]:
         w, N, zz = indices_to_word(k), sum(k), zeta_plus(k).value
         rows = _rescaled_limit(w, CharacterTable("psi", prec=N).chi_plus(w), N)

@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb, factorial, gcd, lcm
 
@@ -23,15 +24,19 @@ from hopfmzv.birkhoff import (
 )
 from hopfmzv.coproduct import star
 from hopfmzv.errors import DepthOne, NonvanishingLowerTerm
-from hopfmzv.realizations import mero_depth1, mero_depth2, psi, psi_factor
+from hopfmzv.realizations import _chain, _lsum, mero_depth1, mero_depth2, psi, psi_factor
 from hopfmzv.series import (
+    LaurentSeries,
     constant,
     equal_on_window,
     monomial,
     pole_part,
     regular_part,
     series_add,
+    series_diff,
+    series_mul,
     series_scale,
+    series_slice,
     zero_series,
 )
 from hopfmzv.verify import run_suite
@@ -92,13 +97,17 @@ def test_plus_part_is_pole_free():
 
 
 def test_rows_are_valid_through_prec():
-    for kind in ("phi", "psi"):
-        for prec in (1, 3):
+    # every word to weight 8 at every prec from -12 to 8; below the leading
+    # pole z^{-g(w)}, g the kind's grading, every row is the zero series
+    for kind, grade in birkhoff._GRADINGS.items():
+        for prec in range(-12, 9):
             table = CharacterTable(kind, prec=prec)
-            for w in admissible_words(7):
+            for w in admissible_words(8):
                 for name in ("chi", "chi_bar", "chi_minus", "chi_plus"):
                     s = getattr(table, name)(w)
-                    assert s.valid_through >= prec, (kind, prec, w, name)
+                    assert s.valid_through == prec, (kind, prec, w, name)
+                    if prec < -grade(w):
+                        assert _shape(s) == _shape(zero_series(prec)), (kind, prec, w, name)
 
 
 def test_zeta_plus_literals():
@@ -374,33 +383,102 @@ def test_q_side_dp_equals_the_engine_to_weight_8():
 
 def test_deep_vectors_agree_at_both_lambdas():
     # past the engine's reach (its cost grows about 5x per unit of depth):
-    # the lambda = 0 sum of zeta(-a) against the lambda = -1 placements of
-    # the psi rows, built from psi atoms with their shared-d terms, rescaled
+    # the lambda = 0 sum of zeta(-a) against the psi rows, psi's l-sum on
+    # the split atoms (the lambda = -1 placements, shared d's included), rescaled
     for k in [(1,) * 10, (1,) * 20, (3,) * 8]:
         w, N = indices_to_word(k), sum(k)
         rows = _rescaled_limit(w, CharacterTable("psi", prec=N).chi_plus(w), N)
         assert zeta_plus(k).value == rows, k
 
 
-@pytest.mark.parametrize("lam", [0, -1])
-def test_a_depth_one_placement_reads_f_once_at_k(lam):
-    for k in (0, 1, 7, 40):
-        calls = []
-        value = birkhoff._placements((k,), lam, lambda a: calls.append(a) or Fr(a + 1))
-        assert (value, calls) == (k + 1, [k]), k
-
-
-def test_values_make_no_placements_call(monkeypatch):
-    # the values run their own lambda = 0 loop; _placements serves the rows
-    calls = []
-    placements = birkhoff._placements
-    monkeypatch.setattr(
-        birkhoff, "_placements", lambda *args: calls.append(args) or placements(*args)
-    )
+def test_a_depth_one_value_reads_zeta_once_at_k(monkeypatch):
     for route in (zeta_plus, qzeta_plus):
-        for k in [(0,), (7,), (1, 2), (3, 0, 4), (1,) * 8, (12, 13)]:
-            route(k)
-    assert calls == []
+        for k in (0, 1, 7, 40):
+            calls = []
+            monkeypatch.setattr(
+                birkhoff, "mero_depth1", lambda a: calls.append(a) or mero_depth1(a)
+            )
+            assert (route((k,)).value, calls) == (mero_depth1(k), [k]), (route, k)
+
+
+def _placements(ks, lam, f):
+    """The reference: sum over placements of prod_j f(a_j), w = d^{k_1}y...d^{k_n}y.
+
+    Leg j is headed by the j-th y; each d of block i joins a nonempty set S
+    of the legs j >= i, weight lam^{|S| - 1}; a_j counts leg j's d's.  After
+    block j, u of the d's seen are in no leg and s = seen - u in some.  Leg
+    j takes a1 of the u and a2 of the s, C(u, a1) C(s, a2) lam^{a2} ways;
+    the last leg takes all u.  f's values need + and * (ints, Fraction, series).
+    """
+    fs = {a: f(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
+
+    @cache
+    def leg(s, a1):  # sum over a2 of C(s, a2) lam^a2 f(a1 + a2)
+        shared = range(1, s + 1 if lam else 1)
+        return sum((fs[a1 + a2] * (comb(s, a2) * lam**a2) for a2 in shared), fs[a1])
+
+    states, seen = {0: 1}, 0
+    for j, k in enumerate(ks):
+        seen += k
+        nxt: dict = {}
+        for u, acc in states.items():
+            u += k
+            for a1 in range(u + 1) if j < len(ks) - 1 else (u,):
+                term = leg(seen - u, a1) * acc * comb(u, a1)
+                nxt[u - a1] = nxt[u - a1] + term if u - a1 in nxt else term
+        states = nxt
+    return states[0]
+
+
+def _placed_rows(kind, w, prec):
+    # the rows as placements of the split depth-one characters, each read
+    # through prec + g(w) and the sum sliced at prec
+    char, lam = birkhoff._KINDS[kind]
+    P, ks = prec + birkhoff._GRADINGS[kind](w), word_to_indices(w)
+
+    def split(part):
+        placed = _placements(ks, lam, lambda a: part(char("d" * a + "y", P)))
+        return series_slice(placed, prec)
+
+    minus, plus = split(lambda s: -pole_part(s)), split(regular_part)
+    return minus, plus, plus - minus
+
+
+def test_rows_are_the_placements_of_the_split_depth_one_characters():
+    for kind in ("phi", "psi"):
+        for prec in range(-2, 7):
+            for w in admissible_words(7):
+                rows = birkhoff._rows(kind, w, prec)
+                placed = _placed_rows(kind, w, prec)
+                assert [_shape(s) for s in rows] == [_shape(s) for s in placed], (kind, w, prec)
+
+
+def _random_series(rng, ord_, V):
+    coeffs = [Fr(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ord_, V + 1)]
+    return LaurentSeries(ord_, coeffs)
+
+
+def test_the_split_atom_identities_hold_for_random_atoms():
+    # _rows' two arguments read no atom: at lambda = 0 the placements of the
+    # D^a a equal the chain on a, and at lambda = -1 the placements of the
+    # depth-one l-sums equal the l-sum, for any atom a and any family a(L)
+    rng = random.Random(28)
+    for w in admissible_words(7):
+        ks = word_to_indices(w)
+        atom = _random_series(rng, rng.randint(-2, 1), 3)
+
+        def diffs(a):
+            s = atom
+            for _ in range(a):
+                s = series_diff(s)
+            return s
+
+        lam0 = _placements(ks, 0, diffs)
+        assert _shape(lam0) == _shape(_chain(ks, atom, series_mul, series_diff)), w
+        ord_ = rng.randint(-2, 1)
+        family = {L: _random_series(rng, ord_, 3) for L in range(1, sum(ks) + 2)}
+        lam1 = _placements(ks, -1, lambda a: _lsum((a,), family.__getitem__))
+        assert _shape(lam1) == _shape(_lsum(ks, family.__getitem__)), w
 
 
 def _lift(ks):
@@ -413,7 +491,7 @@ def _lift(ks):
 def _lift_off_by_one(ks):
     # the unreduced sum read over D^(n-1) (D + 1) instead of D^n
     nums, D = _lift(ks)
-    return Fr(birkhoff._placements(ks, 0, nums.__getitem__), D ** (len(ks) - 1) * (D + 1))
+    return Fr(_placements(ks, 0, nums.__getitem__), D ** (len(ks) - 1) * (D + 1))
 
 
 # every k in {0..4}^n with n <= 4
@@ -425,7 +503,7 @@ def _unreduced_mismatches(value):
     bad = []
     for k in _SMALL + [(1,) * 40]:
         nums, D = _lift(k)
-        if value(k) != Fr(birkhoff._placements(k, 0, nums.__getitem__), D ** len(k)):
+        if value(k) != Fr(_placements(k, 0, nums.__getitem__), D ** len(k)):
             bad.append(k)
     return bad
 
@@ -485,7 +563,7 @@ def _split_atom_chain(ks):
     # D^{k_1}[F D^{k_2}[F ... D^{k_n}[F]]] at 0, with F^(a)(0) = zeta(-a): at
     # lambda = 0 each d of block i goes to one leg j >= i, the Leibniz rule.
     # A level is its vector of derivatives at 0; D^k shifts it by k, and a
-    # product is h_m = sum_i C(m, i) f_i g_{m-i}.  No _placements, no _value.
+    # product is h_m = sum_i C(m, i) f_i g_{m-i}.  No placements, no _value.
     f = [mero_depth1(a) for a in range(sum(ks) + 1)]
     g = [Fr(1)] + [Fr(0)] * sum(ks)  # the constant 1 under the innermost F
     for k in reversed(ks):
@@ -534,11 +612,12 @@ def _lsum_with_one_at_dydy(lsum):
     return wrapper
 
 
-def _placements_doubled_at_depth_two(placements):
-    # the psi rows' lambda = -1 sum, which no value reads, doubled at depth two
-    def wrapper(ks, lam, f):
-        s = placements(ks, lam, f)
-        return series_scale(s, 2) if lam == -1 and len(ks) == 2 else s
+def _doubled_at_depth_two(build):
+    # a row builder, birkhoff's _chain (phi) or _lsum (psi), which no value
+    # and no character reads, doubled at depth two
+    def wrapper(ks, *args):
+        s = build(ks, *args)
+        return series_scale(s, 2) if len(ks) == 2 else s
 
     return wrapper
 
@@ -563,12 +642,12 @@ def _placements_doubled_at_depth_two(placements):
         ),
         (
             birkhoff,
-            "_placements",
-            _placements_doubled_at_depth_two(birkhoff._placements),
+            "_lsum",
+            _doubled_at_depth_two(birkhoff._lsum),
             {"convolution-reconstruction", "renormalized-relations-qzeta"},
         ),
     ],
-    ids=["bar-counterterm", "bar-top", "lsum", "placements"],
+    ids=["bar-counterterm", "bar-top", "lsum", "psi-row"],
 )
 def test_a_q_side_fault_fails_the_spot_check(monkeypatch, module, name, fault, failing):
     # the values never reach the recursion, psi or the rows: the spot check
@@ -582,12 +661,26 @@ def test_a_q_side_fault_fails_the_spot_check(monkeypatch, module, name, fault, f
     assert all(r["ok"] for r in run_suite("birkhoff"))
 
 
+def test_a_phi_row_fault_fails_the_reconstruction(monkeypatch):
+    # no value reads the phi rows: the convolution check and the recursion do
+    monkeypatch.setattr(birkhoff, "_chain", _doubled_at_depth_two(birkhoff._chain))
+    clear_caches()
+    failed = {r["name"] for r in run_suite("birkhoff") if not r["ok"]}
+    assert failed == {"convolution-reconstruction"}
+    with pytest.raises(AssertionError):
+        test_rows_factor_through_depth_one("phi")
+    monkeypatch.undo()
+    clear_caches()
+    assert all(r["ok"] for r in run_suite("birkhoff"))
+
+
 @pytest.mark.parametrize("kind", ["phi", "psi"])
 def test_rows_factor_through_depth_one(kind):
-    # CharacterTable's rows are placement sums of depth-one data: the
-    # character group is abelian, so chi_minus = exp(-pi Z) and chi_plus =
-    # exp((1 - pi) Z) with Z = log chi supported on depth one.  The
-    # Bogoliubov recursion builds the same rows from the whole coproduct.
+    # CharacterTable's rows are placement sums of depth-one data, built as
+    # each character's loop on its split atom: the character group is
+    # abelian, so chi_minus = exp(-pi Z) and chi_plus = exp((1 - pi) Z) with
+    # Z = log chi supported on depth one.  The Bogoliubov recursion builds
+    # the same rows from the whole coproduct.
     # The legs that share a d (lambda = -1) add nothing to a value, but they
     # do reach these rows.
     prec = 2

@@ -157,6 +157,12 @@ def test_phi_equals_the_full_derivative_chain():
             assert (got.ord, got.nums, got.den) == (want.ord, want.nums, want.den), (w, P)
 
 
+def test_a_deep_word_needs_no_recursion():
+    # one loop pass per block, so y^600 is as safe as y: x^600 at its pole
+    s = phi("y" * 600, -600)
+    assert (s.ord, s.nums, s.den) == (-600, (1,), 1)
+
+
 def test_psi_equals_the_constant_oracle_past_the_verify_range():
     # verify checks n + |k| <= 5; here every word to weight 7 at every depth,
     # 1083 coefficients, since the oracle counts in integers

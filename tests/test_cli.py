@@ -382,6 +382,19 @@ def test_birkhoff_rows_reach_the_requested_window():
     assert plus[0].endswith("+ O(z^4)")
 
 
+def test_birkhoff_rows_below_the_leading_pole():
+    # z^-6 is below both poles of yy, z^-2 (phi) and z^-2 (psi): zero rows
+    for kind in ("phi", "psi"):
+        r = run_cli("birkhoff", "yy", "--kind", kind, "--prec", "-6")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == [
+            "chi       = 0 + O(z^-5)",
+            "chi_bar   = 0 + O(z^-5)",
+            "chi_minus = 0 + O(z^-5)",
+            "chi_plus  = 0 + O(z^-5)",
+        ]
+
+
 def _series(ord_, coeffs):
     return {"ord": ord_, "valid_through": ord_ + len(coeffs) - 1, "coeffs": coeffs}
 
