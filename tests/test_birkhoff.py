@@ -430,6 +430,15 @@ def _placements(ks, lam, f):
     return states[0]
 
 
+@pytest.mark.parametrize("lam", [0, -1])
+def test_a_depth_one_placement_reads_f_once_at_k(lam):
+    # the reference's depth-one sum is f(k) alone, read once, at either lambda
+    for k in (0, 1, 7, 40):
+        calls = []
+        value = _placements((k,), lam, lambda a: calls.append(a) or Fr(a + 1))
+        assert (value, calls) == (k + 1, [k]), k
+
+
 def _placed_rows(kind, w, prec):
     # the rows as placements of the split depth-one characters, each read
     # through prec + g(w) and the sum sliced at prec
