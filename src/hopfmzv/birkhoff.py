@@ -16,7 +16,8 @@ depth-one data (the commutative Spitzer identity):
     (-k_1, ..., -k_n), and qzeta_plus(k) is (-1)^{|k|} [z^{|k|}] psi_plus,
     |k| = k_1 + ... + k_n (the (1-q)^{-|k|} rescaling before q -> 1).  Both
     are the lambda = 0 sum of zeta(-a) = mero_depth1(a) (see qzeta_plus),
-    which _value runs on ints, reduced by a gcd after each block.
+    which _value runs on ints over zeta(0) and the odd a only (zeta(-a) = 0
+    at even a >= 2), reduced by a gcd after a block while two blocks remain.
 
 The paper's Bogoliubov recursion is the oracle of both; it is exponential in
 depth.  _zeta_plus_birkhoff and _qzeta_plus_birkhoff run it, and so do the
@@ -179,28 +180,31 @@ class RenormValue(NamedTuple):
 def _value(ks: tuple[int, ...]) -> Fraction:
     """The lambda = 0 placement sum (see _rows) of the zeta(-a) on ints: of the
     u d's in no leg after block j, leg j takes a1, C(u, a1) ways (the last all).
-    Each zeta(-a), read once, is its numerator over D, the lcm of the
-    denominators; after each block, den * D and the states are divided by their gcd."""
-    fs = {a: mero_depth1(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
+    zeta(0) and the odd zeta(-a), read once (0 at even a >= 2), are numerators over
+    their lcm D; den * D and the states drop their gcd while two blocks remain."""
+    if len(ks) == 1:
+        return mero_depth1(ks[0])
+    fs = {a: mero_depth1(a) for a in reversed((0, *range(1, sum(ks) + 1, 2)))}  # B grows once
     D = lcm(*(v.denominator for v in fs.values()))
     nums = {a: v.numerator * (D // v.denominator) for a, v in fs.items()}
-    states, den = {0: 1}, 1
-    for j, k in enumerate(ks):
+    legs, states, den = sorted(nums), {0: 1}, 1
+    for j, k in enumerate(ks[:-1]):
         nxt: dict = {}
         for u, acc in states.items():
             u += k
-            for a1 in range(u + 1) if j < len(ks) - 1 else (u,):
+            for a1 in legs[: (u + 3) // 2]:  # 0 and the odd a1 <= u
                 nxt[u - a1] = nxt.get(u - a1, 0) + acc * (comb(u, a1) * nums[a1])
-        g = gcd(den * D, *nxt.values())
-        states, den = {u: c // g for u, c in nxt.items()}, den * D // g
-    return Fraction(states[0], den)
+        g = gcd(den * D, *nxt.values()) if j < len(ks) - 2 else 1
+        states, den = {u: c // g for u, c in nxt.items()} if g > 1 else nxt, den * D // g
+    n = ks[-1]
+    return Fraction(sum(c * nums[u + n] for u, c in states.items() if u + n in nums), den * D)
 
 
 def zeta_plus(k: tuple[int, ...]) -> RenormValue:
     """Renormalized multiple zeta value at (-k_1, ..., -k_n).
 
-    The lambda = 0 placement sum of the depth-one values zeta(-a).
-    """
+    The lambda = 0 placement sum of zeta(-a) at a = 0 and the odd a <= |k|:
+    the trivial zeros zeta(-a), a >= 2 even, are skipped (see _value)."""
     ks = word_to_indices(indices_to_word(k))
     return RenormValue(ks, _value(ks), "phi-placement-dp")
 
@@ -214,8 +218,8 @@ def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     psi(d^a y).  psi's l-sum gives [z^j] psi(d^a y) = -B_{j+1}/(j+1)! sum_l
     (-1)^l C(a, l) (l + 1)^j, and sum_l (-1)^l C(a, l) p(l), an a-th finite
     difference, is 0 when deg p < a and (-1)^a a! lead(p) when deg p = a.
-    So each leading coefficient is -B_{a+1}/(a+1) = zeta(-a), as in zeta_plus.
-    """
+    So each leading coefficient is -B_{a+1}/(a+1) = zeta(-a), as in zeta_plus:
+    the same zeta(0) and odd zeta(-a) are read, the even trivial zeros skipped."""
     ks = word_to_indices(indices_to_word(k))
     return RenormValue(ks, _value(ks), "psi-placement-dp")
 

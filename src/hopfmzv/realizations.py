@@ -467,7 +467,8 @@ def mero_depth1(k: int) -> Fraction:
         k = -1  # no float, str or Fraction
     if k < 0:
         raise ValueError("depth-1 oracle takes an integer k >= 0")
-    return bernoulli(k + 1) / -(k + 1)
+    B = bernoulli(k + 1)
+    return Fraction(-B.numerator, B.denominator * (k + 1))
 
 
 def mero_depth2(a: int, b: int) -> Fraction:

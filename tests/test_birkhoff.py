@@ -401,6 +401,19 @@ def test_a_depth_one_value_reads_zeta_once_at_k(monkeypatch):
             assert (route((k,)).value, calls) == (mero_depth1(k), [k]), (route, k)
 
 
+def test_zeta_vanishes_at_every_even_a_the_values_skip():
+    assert all(mero_depth1(a) == 0 for a in range(2, 601, 2))
+
+
+@pytest.mark.parametrize("k", [(1,) * 9, (0, 2, 0, 2), (3, 4, 5)])
+def test_a_deep_value_reads_zeta_once_at_zero_and_each_odd_a(monkeypatch, k):
+    want = [0, *range(1, sum(k) + 1, 2)]
+    for route in (zeta_plus, qzeta_plus):
+        calls = []
+        monkeypatch.setattr(birkhoff, "mero_depth1", lambda a: calls.append(a) or mero_depth1(a))
+        assert (route(k).value, sorted(calls)) == (_split_atom_chain(k), want), route
+
+
 def _placements(ks, lam, f):
     """The reference: sum over placements of prod_j f(a_j), w = d^{k_1}y...d^{k_n}y.
 
@@ -522,21 +535,26 @@ def test_the_reduced_loop_equals_the_unreduced_sum():
 
 
 def _reduced_with(fault):
-    # birkhoff._value with one planted fault in its reduction
+    # birkhoff._value with one planted fault in its loop
     def value(ks):
+        if len(ks) == 1:
+            return mero_depth1(ks[0])
         nums, D = _lift(ks)
+        legs = [a for a in nums if a == 0 or a % 2 and (a, fault) != (1, "skips-a1-1")]
         states, den = {0: 1}, 1
-        for j, k in enumerate(ks):
+        for j, k in enumerate(ks[:-1]):
             nxt: dict = {}
             for u, acc in states.items():
                 u += k
-                for a1 in range(u + 1) if j < len(ks) - 1 else (u,):
+                for a1 in (a for a in legs if a <= u):
                     nxt[u - a1] = nxt.get(u - a1, 0) + acc * comb(u, a1) * nums[a1]
             lifted = den if fault == "first-block-skips-D" and j == 0 else den * D
-            g = gcd(lifted, *nxt.values())
+            g = gcd(lifted, *nxt.values()) if j < len(ks) - 2 else 1
             states = {u: c // g for u, c in nxt.items()}
             den = lifted if fault == "den-not-divided" else lifted // g
-        return Fr(states[0], den)
+        n = ks[-1]
+        last = sum(c * nums[u + n] for u, c in states.items() if u + n == 0 or (u + n) % 2)
+        return Fr(last, den * D)
 
     return value
 
@@ -550,10 +568,22 @@ _VALUE_CHECKS = {
 }
 
 
+def _failed_checks_with(monkeypatch, value):
+    # the birkhoff checks that fail with value in place of birkhoff._value
+    monkeypatch.setattr(birkhoff, "_value", value)
+    clear_caches()
+    failed = {r["name"] for r in run_suite("birkhoff") if not r["ok"]}
+    monkeypatch.undo()
+    clear_caches()
+    return failed
+
+
 @pytest.mark.parametrize(
     "fault, checks",
     [
-        ("den-not-divided", _VALUE_CHECKS),
+        # no gcd runs at depth two (one block remains after the first), so
+        # the depth-two closed forms cannot see a reduction fault
+        ("den-not-divided", _VALUE_CHECKS - {"closed-form-compatibility"}),
         ("first-block-skips-D", _VALUE_CHECKS | {"quarter-not-three-eighths"}),
     ],
     ids=["den-not-divided", "first-block-skips-D"],
@@ -561,11 +591,18 @@ _VALUE_CHECKS = {
 def test_a_fault_in_the_reduction_is_caught(monkeypatch, fault, checks):
     value = _reduced_with(fault)
     assert _unreduced_mismatches(value)
-    monkeypatch.setattr(birkhoff, "_value", value)
-    clear_caches()
-    assert {r["name"] for r in run_suite("birkhoff") if not r["ok"]} == checks
-    monkeypatch.undo()
-    clear_caches()
+    assert _failed_checks_with(monkeypatch, value) == checks
+
+
+def test_a_skipped_leg_is_caught(monkeypatch):
+    # a1 = 1 is the first odd leg past the trivial zeros the loop skips
+    value = _reduced_with("skips-a1-1")
+    assert _unreduced_mismatches(value)
+    assert _failed_checks_with(monkeypatch, value) == _VALUE_CHECKS
+
+
+def test_the_planted_loop_without_a_fault_is_the_loop():
+    assert _unreduced_mismatches(_reduced_with(None)) == []
 
 
 def _split_atom_chain(ks):
@@ -584,7 +621,9 @@ def _split_atom_chain(ks):
 
 
 def test_values_equal_the_split_atom_chain():
-    for k in _SMALL + [(1,) * 60, (5,) * 12, (50,) * 3, (7, 0, 3, 9, 2)]:
+    deep = [(1,) * 60, (5,) * 12, (50,) * 3, (7, 0, 3, 9, 2)]
+    even = [(2,) * 10, (0, 2) * 5, (4, 0, 6, 0, 8)]  # each partial sum an even a
+    for k in _SMALL + deep + even:
         assert zeta_plus(k).value == _split_atom_chain(k) == qzeta_plus(k).value, k
 
 
@@ -737,9 +776,9 @@ def test_no_row_or_value_reaches_the_recursion():
 
 
 @st.composite
-def _vectors(draw, max_weight=12):
-    """Index vectors of depth 2-4 whose word has weight <= max_weight."""
-    n = draw(st.integers(min_value=2, max_value=4))
+def _vectors(draw, max_weight=12, max_depth=4):
+    """Index vectors of depth 2-max_depth whose word has weight <= max_weight."""
+    n = draw(st.integers(min_value=2, max_value=max_depth))
     budget = max_weight - n
     k = []
     for _ in range(n):
@@ -755,3 +794,9 @@ def test_three_routes_agree(k):
     assert qzeta_plus(k).value == value
     assert zeta_plus_via_primitives(k).value == value
     assert _zeta_plus_birkhoff(k).value == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vectors(max_weight=40, max_depth=6))
+def test_values_equal_the_split_atom_chain_on_random_vectors(k):
+    assert zeta_plus(k).value == qzeta_plus(k).value == _split_atom_chain(k), k
