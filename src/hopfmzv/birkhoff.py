@@ -10,8 +10,9 @@ Rows and values from depth one.  The characters form an abelian group and
 Z = log chi lives on depth one (README: "Rows and values from depth one"), so
 chi_minus = exp(-pi Z) and chi_plus = exp((1 - pi) Z) are placement sums of
 depth-one data (the commutative Spitzer identity):
-  * CharacterTable rows: the character's own construction on its split atom,
-    phi's chain on -pi x or (1 - pi) x, psi's l-sum on -pi or (1 - pi) f(L z).
+  * CharacterTable rows: the character's own builder (_build) on its split
+    atom, phi's chain on -pi x or (1 - pi) x, psi's l-sum on -pi or
+    (1 - pi) f(L z).
   * zeta_plus(k) is the constant term of phi_plus at the word of
     (-k_1, ..., -k_n), and qzeta_plus(k) is (-1)^{|k|} [z^{|k|}] psi_plus,
     |k| = k_1 + ... + k_n (the (1-q)^{-|k|} rescaling before q -> 1).  Both
@@ -44,9 +45,9 @@ from typing import NamedTuple
 
 from .coproduct import reduced_coproduct
 from .errors import DepthOne, NonvanishingLowerTerm
-from .realizations import _chain, _lsum, mero_depth1, phi, psi, psi_factor, x_series
+from .realizations import _GRADINGS, _build, mero_depth1, phi, psi
 from .series import LaurentSeries, pole_part, regular_part, series_mul
-from .series import series_diff, series_pad, series_scale, series_sum, zero_series
+from .series import series_pad, series_scale, series_sum
 from .words import depth, indices_to_word, memo, weight, word_to_indices
 
 __all__ = [
@@ -63,43 +64,24 @@ _KINDS = {
     "phi": (phi, 0),
     "psi": (psi, -1),
 }
-# kind -> the grading additive across that coproduct: chi's pole order
-_GRADINGS = {"phi": weight, "psi": depth}
 
 
 @memo
 def _rows(kind: str, w: str, prec: int) -> tuple[LaurentSeries, ...]:
     """(chi_minus, chi_plus, chi_bar) of a nonempty admissible word through
-    exactly z^prec: the character's loop (phi's chain, psi's l-sum), not the
-    character, on the split atom -pi a or (1 - pi) a, a the atom (x, f(L z))
-    through the character's V = prec + g(w) - 1, g the kind's grading.  Below
-    the leading pole z^{-g(w)} all three rows are zero.
+    exactly z^prec: the kind's construction (_build) on its split atom, -pi a
+    or (1 - pi) a, a the atom (x, f(L z)).
 
-    Why.  chi_minus = exp(-pi Z) and chi_plus = exp((1 - pi) Z) are sums over
-    placements of prod_j part(chi(d^{a_j} y)): leg j is headed by the j-th y,
-    each d of block i joins a nonempty set S of the legs j >= i with weight
-    lam^{|S| - 1}, and a_j counts leg j's d's.
-      * lambda = 0: no d is shared, and pi commutes with D = d/dz (negative
-        exponents stay negative, z^0 goes to 0), so part(D^a x) = D^a part(x)
-        and the placement sum is the Leibniz expansion of the chain.
-      * lambda = -1: in psi's depth-one l-sum each d is taken (sign -1, level
-        + 1) or not.  For one d of block i, summing (-1)^{|S| - 1} over the S
-        and each leg's take-or-not leaves 1 - prod_{j >= i} t_j, t_j raising
-        leg j's level: no leg takes the d, or every leg j >= i at once, as in
-        psi's cumulative level L_j = 1 + l_1 + ... + l_j.
-    Neither argument reads the atoms, so both hold for any atom family.
+    Why.  chi_minus = exp(-pi Z) and chi_plus = exp((1 - pi) Z) are placement
+    sums of the split depth-one characters, and at either lambda that sum is
+    the character's own loop on the split atom: at lambda = 0 no d is shared
+    and pi commutes with D = d/dz (the Leibniz rule); at lambda = -1 a shared
+    d is taken by no leg or by every later leg at once, psi's cumulative
+    level.  Neither argument reads the atoms.  README: "Rows and values from
+    depth one".
     """
-    ks, g = word_to_indices(w), _GRADINGS[kind](w)
-    if prec < -g:  # below the leading pole
-        return (zero_series(prec),) * 3
-    V = prec + g - 1
-
-    def split(part):
-        if kind == "phi":
-            return _chain(ks, part(x_series(V)), series_mul, series_diff)
-        return _lsum(ks, lambda L: part(psi_factor(L, V)))
-
-    minus, plus = split(lambda s: -pole_part(s)), split(regular_part)
+    minus = _build(kind, w, prec, lambda s: -pole_part(s))
+    plus = _build(kind, w, prec, regular_part)
     return minus, plus, plus - minus
 
 

@@ -15,18 +15,20 @@ z-side characters (exact Laurent series in the regulator z):
   the same double sum reorganized through the finite alternating-binomial
   constants C, with psi(w) = sum_m prod_i B_{m_i}/m_i! * C * z^{sum(m) - n}.
 
-Both characters are planned exactly.  An atom window through V holds V + 2
-coefficients from z^{-1}, and series_diff and series_mul keep that length,
-so a character's window ends at its order plus V + 1.  phi(w) has order
--wt(w), so phi(w, P) builds its atoms through V = P + wt(w) - 1; psi(w) has
-order -dpt(w), so psi(w, P) needs V = P + dpt(w) - 1.  Either is valid
-through exactly P; anything else is a PrecisionExceeded bug, not a retry.
-phi and psi are memoized per (word, P), so both checks run once per entry.
-phi and qchar_realization run one chain loop, _chain, innermost block
-first; phi's atom is x through V at every level.  psi and qz_rational run
-one l-sum, _lsum, a dynamic program over the blocks with n * wt states
-instead of the prod(k_j + 1) leaves of the sum as written.  The Birkhoff
-rows run phi's chain and psi's l-sum on the atoms' pole or regular parts.
+Both characters, and the Birkhoff rows, come from one builder, _build.  An
+atom window through V holds V + 2 coefficients from z^{-1}, and series_diff
+and series_mul keep that length, so a character's window ends at its order
+plus V + 1.  A kind's order is -g(w), g its grading (_GRADINGS: weight for
+phi, depth for psi), so _build(kind, w, P) builds the atoms through
+V = P + g(w) - 1 and the result is valid through exactly P; anything else
+is a PrecisionExceeded bug, not a retry.  phi runs the chain loop, _chain,
+innermost block first, with the atom x through V at every level; psi runs
+the l-sum, _lsum, a dynamic program over the blocks with n * wt states
+instead of the prod(k_j + 1) leaves of the sum as written.  Given a part
+(the pole or regular part), _build runs the same loop on the split atoms:
+those are the Birkhoff rows.  phi and psi are memoized per (word, P), so the
+checks run once per entry.  qchar_realization reuses _chain on the q-side
+operators, and qz_rational reuses _lsum on the q-side atom.
 
 t-side (one-variable polylogarithm realization): a truncation through t^T
 is a LaurentSeries at ord 0, valid through t^T.  J divides the m-th
@@ -134,7 +136,8 @@ def psi_factor(level: int, valid_through: int) -> LaurentSeries:
         L = 0
     if L < 1:
         raise ValueError("level must be a positive integer")
-    bs = [bernoulli(m) for m in range(valid_through + 2)]  # z^-1 .. z^V
+    # B_0 .. B_{V+1} for z^-1 .. z^V, read largest first: the table grows once
+    bs = [bernoulli(m) for m in reversed(range(valid_through + 2))][::-1]
     D = lcm(*(B.denominator for B in bs))
     F = factorial(max(len(bs) - 1, 0))  # (V+1)!
     nums, f, p = [], F, 1
@@ -149,11 +152,29 @@ def x_series(valid_through: int) -> LaurentSeries:
     return series_scale(psi_factor(1, valid_through), -1)
 
 
-def _exact(name: str, w: str, P: int, s: LaurentSeries) -> LaurentSeries:
+# kind -> the grading additive across the kind's coproduct: chi's pole order
+_GRADINGS = {"phi": weight, "psi": depth}
+
+
+def _build(kind: str, w: str, P: int, part=None) -> LaurentSeries:
+    """The kind's character at w, valid through exactly z^P: phi's chain on x
+    or psi's l-sum on f(L z), the atoms through V = P + g(w) - 1; with a part
+    (the pole or regular part), the same loop on part(atom)."""
+    if not is_admissible(w):
+        raise NotAdmissible(f"{kind} needs an admissible word, got {w!r}")
+    g = _GRADINGS[kind](w)
+    if P < -g:  # below the leading pole z^{-g(w)}
+        return zero_series(P)
+    if w == "":
+        return constant(1, P)
+    ks, V, part = word_to_indices(w), P + g - 1, part or (lambda s: s)
+    if kind == "phi":
+        s = _chain(ks, part(x_series(V)), series_mul, series_diff)
+    else:
+        s = _lsum(ks, lambda L: part(psi_factor(L, V)))
     if s.valid_through != P:
         raise PrecisionExceeded(
-            f"{name}({w!r}) came out valid through z^{s.valid_through}, "
-            f"planned z^{P}"
+            f"{kind}({w!r}) came out valid through z^{s.valid_through}, planned z^{P}"
         )
     return s
 
@@ -161,15 +182,13 @@ def _exact(name: str, w: str, P: int, s: LaurentSeries) -> LaurentSeries:
 @memo
 def phi(w: str, P: int) -> LaurentSeries:
     """The polylogarithm-limit character, valid through exactly z^P."""
-    if not is_admissible(w):
-        raise NotAdmissible(f"phi needs an admissible word, got {w!r}")
-    wt = weight(w)
-    if P < -wt:  # below the leading pole z^{-wt(w)}
-        return zero_series(P)
-    if w == "":
-        return constant(1, P)
-    x = x_series(P + wt - 1)
-    return _exact("phi", w, P, _chain(word_to_indices(w), x, series_mul, series_diff))
+    return _build("phi", w, P)
+
+
+@memo
+def psi(w: str, P: int) -> LaurentSeries:
+    """The modified q-value character at q = exp(z), valid through exactly z^P."""
+    return _build("psi", w, P)
 
 
 def _chain(ks: tuple[int, ...], atom, mul, d):
@@ -202,20 +221,6 @@ def _lsum(ks: tuple[int, ...], atom) -> LaurentSeries:
             for s in range(S + 1)
         ]
     return F[0]
-
-
-@memo
-def psi(w: str, P: int) -> LaurentSeries:
-    """The modified q-value character at q = exp(z), valid through exactly z^P."""
-    if not is_admissible(w):
-        raise NotAdmissible(f"psi needs an admissible word, got {w!r}")
-    n = depth(w)
-    if P < -n:  # below the leading pole z^{-dpt(w)}
-        return zero_series(P)
-    if w == "":
-        return constant(1, P)
-    V = P + n - 1
-    return _exact("psi", w, P, _lsum(word_to_indices(w), lambda L: psi_factor(L, V)))
 
 
 def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:

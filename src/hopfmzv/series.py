@@ -266,7 +266,7 @@ def regular_part(a: LaurentSeries) -> LaurentSeries:
 
 
 def series_slice(a: LaurentSeries, valid_through: int) -> LaurentSeries:
-    """Shrink the window (never widens); used for deterministic printing."""
+    """Shrink the window to z^valid_through (never widens)."""
     if valid_through > a.valid_through:
         raise PrecisionExceeded(
             f"cannot widen window to z^{valid_through}; series valid "

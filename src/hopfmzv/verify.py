@@ -438,10 +438,9 @@ def _check_renorm_relations_qzeta():
     for u, v in _unordered_pairs_total_weight(6):
         N = weight(u) + weight(v) - depth(u) - depth(v)
         table = CharacterTable("psi", prec=N + 2)
-        lhs = Fr(0)
-        for w, c in project_T(shuffle_lambda(u, v, -1)).items():
-            lhs += c * table.chi_plus(w).coefficient(N)
-        lhs *= (-1) ** N
+        terms = project_T(shuffle_lambda(u, v, -1)).items()
+        plus = series_sum((c, table.chi_plus(w)) for w, c in terms)
+        lhs = _rescaled_limit(f"{u} * {v}", plus, N)
         rhs = qzeta_plus(word_to_indices(u)).value * qzeta_plus(word_to_indices(v)).value
         if lhs != rhs:
             return False, f"qzeta relation fails at u={u!r}, v={v!r} (N={N})"

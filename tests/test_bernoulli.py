@@ -10,9 +10,10 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from hopfmzv import clear_caches
 from hopfmzv.bernoulli import bernoulli
 from hopfmzv.birkhoff import zeta_plus
-from hopfmzv.realizations import mero_depth1, mero_depth2
+from hopfmzv.realizations import mero_depth1, mero_depth2, psi_factor
 
 # the package re-exports the function under the submodule's name
 bernoulli_module = importlib.import_module("hopfmzv.bernoulli")
@@ -105,6 +106,18 @@ def test_the_triangle_is_built_once_per_doubling(monkeypatch):
     values = [bernoulli(n) for n in range(401)]
     assert builds == [1, 3, 7, 15, 31, 63, 127, 255]  # B_3, B_7, ..., B_511
     assert values == _fraction_recurrence(400)
+
+
+def test_a_cold_wide_atom_builds_the_triangle_once(monkeypatch):
+    # psi_factor reads B_{V+1} .. B_0, largest first, so the table grows once
+    warm = psi_factor(1, 600)
+    builds, tangents = [], bernoulli_module._tangents
+    _fresh_table(monkeypatch)
+    monkeypatch.setattr(bernoulli_module, "_tangents", lambda M: builds.append(M) or tangents(M))
+    clear_caches()
+    cold = psi_factor(1, 600)
+    assert builds == [300]
+    assert (cold.ord, cold.nums, cold.den) == (warm.ord, warm.nums, warm.den)
 
 
 def test_concurrent_growth_builds_one_table(monkeypatch):

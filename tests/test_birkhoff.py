@@ -23,7 +23,7 @@ from hopfmzv.birkhoff import (
     zeta_plus_via_primitives,
 )
 from hopfmzv.coproduct import star
-from hopfmzv.errors import DepthOne, NonvanishingLowerTerm
+from hopfmzv.errors import DepthOne, NonvanishingLowerTerm, PrecisionExceeded
 from hopfmzv.realizations import _chain, _lsum, mero_depth1, mero_depth2, psi, psi_factor
 from hopfmzv.series import (
     LaurentSeries,
@@ -99,7 +99,7 @@ def test_plus_part_is_pole_free():
 def test_rows_are_valid_through_prec():
     # every word to weight 8 at every prec from -12 to 8; below the leading
     # pole z^{-g(w)}, g the kind's grading, every row is the zero series
-    for kind, grade in birkhoff._GRADINGS.items():
+    for kind, grade in realizations._GRADINGS.items():
         for prec in range(-12, 9):
             table = CharacterTable(kind, prec=prec)
             for w in admissible_words(8):
@@ -456,7 +456,7 @@ def _placed_rows(kind, w, prec):
     # the rows as placements of the split depth-one characters, each read
     # through prec + g(w) and the sum sliced at prec
     char, lam = birkhoff._KINDS[kind]
-    P, ks = prec + birkhoff._GRADINGS[kind](w), word_to_indices(w)
+    P, ks = prec + realizations._GRADINGS[kind](w), word_to_indices(w)
 
     def split(part):
         placed = _placements(ks, lam, lambda a: part(char("d" * a + "y", P)))
@@ -660,12 +660,14 @@ def _lsum_with_one_at_dydy(lsum):
     return wrapper
 
 
-def _doubled_at_depth_two(build):
-    # a row builder, birkhoff's _chain (phi) or _lsum (psi), which no value
-    # and no character reads, doubled at depth two
-    def wrapper(ks, *args):
-        s = build(ks, *args)
-        return series_scale(s, 2) if len(ks) == 2 else s
+def _rows_doubled_at_depth_two(kind):
+    # birkhoff's binding of _build, which only the rows call (with a part)
+    # and no value and no character reads, doubled at depth two for one kind
+    build = birkhoff._build
+
+    def wrapper(k, w, P, part):
+        s = build(k, w, P, part)
+        return series_scale(s, 2) if (k, depth(w)) == (kind, 2) else s
 
     return wrapper
 
@@ -686,12 +688,19 @@ def _doubled_at_depth_two(build):
             realizations,
             "_lsum",
             _lsum_with_one_at_dydy(realizations._lsum),
-            {"convolution-reconstruction", "psi-multiplicative-on-shuffle-minus1"},
+            # the psi rows run realizations' _lsum too: psi_minus(dydy)
+            # gains a constant, and the relations' rescaled limit a z^0 term
+            {
+                "convolution-reconstruction",
+                "minus-polar-plus-regular-and-bar",
+                "psi-multiplicative-on-shuffle-minus1",
+                "renormalized-relations-qzeta",
+            },
         ),
         (
             birkhoff,
-            "_lsum",
-            _doubled_at_depth_two(birkhoff._lsum),
+            "_build",
+            _rows_doubled_at_depth_two("psi"),
             {"convolution-reconstruction", "renormalized-relations-qzeta"},
         ),
     ],
@@ -711,7 +720,7 @@ def test_a_q_side_fault_fails_the_spot_check(monkeypatch, module, name, fault, f
 
 def test_a_phi_row_fault_fails_the_reconstruction(monkeypatch):
     # no value reads the phi rows: the convolution check and the recursion do
-    monkeypatch.setattr(birkhoff, "_chain", _doubled_at_depth_two(birkhoff._chain))
+    monkeypatch.setattr(birkhoff, "_build", _rows_doubled_at_depth_two("phi"))
     clear_caches()
     failed = {r["name"] for r in run_suite("birkhoff") if not r["ok"]}
     assert failed == {"convolution-reconstruction"}
@@ -720,6 +729,25 @@ def test_a_phi_row_fault_fails_the_reconstruction(monkeypatch):
     monkeypatch.undo()
     clear_caches()
     assert all(r["ok"] for r in run_suite("birkhoff"))
+
+
+@pytest.mark.parametrize(
+    "kind, atom, short",
+    [
+        ("phi", "x_series", lambda x: lambda V: x(V - 1)),
+        ("psi", "psi_factor", lambda f: lambda L, V: f(L, V - 1)),
+    ],
+)
+def test_a_short_atom_makes_a_row_raise(monkeypatch, kind, atom, short):
+    # the rows read the atoms through realizations' own bindings, and the
+    # builder checks the window they come out with
+    monkeypatch.setattr(realizations, atom, short(getattr(realizations, atom)))
+    clear_caches()
+    with pytest.raises(PrecisionExceeded):
+        CharacterTable(kind, prec=2).chi_plus("dydy")
+    monkeypatch.undo()
+    clear_caches()
+    assert CharacterTable(kind, prec=2).chi_plus("dydy").valid_through == 2
 
 
 @pytest.mark.parametrize("kind", ["phi", "psi"])
@@ -746,7 +774,7 @@ def test_rows_factor_through_depth_one(kind):
 def test_rows_past_the_engine_are_the_birkhoff_split(kind):
     # the decomposition is unique: chi_minus polar, chi_plus pole-free and
     # chi_minus * chi = chi_plus pin the rows without the recursion
-    prec, grade = 2, birkhoff._GRADINGS[kind]
+    prec, grade = 2, realizations._GRADINGS[kind]
     table = CharacterTable(kind, prec=prec)
     for k in [(2, 1, 3), (1,) * 6, (2, 2, 2, 2), (3, 3, 3), (6, 6), (1,) * 12]:
         w = indices_to_word(k)
