@@ -9,11 +9,21 @@ and extended multiplicatively (componentwise concatenation of tensor legs)
 over a word; terms in which either leg ends in d are then dropped — that
 projection modulo the trailing-d ideal is the ground truth and makes the
 admissible words a coalgebra basis.  reduced_coproduct implements exactly
-this and is authoritative; it reads the word from the right, so each leg's
-last letter is the first it receives, and drops a leg that would end in d as
-soon as it takes that d.  It leaves out the group-like terms e (x) w and
+this and is authoritative.  It leaves out the group-like terms e (x) w and
 w (x) e, so every leg is nonempty admissible with depth between 1 and
 dpt(w) - 1.  coproduct_recursive adds those two terms back.
+
+Each lambda-term doubles one d, so the coefficient of l (x) r is
+N(l, r) lambda^j, where N is the count at lambda = 1 and
+j = |l| + |r| - |w| is the number of doubled d's.  _counts runs the letter
+loop once per word, at lambda = 1, and is memoized: it reads the word from
+the right, so each leg's last letter is the first it receives, and drops a
+leg that would end in d as soon as it takes that d.  reduced_coproduct
+rescales those counts into a fresh dict for each call: N p^j at integral
+lambda = p, Fraction(N p^j, q^j) at lambda = p/q.  At lambda = 0 only the
+terms with j = 0 survive, and they are far fewer (6 824 of 58 909 for
+(dy)^8), so that case runs the loop without doubling, memoized on its own
+key, and reduced_coproduct copies its counts.
 
 coproduct_combinatorial is the verified second implementation: writing the
 word as w = d^{n_1 - 1} y ... d^{n_k - 1} y of weight n, with y at positions
@@ -32,10 +42,10 @@ d positions below the threshold, and the augmented right leg is the
 subword of complement(S) | J.  The two constructions are asserted equal in
 the verify suite.
 
-Coefficients lie in Z[lambda]; both routes count in ints.  reduced_coproduct
-counts with p for lambda = p/q and divides a term with j > 0 doubled d's once
-by q^j, and every other term stays an int; the oracle counts the (S, J) per
-term and |J| and applies lambda^|J| once per count.
+Coefficients lie in Z[lambda]; both routes count in ints, and a term with
+no doubled d stays an int at every lambda.  The oracle shares no code with
+the letter loop: it counts the (S, J) per term and |J| and builds one scalar
+c lambda^|J| per (term, |J|).
 
 star(f, g, w, lambda) is the convolution sum f(w_1) * g(w_2) of two
 series-valued maps over the full coproduct.
@@ -47,7 +57,7 @@ from fractions import Fraction
 
 from .errors import NotAdmissible
 from .series import LaurentSeries, series_mul, series_sum
-from .words import TensorSum, is_admissible, word_to_indices
+from .words import TensorSum, is_admissible, memo, word_to_indices
 
 __all__ = [
     "coproduct_combinatorial",
@@ -58,13 +68,13 @@ __all__ = [
 ]
 
 
-def reduced_coproduct(w: str, lam) -> TensorSum:
-    """Full coproduct minus e (x) w and w (x) e: every leg nonempty."""
-    if w == "" or not is_admissible(w):
-        raise NotAdmissible(
-            f"reduced coproduct needs a nonempty admissible word, got {w!r}"
-        )
-    p, q = Fraction(lam).as_integer_ratio()  # the loop counts with p for lambda
+@memo
+def _counts(w: str, doubled: bool) -> TensorSum:
+    """The reduced coproduct of w at lambda = 1 if doubled, else at
+    lambda = 0, where no term doubles a d.
+
+    Equal legs share one string, which saves about 40 % of an entry's size.
+    """
     pairs: dict = {("", ""): 1}
     for ch in reversed(w):  # legs grow leftwards; an empty leg takes no d
         nxt: dict = {}
@@ -76,21 +86,31 @@ def reduced_coproduct(w: str, lam) -> TensorSum:
                 grown = ((l, "d" + r),) if r else ()
             elif not r:
                 grown = (("d" + l, r),)
+            elif doubled:
+                grown = (("d" + l, "d" + r), ("d" + l, r), (l, "d" + r))
             else:
                 grown = (("d" + l, r), (l, "d" + r))
-                if p:
-                    key = ("d" + l, "d" + r)
-                    nxt[key] = get(key, 0) + c * p
             for key in grown:
                 nxt[key] = get(key, 0) + c
         pairs = nxt
-    kept = {(l, r): c for (l, r), c in pairs.items() if c and l and r}
-    if q == 1:
-        return kept
-    for (l, r), c in kept.items():
-        if len(l + r) > len(w):  # j doubled d's make len(l + r) = len(w) + j
-            kept[l, r] = Fraction(c, q ** (len(l + r) - len(w)))
-    return kept
+    share = {}.setdefault
+    return {(share(l, l), share(r, r)): c for (l, r), c in pairs.items() if l and r}
+
+
+def reduced_coproduct(w: str, lam) -> TensorSum:
+    """Full coproduct minus e (x) w and w (x) e: every leg nonempty."""
+    if w == "" or not is_admissible(w):
+        raise NotAdmissible(
+            f"reduced coproduct needs a nonempty admissible word, got {w!r}"
+        )
+    p, q = Fraction(lam).as_integer_ratio()
+    if not p:
+        return dict(_counts(w, False))
+    counts, n = _counts(w, True), len(w)
+    # j doubled d's make len(l) + len(r) = n + j; each is one of w's d's
+    js = range(w.count("d") + 1)
+    scale = [p**j if q == 1 or not j else Fraction(p**j, q**j) for j in js]
+    return {lr: c * scale[len(lr[0]) + len(lr[1]) - n] for lr, c in counts.items()}
 
 
 def coproduct_recursive(w: str, lam) -> TensorSum:
@@ -105,8 +125,7 @@ def coproduct_combinatorial(w: str, lam) -> TensorSum:
     """Admissible-subset formula; must equal coproduct_recursive."""
     if not is_admissible(w):
         raise NotAdmissible(f"coproduct needs an admissible word, got {w!r}")
-    lam = Fraction(lam)
-    lam_c = lam.numerator if lam.denominator == 1 else lam  # int when integral
+    p, q = Fraction(lam).as_integer_ratio()
     n = len(w)
     threshold = n - (word_to_indices(w)[-1] + 1) if w else 0  # n_1 + ... + n_{k-1}
     # bit i is position i + 1; J may use the d's at positions <= threshold - 1
@@ -124,7 +143,7 @@ def coproduct_combinatorial(w: str, lam) -> TensorSum:
             continue
         key = (left, sub[comp], 0)
         counts[key] = counts.get(key, 0) + 1
-        avail = S & cand if lam_c else 0
+        avail = S & cand if p else 0
         J = avail
         while J:  # the nonempty submasks of avail
             aug_right = sub[comp | J]
@@ -133,8 +152,10 @@ def coproduct_combinatorial(w: str, lam) -> TensorSum:
                 counts[key] = counts.get(key, 0) + 1
             J = (J - 1) & avail
     acc: dict = {}
-    for (left, right, j), c in counts.items():
-        acc[left, right] = acc.get((left, right), 0) + c * lam_c**j
+    for (left, right, j), c in counts.items():  # c * lambda^j, one scalar each
+        term = c * p**j if q == 1 or not j else Fraction(c * p**j, q**j)
+        key = left, right
+        acc[key] = acc[key] + term if key in acc else term
     # insertion order: every consumer sums exactly or sorts for printing
     return {key: c for key, c in acc.items() if c}
 

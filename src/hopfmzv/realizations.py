@@ -416,22 +416,22 @@ def qz_series(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
     _check_truncation(k, Q)
 
-    def binom_poly(m: int, e: int) -> list[int]:
-        # (1 - q^m)^e truncated at Q
-        out = [0] * (Q + 1)
-        for i in range(e + 1):
-            if i * m > Q:
-                break
-            out[i * m] = comb(e, i) * (-1) ** i
+    def times_binom(m: int, e: int, run: list[int]) -> list[int]:
+        # (1 - q^m)^e * run truncated at Q: one shifted add per nonzero term
+        out = list(run)
+        for i in range(1, min(e, Q // m) + 1):
+            c, s = comb(e, i) * (-1) ** i, i * m
+            out[s:] = [x + c * y for x, y in zip(out[s:], run)]
         return out
 
     # layer[m] = sum over admissible (m_j, ..., m_n) with m_j = m
-    layer = [binom_poly(m, k[-1]) if m else [0] * (Q + 1) for m in range(Q + 1)]
+    one = [1] + [0] * Q
+    layer = [times_binom(m, k[-1], one) if m else [0] * (Q + 1) for m in range(Q + 1)]
     for e in reversed(k[:-1]):
         below, run = layer, [0] * (Q + 1)  # run = sum(below[1:m])
         layer = [[0] * (Q + 1)]
         for m in range(1, Q + 1):
-            layer.append(convolve(binom_poly(m, e), run, Q + 1))
+            layer.append(times_binom(m, e, run))
             run = [x + y for x, y in zip(run, below[m])]
     total = [0] * (Q + 1)
     for m in range(1, Q + 1):

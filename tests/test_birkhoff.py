@@ -257,8 +257,9 @@ def test_the_oracle_raises_a_nonvanishing_lower_term(monkeypatch):
 
 
 def test_each_coproduct_is_enumerated_once(monkeypatch):
-    # the engine reads a word's coproduct only behind a memoized counterterm
-    # or a top-level row, so a coproduct memo would never be hit
+    # the engine asks for each (word, lambda) once, behind a memoized
+    # counterterm or a top-level row; the count memo under reduced_coproduct
+    # is hit by the other lambdas that checks and callers ask for
     seen = Counter()
     enumerate_coproduct = birkhoff.reduced_coproduct
 

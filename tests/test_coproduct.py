@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from hopfmzv import clear_caches, coproduct, verify
 from hopfmzv.coproduct import (
     coproduct_combinatorial,
     coproduct_recursive,
@@ -140,3 +141,63 @@ def test_flat_form_equals_combinatorial_to_weight_8():
             assert full == coproduct_combinatorial(w, lam), (w, lam)
             # a term with no doubled d owes no power of lambda: it stays an int
             assert all(type(c) is int for (l, r), c in full.items() if len(l + r) == len(w))
+
+
+def _rescaling_mismatches(reduced=reduced_coproduct):
+    """The (w, lambda), w to weight 8, where reduced(w, lambda) is not
+    N(l, r) lambda^j with N the lambda = 1 counts and j = |l| + |r| - |w|
+    the doubled d's, or holds a non-int at integral lambda."""
+    bad = []
+    for w in admissible_words(8):
+        counts = reduced(w, 1)
+        for lam in (Fr(0), Fr(-1), Fr(3), Fr(-1, 2), Fr(2, 3), Fr(-5)):
+            want = {
+                (l, r): c * lam ** (len(l) + len(r) - len(w))
+                for (l, r), c in counts.items()
+            }
+            got = reduced(w, lam)
+            if got != {key: c for key, c in want.items() if c} or (
+                lam.denominator == 1 and any(type(c) is not int for c in got.values())
+            ):
+                bad.append((w, lam))
+    return bad
+
+
+def test_every_lambda_rescales_the_lambda_one_counts():
+    assert _rescaling_mismatches() == []
+
+
+def test_a_word_is_counted_once_for_every_lambda():
+    w = "dyddydy"
+    clear_caches()
+    got = {lam: reduced_coproduct(w, lam) for lam in (1, -1, 3, Fr(-1, 2))}
+    info = coproduct._counts.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # lambda = 0 drops every doubled term: its smaller count is its own entry
+    got[0] = reduced_coproduct(w, 0)
+    assert reduced_coproduct(w, 0) == got[0]
+    info = coproduct._counts.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    kept = {lam: dict(t) for lam, t in got.items()}
+    for t in got.values():  # a caller that edits its result
+        t[("y", "dyddy")] = 99
+        t.pop(("dy", "ddydy"))
+    for lam, t in kept.items():
+        assert reduced_coproduct(w, lam) == t, lam
+
+
+def test_a_wrong_lambda_power_in_the_rescaling_is_caught(monkeypatch):
+    real = coproduct.reduced_coproduct
+
+    def faulty(w, lam):
+        # lambda^(j + 1) in place of lambda^j, at non-integral lambda only
+        t = real(w, lam)
+        if Fraction(lam).denominator == 1:
+            return t
+        return {key: c * Fraction(lam) for key, c in t.items()}
+
+    assert _rescaling_mismatches(faulty)
+    monkeypatch.setattr(coproduct, "reduced_coproduct", faulty)
+    routes = dict(verify.SUITES["hopf"]())["coproduct-recursive-equals-combinatorial"]
+    ok, detail = routes()
+    assert not ok and "lambda=-1/2" in detail

@@ -137,6 +137,7 @@ def test_every_process_wide_memo_is_bounded():
         "_counterterm",
         "_rows",
         "_primitive_value",
+        "_counts",
     }
     for name, fn in caches.items():
         assert fn.cache_parameters() == {"maxsize": MEMO_ENTRIES, "typed": True}, name
