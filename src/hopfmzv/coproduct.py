@@ -40,7 +40,11 @@ built once, from the set without its lowest position, S runs over all
 masks and J over the nonempty submasks of S & cand, where cand holds the
 d positions below the threshold, and the augmented right leg is the
 subword of complement(S) | J.  The two constructions are asserted equal in
-the verify suite.
+the verify suite.  The (S, J) counts do not depend on lambda, so
+_subset_counts enumerates a word once, and _subset_scalars builds the
+coproduct at each lambda from those counts; coproduct_combinatorial is the
+two in turn, and the verify check enumerates each word once for all of its
+lambdas.
 
 Coefficients lie in Z[lambda]; both routes count in ints, and a term with
 no doubled d stays an int at every lambda.  The oracle shares no code with
@@ -123,9 +127,14 @@ def coproduct_recursive(w: str, lam) -> TensorSum:
 
 def coproduct_combinatorial(w: str, lam) -> TensorSum:
     """Admissible-subset formula; must equal coproduct_recursive."""
+    return _subset_scalars(_subset_counts(w), lam)
+
+
+def _subset_counts(w: str) -> dict:
+    """The subset formula without lambda: (left, right, |J|) -> the number
+    of (S, J) giving that term, J = {} included."""
     if not is_admissible(w):
         raise NotAdmissible(f"coproduct needs an admissible word, got {w!r}")
-    p, q = Fraction(lam).as_integer_ratio()
     n = len(w)
     threshold = n - (word_to_indices(w)[-1] + 1) if w else 0  # n_1 + ... + n_{k-1}
     # bit i is position i + 1; J may use the d's at positions <= threshold - 1
@@ -134,7 +143,7 @@ def coproduct_combinatorial(w: str, lam) -> TensorSum:
     for S in range(1, 1 << n):
         low = S & -S
         sub[S] = w[low.bit_length() - 1] + sub[S ^ low]
-    counts: dict = {}  # (left, right, |J|) -> number of (S, J) giving it
+    counts: dict = {}
     full = (1 << n) - 1
     # subwords of w are over {d, y}: one is admissible unless it ends in d
     for S, left in enumerate(sub):
@@ -143,7 +152,7 @@ def coproduct_combinatorial(w: str, lam) -> TensorSum:
             continue
         key = (left, sub[comp], 0)
         counts[key] = counts.get(key, 0) + 1
-        avail = S & cand if p else 0
+        avail = S & cand
         J = avail
         while J:  # the nonempty submasks of avail
             aug_right = sub[comp | J]
@@ -151,8 +160,17 @@ def coproduct_combinatorial(w: str, lam) -> TensorSum:
                 key = (left, aug_right, J.bit_count())
                 counts[key] = counts.get(key, 0) + 1
             J = (J - 1) & avail
+    return counts
+
+
+def _subset_scalars(counts: dict, lam) -> TensorSum:
+    """The coproduct at lambda from _subset_counts: one scalar c lambda^|J|
+    per count; at lambda = 0 only the |J| = 0 counts."""
+    p, q = Fraction(lam).as_integer_ratio()
     acc: dict = {}
-    for (left, right, j), c in counts.items():  # c * lambda^j, one scalar each
+    for (left, right, j), c in counts.items():
+        if j and not p:
+            continue
         term = c * p**j if q == 1 or not j else Fraction(c * p**j, q**j)
         key = left, right
         acc[key] = acc[key] + term if key in acc else term

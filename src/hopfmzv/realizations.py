@@ -24,19 +24,21 @@ V = P + g(w) - 1 and the result is valid through exactly P; anything else
 is a PrecisionExceeded bug, not a retry.  phi runs the chain loop, _chain,
 innermost block first, with the atom x through V at every level; psi runs
 the l-sum, _lsum, a dynamic program over the blocks with n * wt states
-instead of the prod(k_j + 1) leaves of the sum as written.  Given a part
-(the pole or regular part), _build runs the same loop on the split atoms:
-those are the Birkhoff rows.  phi and psi are memoized per (word, P), so the
-checks run once per entry.  qchar_realization reuses _chain on the q-side
-operators, and qz_rational reuses _lsum on the q-side atom.
+instead of the prod(k_j + 1) leaves of the sum as written, each state an
+atom times a series by series_mul.  Given a part (the pole or regular
+part), _build runs the same loop on the split atoms: those are the Birkhoff
+rows.  phi and psi are memoized per (word, P), so the checks run once per
+entry.  qchar_realization reuses _chain on the q-side operators, and
+qz_rational reuses _lsum on the q-side atom.
 
 t-side (one-variable polylogarithm realization): a truncation through t^T
 is a LaurentSeries at ord 0, valid through t^T.  J divides the m-th
 coefficient by m, delta multiplies it by m, J o delta = delta o J = Id on
 series with no constant term; each is one pass over the integer numerators,
 J over the extra denominator L = lcm(1..T).  li_J composes op_J, op_delta
-and series_mul from y(t) = t/(1-t) = sum_{m>=1} t^m; li_nested is the
-brute-force nested sum oracle, counted in ints over a power of L.
+and the product by y(t) = t/(1-t) = sum_{m>=1} t^m, which is a running sum
+(_times_y), O(T) where series_mul is O(T^2); li_nested is the brute-force
+nested sum oracle, counted in ints over a power of L.
 
 q-side: bivariate truncations of t*Z[[t, q]] with the dilation E_q
 (t^a q^b -> t^a q^{a+b}), the difference D_q = Id - E_q, and its inverse
@@ -49,14 +51,19 @@ qz_series sums the modified nested q-value
 
 directly; qz_rational is psi's l-sum with the atom q^L/(q^L - 1) =
 -(q^L + q^{2L} + ...) in place of f(L z), the same formula read on the
-other side of q = exp(z); qchar_realization builds the same series as
-D_q^{k_1}[y * D_q^{k_2}[...]](t) evaluated at t = q, from the public
-operators.
+other side of q = exp(z), and multiplies by that atom as the O(Q) running
+sum h[i] = h[i - L] - s[i - L] (_times_qatom); qchar_realization builds the
+same series as D_q^{k_1}[y * D_q^{k_2}[...]](t) evaluated at t = q, from
+the public operators, with y * rows the running sum of rows
+(_times_y_rows), since y has no q-dependence.  series_mul and mul_bivariate
+stay the generic products and the reference for the three running sums,
+which the operator-identity checks compare with them.
 
 Both sides count in ints.  The q-side is int rows end to end: each of E_q,
 D_q, P_q, the product and t = q is one function on a tuple of int rows.  The
 t-side values are rational, held as integer numerators over one denominator
-in the same LaurentSeries as the z-side, with the same product.
+in the same LaurentSeries as the z-side, whose general product series_mul
+serves both.
 
 mero_depth1 / mero_depth2 are the closed-form continuation oracles
   zeta(-l) = -B_{l+1}/(l+1),
@@ -171,7 +178,8 @@ def _build(kind: str, w: str, P: int, part=None) -> LaurentSeries:
     if kind == "phi":
         s = _chain(ks, part(x_series(V)), series_mul, series_diff)
     else:
-        s = _lsum(ks, lambda L: part(psi_factor(L, V)))
+        atom = lambda L: part(psi_factor(L, V))  # noqa: E731
+        s = _lsum(ks, atom, lambda L, f: series_mul(atom(L), f))
     if s.valid_through != P:
         raise PrecisionExceeded(
             f"{kind}({w!r}) came out valid through z^{s.valid_through}, planned z^{P}"
@@ -203,17 +211,18 @@ def _chain(ks: tuple[int, ...], atom, mul, d):
     return acc
 
 
-def _lsum(ks: tuple[int, ...], atom) -> LaurentSeries:
+def _lsum(ks: tuple[int, ...], atom, times) -> LaurentSeries:
     """psi's l-sum with atom(L) in place of f(L z), as a dynamic program
     over the blocks, last first.  F[s] is the l-sum over blocks j.. when the
     l of the blocks before j add up to s; G[t] = atom(t + 1) * (F of block
-    j + 1)[t] serves every l with s + l = t.
+    j + 1)[t] serves every l with s + l = t, that product being
+    times(t + 1, F[t]).
     """
     F = None  # past the last block: the empty product 1
     for j in reversed(range(len(ks))):
         k, S = ks[j], sum(ks[:j])
         G = [
-            atom(t + 1) if F is None else series_mul(atom(t + 1), F[t])
+            atom(t + 1) if F is None else times(t + 1, F[t])
             for t in range(S + k + 1)
         ]
         F = [
@@ -265,6 +274,12 @@ def y_powerseries(T: int) -> LaurentSeries:
     return _make(0, (0,) + (1,) * T, 1)
 
 
+def _times_y(s: LaurentSeries) -> LaurentSeries:
+    """y * s for s at ord 0 through t^T: the running sum [0, s_0, s_0 + s_1,
+    ...] over s.den, equal to series_mul(y_powerseries(T), s)."""
+    return _make(0, list(accumulate(s.nums[:-1], initial=0)), s.den)
+
+
 def _operand(op: str, s: LaurentSeries) -> None:
     """J and delta act on t-side series with a vanishing constant term."""
     if s.ord != 0:
@@ -313,10 +328,9 @@ def li_J(k: tuple[int, ...], T: int) -> LaurentSeries:
     J^{k_1}[ y * J^{k_2}[ ... J^{k_n}[y] ] ] with J^{-m} = delta^m.
     """
     _check_truncation(k, T)
-    y = y_powerseries(T)
     acc = None
     for e in reversed(k):
-        acc = y if acc is None else series_mul(y, acc)
+        acc = y_powerseries(T) if acc is None else _times_y(acc)
         for _ in range(abs(e)):
             acc = op_J(acc) if e > 0 else op_delta(acc)
     return acc
@@ -353,6 +367,16 @@ _Rows = tuple[tuple[int, ...], ...]
 def y_bivariate(A: int, Q: int) -> _Rows:
     """y(t) = sum_{m=1}^{A} t^m (no q-dependence)."""
     return ((1,) + (0,) * Q,) * A
+
+
+def _times_y_rows(rows: _Rows) -> _Rows:
+    """y * rows: y has no q-dependence, so row a is the sum of rows
+    1 .. a - 1, equal to mul_bivariate(y_bivariate(A, Q), rows)."""
+    out, run = [], (0,) * (len(rows[0]) if rows else 0)
+    for row in rows:
+        out.append(run)
+        run = tuple(map(operator.add, run, row))
+    return tuple(out)
 
 
 def op_Eq(rows: _Rows) -> _Rows:
@@ -404,7 +428,8 @@ def qchar_realization(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     """D_q^{k_1}[ y * D_q^{k_2}[ ... ] ](t) at t = q, to q^Q."""
     k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
     _check_truncation(k, Q)
-    return eval_t_eq_q(_chain(k, y_bivariate(Q, Q), mul_bivariate, op_Dq))
+    times = lambda y, rows: _times_y_rows(rows)  # noqa: E731
+    return eval_t_eq_q(_chain(k, y_bivariate(Q, Q), times, op_Dq))
 
 
 def qz_series(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
@@ -456,7 +481,16 @@ def qz_rational(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
         nums[L::L] = [-1] * (Q // L)
         return _make(0, nums, 1)
 
-    return _lsum(k, atom).nums
+    return _lsum(k, atom, _times_qatom).nums
+
+
+def _times_qatom(L: int, s: LaurentSeries) -> LaurentSeries:
+    """q^L/(q^L - 1) * s for s at ord 0: h[i] = h[i - L] - s[i - L], equal
+    to series_mul with qz_rational's atom through s's window."""
+    h = [0] * len(s.nums)
+    for i in range(L, len(h)):
+        h[i] = h[i - L] - s.nums[i - L]
+    return _make(0, h, s.den)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ from .birkhoff import (
     zeta_plus_via_primitives,
 )
 from .coproduct import (
-    coproduct_combinatorial,
+    _subset_counts,
+    _subset_scalars,
     coproduct_recursive,
     reduced_coproduct,
     star,
@@ -51,6 +52,8 @@ from .coproduct import (
 )
 from .errors import EvenWeight, NonzeroConstantTerm, TruncationMismatch
 from .realizations import (
+    _times_y,
+    _times_y_rows,
     eval_t_eq_q,
     li_J,
     li_nested,
@@ -70,6 +73,8 @@ from .realizations import (
     qz_rational,
     qz_series,
     x_series,
+    y_bivariate,
+    y_powerseries,
 )
 from .series import (
     LaurentSeries,
@@ -164,9 +169,11 @@ _LAMS_SH = (-1, 2, Fr(-1, 3))
 
 
 def _check_cop_routes():
-    for lam in _LAMS_COP:
-        for w in admissible_words(7, include_empty=True):
-            if coproduct_recursive(w, lam) != coproduct_combinatorial(w, lam):
+    # the subset counts do not depend on lambda: one enumeration per word
+    for w in admissible_words(7, include_empty=True):
+        counts = _subset_counts(w)
+        for lam in _LAMS_COP:
+            if coproduct_recursive(w, lam) != _subset_scalars(counts, lam):
                 return False, f"routes disagree at w={w!r}, lambda={lam}"
     return True, ""
 
@@ -590,6 +597,10 @@ def _check_J_rota_baxter():
         inner = series_add(series_mul(op_J(f), g), series_mul(f, op_J(g)))
         if not equal_on_window(lhs, op_J(inner), 25):
             return False, "J fails the weight-0 Rota-Baxter identity"
+        # li_J multiplies by y as a running sum
+        yf, ref = _times_y(f), series_mul(y_powerseries(24), f)
+        if (yf.ord, yf.nums, yf.den) != (ref.ord, ref.nums, ref.den):
+            return False, "y * f as a running sum differs from the product"
     return True, ""
 
 
@@ -619,6 +630,9 @@ def _check_q_operators():
         )
         if mul_bivariate(op_Pq(f), op_Pq(g)) != rb:
             return False, "P_q fails the weight -1 Rota-Baxter identity"
+        # qchar_realization multiplies by y as a running sum of rows
+        if _times_y_rows(f) != mul_bivariate(y_bivariate(8, 8), f):
+            return False, "y * f as a running sum of rows differs from the product"
     return True, ""
 
 

@@ -500,8 +500,9 @@ def test_the_split_atom_identities_hold_for_random_atoms():
         assert _shape(lam0) == _shape(_chain(ks, atom, series_mul, series_diff)), w
         ord_ = rng.randint(-2, 1)
         family = {L: _random_series(rng, ord_, 3) for L in range(1, sum(ks) + 2)}
-        lam1 = _placements(ks, -1, lambda a: _lsum((a,), family.__getitem__))
-        assert _shape(lam1) == _shape(_lsum(ks, family.__getitem__)), w
+        times = lambda L, s: series_mul(family[L], s)  # noqa: E731
+        lam1 = _placements(ks, -1, lambda a: _lsum((a,), family.__getitem__, times))
+        assert _shape(lam1) == _shape(_lsum(ks, family.__getitem__, times)), w
 
 
 def _lift(ks):
@@ -654,8 +655,8 @@ def _bar_with(word, fault):
 
 def _lsum_with_one_at_dydy(lsum):
     # psi(dydy) and qz_rational((1, 1)) gain 1 at the last coefficient
-    def wrapper(ks, atom):
-        s = lsum(ks, atom)
+    def wrapper(ks, atom, times):
+        s = lsum(ks, atom, times)
         return series_add(s, constant(1, s.valid_through)) if ks == (1, 1) else s
 
     return wrapper

@@ -11,7 +11,7 @@ from hopfmzv.coproduct import (
     reduced_coproduct,
 )
 from hopfmzv.errors import NotAdmissible
-from hopfmzv.words import admissible_words, indices_to_word
+from hopfmzv.words import admissible_words, indices_to_word, word_to_indices
 
 Fr = Fraction
 
@@ -201,3 +201,59 @@ def test_a_wrong_lambda_power_in_the_rescaling_is_caught(monkeypatch):
     routes = dict(verify.SUITES["hopf"]())["coproduct-recursive-equals-combinatorial"]
     ok, detail = routes()
     assert not ok and "lambda=-1/2" in detail
+
+
+def _one_lambda_subset_formula(w, lam):
+    """The subset formula at one lambda, as coproduct_combinatorial ran it
+    before the lambda-free counts were split from the per-lambda build: the
+    J-terms are not enumerated at lambda = 0."""
+    p, q = Fraction(lam).as_integer_ratio()
+    n = len(w)
+    threshold = n - (word_to_indices(w)[-1] + 1) if w else 0
+    cand = sum(1 << i for i in range(threshold - 1) if w[i] == "d")
+    sub = [""] * (1 << n)
+    for S in range(1, 1 << n):
+        low = S & -S
+        sub[S] = w[low.bit_length() - 1] + sub[S ^ low]
+    counts: dict = {}
+    full = (1 << n) - 1
+    for S, left in enumerate(sub):
+        comp = full ^ S
+        if left[-1:] == "d" or sub[comp][-1:] == "d":
+            continue
+        key = (left, sub[comp], 0)
+        counts[key] = counts.get(key, 0) + 1
+        avail = S & cand if p else 0
+        J = avail
+        while J:
+            aug_right = sub[comp | J]
+            if aug_right[-1:] != "d":
+                key = (left, aug_right, J.bit_count())
+                counts[key] = counts.get(key, 0) + 1
+            J = (J - 1) & avail
+    acc: dict = {}
+    for (left, right, j), c in counts.items():
+        term = c * p**j if q == 1 or not j else Fraction(c * p**j, q**j)
+        key = left, right
+        acc[key] = acc[key] + term if key in acc else term
+    return {key: c for key, c in acc.items() if c}
+
+
+def test_the_split_subset_formula_equals_the_one_lambda_formula():
+    # same terms, coefficient types and insertion order, to weight 8
+    for w in admissible_words(8, include_empty=True):
+        for lam in (0, -1, 3, Fr(-1, 2), Fr(2, 3), 1, -5):
+            got = list(coproduct_combinatorial(w, lam).items())
+            want = list(_one_lambda_subset_formula(w, lam).items())
+            assert got == want, (w, lam)
+            assert [type(c) for _, c in got] == [type(c) for _, c in want], (w, lam)
+
+
+def test_the_route_check_enumerates_each_word_once(monkeypatch):
+    calls = []
+    real = verify._subset_counts
+    monkeypatch.setattr(verify, "_subset_counts", lambda w: calls.append(w) or real(w))
+    routes = dict(verify.SUITES["hopf"]())["coproduct-recursive-equals-combinatorial"]
+    assert routes() == (True, "")
+    words = list(admissible_words(7, include_empty=True))
+    assert calls == words

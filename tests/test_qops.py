@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb, gcd
+from operator import add
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hopfmzv import clear_caches
+from hopfmzv import clear_caches, realizations, verify
 from hopfmzv.birkhoff import CharacterTable
 from hopfmzv.errors import NonzeroConstantTerm, TruncationMismatch
 from hopfmzv.realizations import (
@@ -25,7 +27,7 @@ from hopfmzv.realizations import (
     y_bivariate,
     y_powerseries,
 )
-from hopfmzv.series import LaurentSeries, convolve, series_mul
+from hopfmzv.series import LaurentSeries, _make, convolve, series_mul
 
 Fr = Fraction
 
@@ -422,3 +424,101 @@ def test_routes_at_the_smallest_truncations():
             got = qchar_realization(k, Q)
             assert got == qz_series(k, Q) == _qz_brute_force(k, Q), (k, Q)
             assert all(type(c) is int for c in got), (k, Q)
+
+
+# ------------------------------------- products by the geometric factors
+# li_J, qchar_realization and qz_rational multiply by y(t) = t/(1 - t), by
+# the bivariate y and by the atom q^L/(q^L - 1) = -(q^L + q^{2L} + ...) as
+# running sums; the generic products are their reference.
+
+_SIZES = (0, 1, 2, 30)
+
+
+def _form(s):
+    return s.ord, s.nums, s.den
+
+
+def _random_series(rng, T):
+    return _make(0, [rng.randint(-9, 9) for _ in range(T + 1)], rng.randint(1, 9))
+
+
+def _qatom(L, Q):
+    return _make(0, [-1 if i and i % L == 0 else 0 for i in range(Q + 1)], 1)
+
+
+def _running_sum_mismatches(
+    times_y=realizations._times_y,
+    times_y_rows=realizations._times_y_rows,
+    times_qatom=realizations._times_qatom,
+):
+    """The cases where a running sum differs from the generic product, on
+    seeded random ints at T, Q in _SIZES and L in 1 .. Q."""
+    rng = random.Random(33)
+    bad = []
+    for T in _SIZES:
+        s = _random_series(rng, T)
+        if _form(times_y(s)) != _form(series_mul(y_powerseries(T), s)):
+            bad.append(("y", T))
+        for Q in _SIZES:
+            rows = tuple(
+                tuple(rng.randint(-9, 9) for _ in range(Q + 1)) for _ in range(T)
+            )
+            if times_y_rows(rows) != mul_bivariate(y_bivariate(T, Q), rows):
+                bad.append(("rows", T, Q))
+    for Q in _SIZES:
+        for L in range(1, Q + 1):
+            s = _random_series(rng, Q)
+            if _form(times_qatom(L, s)) != _form(series_mul(_qatom(L, Q), s)):
+                bad.append(("atom", Q, L))
+    return bad
+
+
+def test_the_running_sums_equal_the_generic_products():
+    assert _running_sum_mismatches() == []
+
+
+def _times_y_with_current(s):
+    return _make(0, list(accumulate(s.nums)), s.den)
+
+
+def _times_y_rows_with_current(rows):
+    return tuple(accumulate(rows, lambda r, s: tuple(map(add, r, s))))
+
+
+def _times_qatom_with_current(L, s):
+    h = [0] * len(s.nums)
+    for i in range(len(h)):
+        h[i] = (h[i - L] if i >= L else 0) - s.nums[i]
+    return _make(0, h, s.den)
+
+
+@pytest.mark.parametrize(
+    "name, plant, suite, check",
+    [
+        ("_times_y", _times_y_with_current, "rota-baxter", "li-route-agreement"),
+        (
+            "_times_y_rows",
+            _times_y_rows_with_current,
+            "qseries",
+            "qz-operator-realization",
+        ),
+        (
+            "_times_qatom",
+            _times_qatom_with_current,
+            "qseries",
+            "qz-nested-equals-rational",
+        ),
+    ],
+    ids=["t-side", "q-side", "q-atom"],
+)
+def test_a_running_sum_that_includes_the_current_term_is_caught(
+    monkeypatch, name, plant, suite, check
+):
+    assert _running_sum_mismatches(**{name[1:]: plant})
+    monkeypatch.setattr(realizations, name, plant)
+    clear_caches()
+    ok, detail = dict(verify.SUITES[suite]())[check]()
+    assert not ok and "k=" in detail
+    monkeypatch.undo()
+    clear_caches()
+    assert dict(verify.SUITES[suite]())[check]() == (True, "")

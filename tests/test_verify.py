@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hopfmzv import clear_caches, realizations, verify
-from hopfmzv.series import LaurentSeries, _make, series_mul, series_sum
+from hopfmzv.series import LaurentSeries, _make, series_sum
 
 Fr = Fraction
 
@@ -31,16 +31,18 @@ def test_unpatched_checks_pass(suite, name):
 
 
 def test_a_wrong_lambda_power_in_the_subset_formula_is_caught(monkeypatch):
-    real = verify.coproduct_combinatorial
+    # the check enumerates each word once and builds every lambda from the
+    # counts, so the fault goes into that per-lambda build
+    real = verify._subset_scalars
 
-    def faulty(w, lam):
+    def faulty(counts, lam):
         # lambda^(|J| + 1) in place of lambda^|J|: the J-terms, which are
         # the full sum minus its lambda = 0 part, get one more factor lambda
-        plain, full = real(w, 0), real(w, lam)
+        plain, full = real(counts, 0), real(counts, lam)
         terms = {k: plain.get(k, 0) + lam * (c - plain.get(k, 0)) for k, c in full.items()}
         return {k: Fr(c) for k, c in terms.items() if c}
 
-    monkeypatch.setattr(verify, "coproduct_combinatorial", faulty)
+    monkeypatch.setattr(verify, "_subset_scalars", faulty)
     ok, detail = _check("hopf", "coproduct-recursive-equals-combinatorial")()
     assert not ok and "routes disagree" in detail
 
@@ -94,11 +96,11 @@ def test_a_wrong_sign_in_the_shared_l_sum_is_caught(monkeypatch):
     # q-sum do not, so one term of the wrong sign fails both checks
     real = realizations._lsum
 
-    def faulty(ks, atom):
+    def faulty(ks, atom, times):
         leaf = atom(1)  # the l = 0 term, (-1)^n atom(1)^n
         for _ in ks[1:]:
-            leaf = series_mul(leaf, atom(1))
-        return series_sum(((1, real(ks, atom)), (2 * (-1) ** (len(ks) + 1), leaf)))
+            leaf = times(1, leaf)
+        return series_sum(((1, real(ks, atom, times)), (2 * (-1) ** (len(ks) + 1), leaf)))
 
     checks = ["psi-vs-constant-oracle", "qz-nested-equals-rational"]
     monkeypatch.setattr(realizations, "_lsum", faulty)
