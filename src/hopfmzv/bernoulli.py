@@ -11,7 +11,7 @@ in-place triangle (arXiv:1108.0286) builds in O(M^2) products of a big
 integer by a small one.  By von Staudt-Clausen den(B_{2m}) is the product of
 the primes p with p - 1 | 2m; a new entry off it raises ArithmeticError.  An
 odd n >= 3 returns 0 before the table grows.  The one process-wide table
-(next to the eight `words.memo` caches) grows in place under a lock, each
+(next to the nine `words.memo` caches) grows in place under a lock, each
 entry a Fraction built once, and each growth at least doubles it: a caller
 asking for B_0, B_1, ... in turn builds the triangle O(log n) times.
 """

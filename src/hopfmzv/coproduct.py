@@ -18,12 +18,16 @@ N(l, r) lambda^j, where N is the count at lambda = 1 and
 j = |l| + |r| - |w| is the number of doubled d's.  _counts runs the letter
 loop once per word, at lambda = 1, and is memoized: it reads the word from
 the right, so each leg's last letter is the first it receives, and drops a
-leg that would end in d as soon as it takes that d.  reduced_coproduct
-rescales those counts into a fresh dict for each call: N p^j at integral
-lambda = p, Fraction(N p^j, q^j) at lambda = p/q.  At lambda = 0 only the
-terms with j = 0 survive, and they are far fewer (6 824 of 58 909 for
+leg that would end in d as soon as it takes that d.  At lambda = 0 only
+the terms with j = 0 survive, and they are far fewer (6 824 of 58 909 for
 (dy)^8), so that case runs the loop without doubling, memoized on its own
-key, and reduced_coproduct copies its counts.
+key.  A lambda is keyed by its integer pair (p, q), lambda = p/q in lowest
+terms, however it is given.  _scaled, memoized per (w, p, q), holds only
+the coefficients, in the key order of the counts: N p^j at integral
+lambda = p, Fraction(N p^j, q^j) otherwise, and N itself at lambda = 0.
+reduced_coproduct zips the two into a fresh dict for each call, and
+coproduct_recursive builds its one dict around the same pairs, so a word
+asked for again at a lambda costs one dict build.
 
 coproduct_combinatorial is the verified second implementation: writing the
 word as w = d^{n_1 - 1} y ... d^{n_k - 1} y of weight n, with y at positions
@@ -61,7 +65,7 @@ from fractions import Fraction
 
 from .errors import NotAdmissible
 from .series import LaurentSeries, series_mul, series_sum
-from .words import TensorSum, is_admissible, memo, word_to_indices
+from .words import TensorSum, is_admissible, memo, ratio, word_to_indices
 
 __all__ = [
     "coproduct_combinatorial",
@@ -101,28 +105,43 @@ def _counts(w: str, doubled: bool) -> TensorSum:
     return {(share(l, l), share(r, r)): c for (l, r), c in pairs.items() if l and r}
 
 
+@memo
+def _scaled(w: str, p: int, q: int) -> tuple:
+    """The coefficients of the reduced coproduct of w at lambda = p/q, in
+    the key order of _counts(w, p != 0): each count N(l, r) times
+    lambda^j, an int at integral lambda and a Fraction otherwise."""
+    counts, n = _counts(w, p != 0), len(w)
+    # j doubled d's make len(l) + len(r) = n + j; each is one of w's d's
+    js = range(w.count("d") + 1)
+    scale = [p**j if q == 1 or not j else Fraction(p**j, q**j) for j in js]
+    return tuple(c * scale[len(l) + len(r) - n] for (l, r), c in counts.items())
+
+
+def _reduced_terms(w: str, lam):
+    """The ((l, r), coefficient) pairs of the reduced coproduct of an
+    admissible nonempty w at lam, read from the two memos."""
+    p, q = ratio(lam)
+    return zip(_counts(w, p != 0), _scaled(w, p, q))
+
+
 def reduced_coproduct(w: str, lam) -> TensorSum:
     """Full coproduct minus e (x) w and w (x) e: every leg nonempty."""
     if w == "" or not is_admissible(w):
         raise NotAdmissible(
             f"reduced coproduct needs a nonempty admissible word, got {w!r}"
         )
-    p, q = Fraction(lam).as_integer_ratio()
-    if not p:
-        return dict(_counts(w, False))
-    counts, n = _counts(w, True), len(w)
-    # j doubled d's make len(l) + len(r) = n + j; each is one of w's d's
-    js = range(w.count("d") + 1)
-    scale = [p**j if q == 1 or not j else Fraction(p**j, q**j) for j in js]
-    return {lr: c * scale[len(lr[0]) + len(lr[1]) - n] for lr, c in counts.items()}
+    return dict(_reduced_terms(w, lam))
 
 
 def coproduct_recursive(w: str, lam) -> TensorSum:
     """Letterwise coproduct followed by the trailing-d projection."""
     if not is_admissible(w):
         raise NotAdmissible(f"coproduct needs an admissible word, got {w!r}")
-    reduced = reduced_coproduct(w, lam) if w else {}  # Delta(e) = e (x) e
-    return {("", w): 1, **reduced, (w, ""): 1}
+    full = {("", w): 1}  # Delta(e) = e (x) e
+    if w:
+        full.update(_reduced_terms(w, lam))
+    full[(w, "")] = 1
+    return full
 
 
 def coproduct_combinatorial(w: str, lam) -> TensorSum:
@@ -166,7 +185,7 @@ def _subset_counts(w: str) -> dict:
 def _subset_scalars(counts: dict, lam) -> TensorSum:
     """The coproduct at lambda from _subset_counts: one scalar c lambda^|J|
     per count; at lambda = 0 only the |J| = 0 counts."""
-    p, q = Fraction(lam).as_integer_ratio()
+    p, q = ratio(lam)
     acc: dict = {}
     for (left, right, j), c in counts.items():
         if j and not p:

@@ -177,9 +177,9 @@ def _build(kind: str, w: str, P: int, part=None) -> LaurentSeries:
     ks, V, part = word_to_indices(w), P + g - 1, part or (lambda s: s)
     if kind == "phi":
         s = _chain(ks, part(x_series(V)), series_mul, series_diff)
-    else:
-        atom = lambda L: part(psi_factor(L, V))  # noqa: E731
-        s = _lsum(ks, atom, lambda L, f: series_mul(atom(L), f))
+    else:  # the l-sum reads f(L z) at L = 1 .. |k| + 1: each built once
+        atoms = {L: part(psi_factor(L, V)) for L in range(1, sum(ks) + 2)}
+        s = _lsum(ks, atoms.__getitem__, lambda L, f: series_mul(atoms[L], f))
     if s.valid_through != P:
         raise PrecisionExceeded(
             f"{kind}({w!r}) came out valid through z^{s.valid_through}, planned z^{P}"
@@ -442,27 +442,26 @@ def qz_series(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     _check_truncation(k, Q)
 
     def times_binom(m: int, e: int, run: list[int]) -> list[int]:
-        # (1 - q^m)^e * run truncated at Q: one shifted add per nonzero term
+        # (1 - q^m)^e * run, as long as run: one shifted add per nonzero term
         out = list(run)
-        for i in range(1, min(e, Q // m) + 1):
+        for i in range(1, min(e, (len(run) - 1) // m) + 1):
             c, s = comb(e, i) * (-1) ** i, i * m
             out[s:] = [x + c * y for x, y in zip(out[s:], run)]
         return out
 
-    # layer[m] = sum over admissible (m_j, ..., m_n) with m_j = m
-    one = [1] + [0] * Q
-    layer = [times_binom(m, k[-1], one) if m else [0] * (Q + 1) for m in range(Q + 1)]
+    # layer[m] = sum over admissible (m_j, ..., m_n) with m_j = m, through
+    # q^(Q - m) only: the outer factor q^{m_1}, or an outer index above m,
+    # shifts it up by at least m
+    layer = [[]] + [times_binom(m, k[-1], [1] + [0] * (Q - m)) for m in range(1, Q + 1)]
     for e in reversed(k[:-1]):
-        below, run = layer, [0] * (Q + 1)  # run = sum(below[1:m])
-        layer = [[0] * (Q + 1)]
+        below, run = layer, [0] * Q  # run = sum(below[1:m]), through q^(Q - m)
+        layer = [[]]
         for m in range(1, Q + 1):
             layer.append(times_binom(m, e, run))
-            run = [x + y for x, y in zip(run, below[m])]
+            run = [x + y for x, y in zip(run, below[m][: Q - m])]
     total = [0] * (Q + 1)
     for m in range(1, Q + 1):
-        row = layer[m]
-        for b in range(Q + 1 - m):
-            total[m + b] += row[b]  # the outer factor q^{m_1}
+        total[m:] = map(operator.add, total[m:], layer[m])  # the outer q^{m_1}
     return tuple(total)
 
 

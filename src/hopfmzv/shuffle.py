@@ -14,6 +14,9 @@ _lam_rule — the deformed shuffle for lambda != 0 (shuffle_lambda):
 Every P3 branch strictly decreases total length, so the recursion terminates.
 Coefficients lie in Z[1/lambda], ints wherever 1/lambda is; words.project_T
 drops the words ending in d, i.e. lands in the admissible-word basis.
+shuffle_lambda keys the memo by lambda's integer pair (p, q), lambda = p/q in
+lowest terms, so every spelling of one lambda shares its entries and a hit
+hashes two ints; _lam_rule forms 1/lambda = q/p on a miss only.
 
 _zero_rule — the lambda = 0 product on representatives (shuffle_zero).  When
 both words start with d the naive rule does not shrink, so the left word is
@@ -42,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LambdaZero
-from .words import WordSum, memo, scalar, word_key, ws_add
+from .words import WordSum, memo, ratio, scalar, word_key, ws_add
 
 __all__ = [
     "ordinary_shuffle",
@@ -76,8 +79,9 @@ def _shuffle(u: str, v: str, rule, param) -> tuple:
     return tuple((w, acc[w]) for w in sorted(acc, key=word_key) if acc[w] != 0)
 
 
-def _lam_rule(u: str, v: str, lam) -> tuple:
-    inv = scalar(Fraction(1, lam))  # formed on a memo miss only
+def _lam_rule(u: str, v: str, lam: tuple[int, int]) -> tuple:
+    p, q = lam
+    inv = scalar(Fraction(q, p))  # 1/lambda, formed on a memo miss only
     return (("d", u[1:], v[1:], inv), ("", u, v[1:], -inv), ("", u[1:], v, -inv))
 
 
@@ -108,8 +112,8 @@ def _check_letters(u: str, v: str, alphabet: str, name: str) -> None:
 def shuffle_lambda(u: str, v: str, lam) -> WordSum:
     """Deformed shuffle of two words; LambdaZero routes lambda = 0 away."""
     _check_letters(u, v, "dy", "shuffle_lambda")
-    lam = scalar(lam)
-    if lam == 0:
+    lam = ratio(lam)
+    if not lam[0]:
         raise LambdaZero("the deformed shuffle divides by lambda; use shuffle_zero")
     return dict(_shuffle(u, v, _lam_rule, lam))
 

@@ -8,10 +8,10 @@ nonempty admissible words biject with index vectors of non-negative integers:
 
 Linear combinations are finitely supported dicts word -> int or Fraction
 (WordSum) or (word, word) -> coefficient (TensorSum), normalized to carry no
-zeros; scalar() makes every scalar an int when integral.  The canonical
-ordering for printing and JSON is graded lexicographic — weight first, then
-letterwise with d < y — which plain (len(w), w) delivers since 'd' < 'y' in
-ASCII.
+zeros; scalar() makes every scalar an int when integral, and ratio() keys a
+lambda by its integer pair (p, q).  The canonical ordering for printing and
+JSON is graded lexicographic — weight first, then letterwise with d < y —
+which plain (len(w), w) delivers since 'd' < 'y' in ASCII.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from .errors import NotAdmissible
 WordSum = dict  # word -> int or Fraction
 TensorSum = dict  # (word, word) -> int or Fraction
 
-# Every process-wide memo (shuffles, coproduct counts, atoms, characters,
-# counterterms, values) is declared with @memo, so each keeps at most
-# MEMO_ENTRIES results however long the process lives.  The bound is above
-# every per-process count the benchmark workloads reach, so none of them
-# evicts.  memo also records each cache, so that clear_caches() empties all
-# of them.  The caches are typed: 2 and 2.0 compare equal, and an untyped
-# cache would hand the result for 2 to a call with 2.0 that the function
-# itself rejects.
+# Every process-wide memo (shuffles, coproduct counts and their scalings,
+# atoms, characters, counterterms, values) is declared with @memo, so each
+# keeps at most MEMO_ENTRIES results however long the process lives.  The
+# bound is above every per-process count the benchmark workloads reach, so
+# none of them evicts.  memo also records each cache, so that clear_caches()
+# empties all of them.  The caches are typed: 2 and 2.0 compare equal, and an
+# untyped cache would hand the result for 2 to a call with 2.0 that the
+# function itself rejects.
 MEMO_ENTRIES = 1 << 14
 _MEMOS: list = []
 
@@ -128,9 +128,22 @@ def project_T(s: WordSum) -> WordSum:
 
 def scalar(c):
     """c as an int when integral, else as a Fraction; c is anything
-    Fraction() accepts."""
-    c = Fraction(c)
+    Fraction() accepts.  An int comes back as it is, and a Fraction, being
+    reduced already, as its numerator or as it is."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def ratio(lam) -> tuple[int, int]:
+    """lam as its integer pair (p, q), lam = p/q in lowest terms with q > 0:
+    the one key of a lambda, whatever type it is given as.  An int or a
+    Fraction gives its own pair; anything else goes through Fraction()."""
+    if type(lam) is int or type(lam) is Fraction:
+        return lam.as_integer_ratio()
+    return Fraction(lam).as_integer_ratio()
 
 
 def ws_add(*sums: WordSum) -> WordSum:

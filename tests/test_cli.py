@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfmzv import clear_caches, shuffle, verify, words
+from hopfmzv import cli, clear_caches, shuffle, verify, words
 from hopfmzv.cli import main
 from hopfmzv.words import admissible_words, weight
 
@@ -200,7 +200,7 @@ def test_shuffle_golden():
 
 def test_a_scalar_that_drops_denominators_is_caught(monkeypatch):
     # both coproducts split lambda = p/q on their own, so only the shuffle
-    # sees the fault: its 1/lambda at lambda = 2 becomes 0
+    # sees the fault: its 1/lambda at lambda = 2 becomes 1
     for mod in (words, shuffle):
         monkeypatch.setattr(mod, "scalar", lambda c: Fraction(c).numerator)
     clear_caches()
@@ -450,6 +450,19 @@ def test_verify_golden():
     assert r.returncode == 0, r.stderr
     golden = Path(__file__).with_name("golden") / "verify.txt"
     assert r.stdout == golden.read_text()
+
+
+def test_the_suite_choices_are_the_verify_suites(capsys):
+    # the CLI spells the names out so that only `hopfmzv verify` loads verify
+    assert cli.SUITE_CHOICES == sorted(verify.SUITES) + ["all"]
+    with pytest.raises(SystemExit):
+        main(["verify", "--suite", "none"])
+    choices = ", ".join(map(repr, cli.SUITE_CHOICES))
+    assert f"(choose from {choices})" in capsys.readouterr().err
+    code = "import sys, hopfmzv, hopfmzv.cli; print('hopfmzv.verify' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
 
 
 def test_output_is_deterministic():

@@ -4,13 +4,14 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfmzv import clear_caches, coproduct, verify
+from hopfmzv import clear_caches, coproduct, shuffle, verify
 from hopfmzv.coproduct import (
     coproduct_combinatorial,
     coproduct_recursive,
     reduced_coproduct,
 )
 from hopfmzv.errors import NotAdmissible
+from hopfmzv.shuffle import shuffle_lambda
 from hopfmzv.words import admissible_words, indices_to_word, word_to_indices
 
 Fr = Fraction
@@ -167,17 +168,28 @@ def test_every_lambda_rescales_the_lambda_one_counts():
     assert _rescaling_mismatches() == []
 
 
+def _misses_hits(fn):
+    info = fn.cache_info()
+    return info.misses, info.hits
+
+
 def test_a_word_is_counted_once_for_every_lambda():
     w = "dyddydy"
     clear_caches()
     got = {lam: reduced_coproduct(w, lam) for lam in (1, -1, 3, Fr(-1, 2))}
-    info = coproduct._counts.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    # each call reads the count for its keys, and each new lambda's scaling
+    # reads it once more
+    assert _misses_hits(coproduct._counts) == (1, 7)
+    assert _misses_hits(coproduct._scaled) == (4, 0)
     # lambda = 0 drops every doubled term: its smaller count is its own entry
     got[0] = reduced_coproduct(w, 0)
     assert reduced_coproduct(w, 0) == got[0]
-    info = coproduct._counts.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    assert _misses_hits(coproduct._counts) == (2, 9)
+    assert _misses_hits(coproduct._scaled) == (5, 1)
+    # a lambda asked for again is a hit on both memos
+    assert reduced_coproduct(w, Fr(-1, 2)) == got[Fr(-1, 2)]
+    assert _misses_hits(coproduct._counts) == (2, 10)
+    assert _misses_hits(coproduct._scaled) == (5, 2)
     kept = {lam: dict(t) for lam, t in got.items()}
     for t in got.values():  # a caller that edits its result
         t[("y", "dyddy")] = 99
@@ -187,20 +199,61 @@ def test_a_word_is_counted_once_for_every_lambda():
 
 
 def test_a_wrong_lambda_power_in_the_rescaling_is_caught(monkeypatch):
-    real = coproduct.reduced_coproduct
+    real = coproduct._scaled
 
-    def faulty(w, lam):
+    def faulty(w, p, q):
         # lambda^(j + 1) in place of lambda^j, at non-integral lambda only
-        t = real(w, lam)
-        if Fraction(lam).denominator == 1:
-            return t
-        return {key: c * Fraction(lam) for key, c in t.items()}
+        coeffs = real(w, p, q)
+        return coeffs if q == 1 else tuple(c * Fraction(p, q) for c in coeffs)
 
-    assert _rescaling_mismatches(faulty)
-    monkeypatch.setattr(coproduct, "reduced_coproduct", faulty)
+    monkeypatch.setattr(coproduct, "_scaled", faulty)
+    assert _rescaling_mismatches()
     routes = dict(verify.SUITES["hopf"]())["coproduct-recursive-equals-combinatorial"]
     ok, detail = routes()
     assert not ok and "lambda=-1/2" in detail
+
+
+# each group spells one lambda in several ways: an int, an unreduced
+# Fraction, a str and a float all key the memos by the same (p, q)
+_SPELLINGS = [(-1, Fr(-2, 2), "-1"), (Fr(-1, 3), "-1/3"), (Fr(1, 2), 0.5)]
+
+
+def _typed(t):
+    return [(key, type(c), c) for key, c in t.items()]
+
+
+@pytest.mark.parametrize("spellings", _SPELLINGS, ids=str)
+def test_every_spelling_of_a_lambda_shares_one_memo_entry(spellings):
+    w = "dyddydy"
+    clear_caches()
+    first, *others = spellings
+    want = _typed(reduced_coproduct(w, first))
+    full = _typed(coproduct_recursive(w, first))
+    for lam in others:
+        assert _typed(reduced_coproduct(w, lam)) == want, lam
+        assert _typed(coproduct_recursive(w, lam)) == full, lam
+    assert _misses_hits(coproduct._scaled) == (1, 2 * len(others) + 1)
+    shuffled = _typed(shuffle_lambda("dydy", "ddy", first))
+    misses = _misses_hits(shuffle._shuffle)[0]
+    for lam in others:
+        assert _typed(shuffle_lambda("dydy", "ddy", lam)) == shuffled, lam
+    assert _misses_hits(shuffle._shuffle)[0] == misses
+
+
+def test_a_misaligned_scaling_is_caught(monkeypatch):
+    real = coproduct._scaled
+
+    def rotated(w, p, q):
+        # the right coefficients, one key late
+        coeffs = real(w, p, q)
+        return coeffs[1:] + coeffs[:1]
+
+    monkeypatch.setattr(coproduct, "_scaled", rotated)
+    routes = dict(verify.SUITES["hopf"]())["coproduct-recursive-equals-combinatorial"]
+    ok, detail = routes()
+    assert not ok and "routes disagree" in detail
+    monkeypatch.undo()
+    assert routes() == (True, "")
 
 
 def _one_lambda_subset_formula(w, lam):

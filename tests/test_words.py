@@ -138,6 +138,7 @@ def test_every_process_wide_memo_is_bounded():
         "_rows",
         "_primitive_value",
         "_counts",
+        "_scaled",
     }
     for name, fn in caches.items():
         assert fn.cache_parameters() == {"maxsize": MEMO_ENTRIES, "typed": True}, name
