@@ -6,14 +6,17 @@ This module fixes the generating function
 
 i.e. B_0 = 1, B_1 = +1/2, B_2 = 1/6, B_4 = -1/30, and B_{2l+1} = 0 for
 l >= 1.  B_{2m} = (-1)^{m-1} 2m T_m / (4^m (4^m - 1)), T_m the tangent
-numbers (tan t = sum T_m t^{2m-1}/(2m-1)!), which Brent and Harvey's
-in-place triangle (arXiv:1108.0286) builds in O(M^2) products of a big
-integer by a small one.  By von Staudt-Clausen den(B_{2m}) is the product of
-the primes p with p - 1 | 2m; a new entry off it raises ArithmeticError.  An
-odd n >= 3 returns 0 before the table grows.  The one process-wide table
-(next to the nine `words.memo` caches) grows in place under a lock, each
-entry a Fraction built once, and each growth at least doubles it: a caller
-asking for B_0, B_1, ... in turn builds the triangle O(log n) times.
+numbers (tan t = sum T_m t^{2m-1}/(2m-1)!), read off Brent and Harvey's
+triangle (arXiv:1108.0286) one column at a time: A[1][m] = (m-1)!,
+A[k][m] = (m-k) A[k][m-1] + (m-k+2) A[k-1][m] and T_m = A[m][m], so column m
+costs m - 1 multiply-adds of a big integer by small ones and needs only
+column m - 1.  By von Staudt-Clausen den(B_{2m}) is the product of the
+primes p with p - 1 | 2m; a new entry off it raises ArithmeticError and
+leaves the table as it was.  An odd n returns before the table is read.
+The one process-wide table (next to the nine `words.memo` caches) holds
+B_0, B_2, ..., B_{2m} and column m, and grows under a lock exactly to the
+index asked for, each T_m and each entry computed once per process,
+whatever the read order.
 """
 
 from __future__ import annotations
@@ -21,32 +24,35 @@ from __future__ import annotations
 import operator
 import threading
 from fractions import Fraction
-from math import factorial, isqrt, prod
+from math import factorial, gcd, isqrt, prod
 
 __all__ = ["bernoulli"]
 
-_cache: list[Fraction] = [Fraction(1), Fraction(1, 2)]
+_cache: list[Fraction] = [Fraction(1)]  # B_0, B_2, ..., B_{2m}
+_column: list[int] = []  # A[1][m] .. A[m][m], m = len(_column): T_m is the last
 _lock = threading.Lock()
 
 
-def _tangents(M: int) -> list[int]:
-    """[0, T_1, ..., T_M]: T_k = (k - 1)!, swept by Brent and Harvey's triangle."""
-    T = [0] + [factorial(k - 1) for k in range(1, M + 1)]
-    for k in range(2, M + 1):
-        for j in range(k, M + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    return T
+def _step(column: list[int]) -> list[int]:
+    """Column m of the triangle from column m - 1 = len(column); its last entry is T_m."""
+    m = len(column) + 1
+    new = [(m - 1) * column[0] if column else 1]
+    for k, a in zip(range(2, m + 1), column[1:] + [0]):
+        new.append((m - k) * a + (m - k + 2) * new[-1])
+    return new
 
 
-def _grow(size: int) -> None:
-    """Extend the table, which holds B_0 and B_1, through B_{size - 1}."""
-    T = _tangents((size - 1) // 2)
-    primes = [p for p in range(2, size + 1) if all(p % q for q in range(2, isqrt(p) + 1))]
-    for j in range(len(_cache), size):
-        m, odd = divmod(j, 2)
-        B = Fraction(0) if odd else Fraction((-1) ** (m - 1) * j * T[m], 4**m * (4**m - 1))
-        if not odd and B.denominator != prod(p for p in primes if j % (p - 1) == 0):
-            raise ArithmeticError(f"B_{j} = {B} breaks von Staudt-Clausen")
+def _grow(n: int) -> None:
+    """Extend the table through the even index n, one column per entry."""
+    while len(_cache) <= n // 2:
+        column = _step(_column)
+        m = len(column)
+        B = Fraction((-1) ** (m - 1) * 2 * m * column[-1], 4**m * (4**m - 1))
+        # p - 1 | 2m, and p is prime when gcd(p, isqrt(p)!) = 1
+        ps = {e + 1 for d in range(1, isqrt(2 * m) + 1) if 2 * m % d == 0 for e in (d, 2 * m // d)}
+        if B.denominator != prod(p for p in ps if gcd(p, factorial(isqrt(p))) == 1):
+            raise ArithmeticError(f"B_{2 * m} = {B} breaks von Staudt-Clausen")
+        _column[:] = column
         _cache.append(B)
 
 
@@ -64,10 +70,9 @@ def bernoulli(n: int) -> Fraction:
         raise ValueError(f"a Bernoulli index must be an integer, not {n!r}") from None
     if n < 0:
         raise ValueError("Bernoulli numbers are indexed by n >= 0")
-    if n >= 3 and n % 2:  # B_n = 0: the table need not grow to it
-        return Fraction(0)
-    if n >= len(_cache):
-        with _lock:
-            if n >= len(_cache):  # another thread may have grown it meanwhile
-                _grow(max(n + 1, 2 * len(_cache)))
-    return _cache[n]
+    if n % 2:  # B_1, and B_n = 0 for odd n >= 3: the table holds the even ones
+        return Fraction(1, 2) if n == 1 else Fraction(0)
+    if n // 2 >= len(_cache):
+        with _lock:  # _grow rereads the length: another thread may have grown it
+            _grow(n)
+    return _cache[n // 2]

@@ -166,10 +166,10 @@ def _value(ks: tuple[int, ...]) -> Fraction:
     their lcm D; den * D and the states drop their gcd while two blocks remain."""
     if len(ks) == 1:
         return mero_depth1(ks[0])
-    fs = {a: mero_depth1(a) for a in reversed((0, *range(1, sum(ks) + 1, 2)))}  # B grows once
+    fs = {a: mero_depth1(a) for a in (0, *range(1, sum(ks) + 1, 2))}
     D = lcm(*(v.denominator for v in fs.values()))
     nums = {a: v.numerator * (D // v.denominator) for a, v in fs.items()}
-    legs, states, den = sorted(nums), {0: 1}, 1
+    legs, states, den = list(nums), {0: 1}, 1
     for j, k in enumerate(ks[:-1]):
         nxt: dict = {}
         for u, acc in states.items():

@@ -143,8 +143,7 @@ def psi_factor(level: int, valid_through: int) -> LaurentSeries:
         L = 0
     if L < 1:
         raise ValueError("level must be a positive integer")
-    # B_0 .. B_{V+1} for z^-1 .. z^V, read largest first: the table grows once
-    bs = [bernoulli(m) for m in reversed(range(valid_through + 2))][::-1]
+    bs = [bernoulli(m) for m in range(valid_through + 2)]  # B_0 .. B_{V+1}: z^-1 .. z^V
     D = lcm(*(B.denominator for B in bs))
     F = factorial(max(len(bs) - 1, 0))  # (V+1)!
     nums, f, p = [], F, 1

@@ -67,63 +67,64 @@ def test_cache_is_consistent_after_big_jump():
 
 
 def _fresh_table(monkeypatch):
-    # clear_caches() leaves the Bernoulli table alone: start from B_0, B_1
-    monkeypatch.setattr(bernoulli_module, "_cache", bernoulli_module._cache[:2])
+    # clear_caches() leaves the table alone: swap in B_0 and no column
+    # together, and return the m of each column of the triangle computed
+    steps, step = [], bernoulli_module._step
+    monkeypatch.setattr(bernoulli_module, "_cache", bernoulli_module._cache[:1])
+    monkeypatch.setattr(bernoulli_module, "_column", [])
+    monkeypatch.setattr(bernoulli_module, "_step", lambda c: steps.append(len(c) + 1) or step(c))
+    return steps
 
 
 @pytest.mark.parametrize("calls", [(400,), (3, 26, 27, 80, 150, 400)])
 def test_integer_table_equals_the_fraction_recurrence(monkeypatch, calls):
-    # each growth at least doubles the table, so only B_0 .. B_n are asked for
     _fresh_table(monkeypatch)
     for n in calls:
         bernoulli(n)
-    assert bernoulli_module._cache[: n + 1] == _fraction_recurrence(n)
+    assert bernoulli_module._cache == _fraction_recurrence(n)[::2]  # exactly to B_n
 
 
 def test_a_denominator_off_the_common_one_raises(monkeypatch):
-    # T_M + 1 in place of the last tangent number: B_{2M} leaves the von
-    # Staudt-Clausen denominator, and the table refuses to grow instead of
-    # returning a value
-    tangents = bernoulli_module._tangents
-
-    def planted(M):
-        T = tangents(M)
-        T[-1] += 1
-        return T
-
-    monkeypatch.setattr(bernoulli_module, "_tangents", planted)
+    # T_m + 1 in place of the new tangent number: B_n leaves the von Staudt-
+    # Clausen denominator, and the table refuses it, entries and column kept
+    step = bernoulli_module._step
     for n in (4, 40, 400):
         _fresh_table(monkeypatch)
+        bernoulli(n - 2)
+        entries, column = list(bernoulli_module._cache), list(bernoulli_module._column)
+        monkeypatch.setattr(bernoulli_module, "_step", lambda c: (t := step(c))[:-1] + [t[-1] + 1])
         with pytest.raises(ArithmeticError, match="von Staudt-Clausen"):
             bernoulli(n)
-        assert len(bernoulli_module._cache) < n + 1
+        assert (bernoulli_module._cache, bernoulli_module._column) == (entries, column)
+        monkeypatch.setattr(bernoulli_module, "_step", step)
+        assert bernoulli(n) == _fraction_recurrence(n)[n]
 
 
-def test_the_triangle_is_built_once_per_doubling(monkeypatch):
-    builds, tangents = [], bernoulli_module._tangents
-    _fresh_table(monkeypatch)
-    monkeypatch.setattr(bernoulli_module, "_tangents", lambda M: builds.append(M) or tangents(M))
-    values = [bernoulli(n) for n in range(401)]
-    assert builds == [1, 3, 7, 15, 31, 63, 127, 255]  # B_3, B_7, ..., B_511
-    assert values == _fraction_recurrence(400)
+@pytest.mark.parametrize(
+    "order",
+    [range(401), range(400, -1, -1), random.Random(5).sample(range(401), 401)],
+    ids=["ascending", "descending", "shuffled"],
+)
+def test_each_tangent_number_is_computed_once_in_any_read_order(monkeypatch, order):
+    steps = _fresh_table(monkeypatch)
+    values = {n: bernoulli(n) for n in order}
+    assert steps == list(range(1, 201))  # T_1 .. T_200 for B_2 .. B_400
+    assert [values[n] for n in range(401)] == _fraction_recurrence(400)
 
 
-def test_a_cold_wide_atom_builds_the_triangle_once(monkeypatch):
-    # psi_factor reads B_{V+1} .. B_0, largest first, so the table grows once
+def test_a_cold_wide_atom_computes_each_tangent_number_once(monkeypatch):
     warm = psi_factor(1, 600)
-    builds, tangents = [], bernoulli_module._tangents
-    _fresh_table(monkeypatch)
-    monkeypatch.setattr(bernoulli_module, "_tangents", lambda M: builds.append(M) or tangents(M))
+    steps = _fresh_table(monkeypatch)
     clear_caches()
     cold = psi_factor(1, 600)
-    assert builds == [300]
+    assert steps == list(range(1, 301))
     assert (cold.ord, cold.nums, cold.den) == (warm.ord, warm.nums, warm.den)
 
 
 def test_concurrent_growth_builds_one_table(monkeypatch):
     # more threads than cores ask for B_n out of order while the table grows;
     # a lost or doubled entry would shift every index after it
-    _fresh_table(monkeypatch)
+    steps = _fresh_table(monkeypatch)
     jobs = list(range(301)) * 4
     random.Random(11).shuffle(jobs)
     interval = sys.getswitchinterval()
@@ -135,7 +136,8 @@ def test_concurrent_growth_builds_one_table(monkeypatch):
         sys.setswitchinterval(interval)
     table = _fraction_recurrence(300)
     assert all(v == table[n] for n, v in values)
-    assert bernoulli_module._cache[:301] == table
+    assert bernoulli_module._cache == table[::2]
+    assert steps == list(range(1, 151))  # one grower at a time, each column once
 
 
 @pytest.mark.parametrize("bad", [2.0, 3.0, 4.0, Fraction(4), "4"])

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +24,7 @@ from hopfmzv.birkhoff import (
 )
 from hopfmzv.coproduct import star
 from hopfmzv.errors import DepthOne, NonvanishingLowerTerm, PrecisionExceeded
-from hopfmzv.realizations import _chain, _lsum, mero_depth1, mero_depth2, psi, psi_factor
+from hopfmzv.realizations import _chain, _lsum, mero_depth1, mero_depth2, psi, psi_C, psi_factor
 from hopfmzv.series import (
     LaurentSeries,
     constant,
@@ -40,7 +40,7 @@ from hopfmzv.series import (
     zero_series,
 )
 from hopfmzv.verify import run_suite
-from hopfmzv.words import admissible_words, depth, indices_to_word, word_to_indices
+from hopfmzv.words import admissible_words, depth, indices_to_word, weight, word_to_indices
 
 Fr = Fraction
 
@@ -201,6 +201,34 @@ def test_table_is_thread_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         for w, v in pool.map(probe, jobs):
             assert v == reference[w], w
+
+
+def _monomial_counterterm(kind, w):
+    """c_w in chi_minus(w) = c_w z^{-g(w)}: for phi the product over blocks j
+    of (-1)^{k_j} s_j (s_j + 1) ... (s_j + k_j - 1), s_j = 1 + the weight of
+    the blocks after j; for psi (-1)^n psi_C(k, (0,)*n)."""
+    ks = word_to_indices(w)
+    if kind == "psi":
+        return (-1) ** len(ks) * psi_C(ks, (0,) * len(ks))
+    c, s = 1, 1
+    for k in reversed(ks):
+        c, s = c * (-1) ** k * prod(range(s, s + k)), s + k + 1
+    return c
+
+
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+def test_counterterms_are_monomials(kind):
+    # the split atoms' pole parts are monomials, -pi x = 1/z and
+    # -pi f(Lz) = -1/(Lz), so each row's chi_minus is one: every word to
+    # weight 9 from the rows, to weight 7 from the recursion
+    table, grade = CharacterTable(kind, prec=0), {"phi": weight, "psi": depth}[kind]
+    for w in admissible_words(9):
+        g, c = grade(w), _monomial_counterterm(kind, w)
+        rows = [table.chi_minus(w)] + ([_counterterm(kind, w)] if weight(w) <= 7 else [])
+        for s in rows:
+            top = min(s.valid_through, 0)
+            got = [s.coefficient(e) for e in range(-g - 1, top + 1)]
+            assert got == [0, c] + [0] * (top + g), (kind, w)
 
 
 def test_counterterms_are_shared_across_calls():

@@ -138,19 +138,26 @@ def test_plan_is_exact():
             assert psi(w, P).valid_through == P, (w, P)
 
 
+def _x_list(n):
+    """x = -sum_m B_m z^{m-1}/m! (B_1 = +1/2), n Fractions from z^-1."""
+    return [-bernoulli(m) / factorial(m) for m in range(n)]
+
+
+def _times(x, acc):
+    """The Cauchy product of two Fraction lists, as long as acc."""
+    return [sum(x[i] * acc[m - i] for i in range(m + 1)) for m in range(len(acc))]
+
+
 def _phi_chain(w, P):
     """D^{k_1}[x * D^{k_2}[x * ... D^{k_n}[x]]] as (ord, Fractions from z^ord),
     x = -sum_m B_m z^{m-1}/m! (B_1 = +1/2) through P + wt - 1.  An inline
     Cauchy product by x (ord -1) and a termwise derivative each lower ord by
     one and keep the list's length, so the chain, at ord -wt, ends at z^P.
-    No series arithmetic and no loop of phi's."""
-    x = [-bernoulli(m) / factorial(m) for m in range(P + weight(w) + 1)]
+    phi's chain run on Fraction lists: no series arithmetic."""
+    x = _x_list(P + weight(w) + 1)
     ord_, acc = 0, None
     for k in reversed(word_to_indices(w)):
-        if acc is None:
-            acc = x
-        else:
-            acc = [sum(x[i] * acc[m - i] for i in range(m + 1)) for m in range(len(acc))]
+        acc = x if acc is None else _times(x, acc)
         ord_ -= 1
         for _ in range(k):
             acc = [(ord_ + i) * c for i, c in enumerate(acc)]
@@ -165,6 +172,23 @@ def test_phi_equals_the_full_derivative_chain():
             assert (ord_, ord_ + len(want) - 1) == (-weight(w), P), (w, P)
             assert got.valid_through == P, (w, P)
             assert [got.coefficient(e) for e in range(ord_, P + 1)] == want, (w, P)
+
+
+def test_phi_is_a_polynomial_in_x(ypoly):
+    # phi(w) = P_w(x), read at _phi_chain's Fraction x-series through Cauchy
+    # powers of x: x^j from z^-j, its list as long as x's, reaches z^(P + wt - j)
+    for P in (-1, 0, 3):
+        for w in admissible_words(8):
+            g, cs = weight(w), ypoly(word_to_indices(w))
+            assert (len(cs), cs[0]) == (g + 1, 0), w  # degree wt, no constant term
+            x = _x_list(P + g + 1)
+            want, power = [Fr(0)] * (P + g + 1), x
+            for j, c in enumerate(cs[1:], 1):
+                for r in range(P + j + 1):  # x^j at z^(r - j), through z^P
+                    want[r - j + g] += c * power[r]
+                power = _times(x, power)
+            got = phi(w, P)
+            assert [got.coefficient(e) for e in range(-g, P + 1)] == want, (w, P)
 
 
 def test_a_deep_word_needs_no_recursion():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from math import comb, gcd
+from math import comb, factorial, gcd
 from operator import add
 
 import pytest
@@ -42,6 +42,27 @@ def test_li_closed_forms():
     assert li_J((2,), T).coeffs == (Fr(0),) + tuple(Fr(1, m * m) for m in range(1, T + 1))
     # J^{-1} = delta:  t/(1-t)^2
     assert li_J((-1,), T).coeffs == (Fr(0),) + tuple(Fr(m) for m in range(1, T + 1))
+
+
+def test_li_at_negative_indices_is_a_polynomial_in_y(ypoly):
+    # li_J(-k, T) = P_k(y(t)), y^j = sum_{m >= 1} C(m - 1, j - 1) t^m
+    T = 30
+    for k in (k for n in (1, 2, 3) for k in product(range(4), repeat=n)):
+        cs, s = ypoly(k), li_J(tuple(-e for e in k), T)
+        want = [0] + [
+            sum(c * comb(m - 1, j - 1) for j, c in enumerate(cs) if j) for m in range(1, T + 1)
+        ]
+        assert [s.coefficient(m) for m in range(T + 1)] == want, k
+
+
+def test_li_at_one_negative_index_has_the_stirling_coefficients(ypoly):
+    # Li_{-k}(t) = sum_j (j - 1)! S(k + 1, j) y^j, S the Stirling numbers of the second kind
+    S = {(0, 0): 1}
+    for n in range(1, 11):
+        for j in range(n + 1):
+            S[n, j] = j * S.get((n - 1, j), 0) + S.get((n - 1, j - 1), 0)
+    for k in range(10):
+        assert ypoly((k,)) == [factorial(j - 1) * S[k + 1, j] if j else 0 for j in range(k + 2)], k
 
 
 def test_li_double_index_is_the_nested_sum():
