@@ -168,6 +168,10 @@ def _build(kind: str, w: str, P: int, part=None) -> LaurentSeries:
     (the pole or regular part), the same loop on part(atom)."""
     if not is_admissible(w):
         raise NotAdmissible(f"{kind} needs an admissible word, got {w!r}")
+    try:
+        P = operator.index(P)  # no float, str or Fraction
+    except TypeError:
+        raise ValueError(f"{kind} needs an integer precision, not {P!r}") from None
     g = _GRADINGS[kind](w)
     if P < -g:  # below the leading pole z^{-g(w)}
         return zero_series(P)

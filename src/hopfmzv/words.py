@@ -140,10 +140,14 @@ def scalar(c):
 def ratio(lam) -> tuple[int, int]:
     """lam as its integer pair (p, q), lam = p/q in lowest terms with q > 0:
     the one key of a lambda, whatever type it is given as.  An int or a
-    Fraction gives its own pair; anything else goes through Fraction()."""
+    Fraction gives its own pair; anything else goes through Fraction(), and
+    one it refuses (None, "1/0", inf, nan, ...) raises ValueError."""
     if type(lam) is int or type(lam) is Fraction:
         return lam.as_integer_ratio()
-    return Fraction(lam).as_integer_ratio()
+    try:
+        return Fraction(lam).as_integer_ratio()
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValueError(f"lambda must be a rational number, not {lam!r}") from None
 
 
 def ws_add(*sums: WordSum) -> WordSum:

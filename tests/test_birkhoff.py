@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,18 +29,16 @@ from hopfmzv.series import (
     LaurentSeries,
     constant,
     equal_on_window,
-    monomial,
     pole_part,
     regular_part,
     series_add,
     series_diff,
     series_mul,
-    series_scale,
     series_slice,
     zero_series,
 )
-from hopfmzv.verify import run_suite
 from hopfmzv.words import admissible_words, depth, indices_to_word, weight, word_to_indices
+from test_faults import FAULTS, check, lift, planted, reduced_with
 
 Fr = Fraction
 
@@ -533,19 +531,6 @@ def test_the_split_atom_identities_hold_for_random_atoms():
         assert _shape(lam1) == _shape(_lsum(ks, family.__getitem__, times)), w
 
 
-def _lift(ks):
-    # birkhoff._value's numerators over D, the lcm of the zeta(-a) it reads
-    fs = {a: mero_depth1(a) for a in (range(sum(ks) + 1) if len(ks) > 1 else ks)}
-    D = lcm(*(v.denominator for v in fs.values()))
-    return {a: v.numerator * (D // v.denominator) for a, v in fs.items()}, D
-
-
-def _lift_off_by_one(ks):
-    # the unreduced sum read over D^(n-1) (D + 1) instead of D^n
-    nums, D = _lift(ks)
-    return Fr(_placements(ks, 0, nums.__getitem__), D ** (len(ks) - 1) * (D + 1))
-
-
 # every k in {0..4}^n with n <= 4
 _SMALL = [k for n in range(1, 5) for k in product(range(5), repeat=n)]
 
@@ -554,7 +539,7 @@ def _unreduced_mismatches(value):
     # the vectors where value differs from the unreduced sum on ints
     bad = []
     for k in _SMALL + [(1,) * 40]:
-        nums, D = _lift(k)
+        nums, D = lift(k)
         if value(k) != Fr(_placements(k, 0, nums.__getitem__), D ** len(k)):
             bad.append(k)
     return bad
@@ -564,75 +549,20 @@ def test_the_reduced_loop_equals_the_unreduced_sum():
     assert _unreduced_mismatches(birkhoff._value) == []
 
 
-def _reduced_with(fault):
-    # birkhoff._value with one planted fault in its loop
-    def value(ks):
-        if len(ks) == 1:
-            return mero_depth1(ks[0])
-        nums, D = _lift(ks)
-        legs = [a for a in nums if a == 0 or a % 2 and (a, fault) != (1, "skips-a1-1")]
-        states, den = {0: 1}, 1
-        for j, k in enumerate(ks[:-1]):
-            nxt: dict = {}
-            for u, acc in states.items():
-                u += k
-                for a1 in (a for a in legs if a <= u):
-                    nxt[u - a1] = nxt.get(u - a1, 0) + acc * comb(u, a1) * nums[a1]
-            lifted = den if fault == "first-block-skips-D" and j == 0 else den * D
-            g = gcd(lifted, *nxt.values()) if j < len(ks) - 2 else 1
-            states = {u: c // g for u, c in nxt.items()}
-            den = lifted if fault == "den-not-divided" else lifted // g
-        n = ks[-1]
-        last = sum(c * nums[u + n] for u, c in states.items() if u + n == 0 or (u + n) % 2)
-        return Fr(last, den * D)
-
-    return value
+@pytest.mark.parametrize("fault", ["den-not-divided", "first-block-skips-D"])
+def test_a_fault_in_the_reduction_is_caught(fault):
+    check(fault)
+    assert _unreduced_mismatches(reduced_with(fault))
 
 
-_VALUE_CHECKS = {
-    "closed-form-compatibility",
-    "primitive-decomposition-agreement",
-    "qzeta-equals-zeta-spots",
-    "renormalized-relations-qzeta",
-    "renormalized-relations-zeta",
-}
-
-
-def _failed_checks_with(monkeypatch, value):
-    # the birkhoff checks that fail with value in place of birkhoff._value
-    monkeypatch.setattr(birkhoff, "_value", value)
-    clear_caches()
-    failed = {r["name"] for r in run_suite("birkhoff") if not r["ok"]}
-    monkeypatch.undo()
-    clear_caches()
-    return failed
-
-
-@pytest.mark.parametrize(
-    "fault, checks",
-    [
-        # no gcd runs at depth two (one block remains after the first), so
-        # the depth-two closed forms cannot see a reduction fault
-        ("den-not-divided", _VALUE_CHECKS - {"closed-form-compatibility"}),
-        ("first-block-skips-D", _VALUE_CHECKS | {"quarter-not-three-eighths"}),
-    ],
-    ids=["den-not-divided", "first-block-skips-D"],
-)
-def test_a_fault_in_the_reduction_is_caught(monkeypatch, fault, checks):
-    value = _reduced_with(fault)
-    assert _unreduced_mismatches(value)
-    assert _failed_checks_with(monkeypatch, value) == checks
-
-
-def test_a_skipped_leg_is_caught(monkeypatch):
+def test_a_skipped_leg_is_caught():
     # a1 = 1 is the first odd leg past the trivial zeros the loop skips
-    value = _reduced_with("skips-a1-1")
-    assert _unreduced_mismatches(value)
-    assert _failed_checks_with(monkeypatch, value) == _VALUE_CHECKS
+    check("skips-a1-1")
+    assert _unreduced_mismatches(reduced_with("skips-a1-1"))
 
 
 def test_the_planted_loop_without_a_fault_is_the_loop():
-    assert _unreduced_mismatches(_reduced_with(None)) == []
+    assert _unreduced_mismatches(reduced_with(None)) == []
 
 
 def _split_atom_chain(ks):
@@ -657,108 +587,28 @@ def test_values_equal_the_split_atom_chain():
         assert zeta_plus(k).value == _split_atom_chain(k) == qzeta_plus(k).value, k
 
 
-def test_a_wrong_denominator_in_the_lift_is_caught(monkeypatch):
-    checks = _VALUE_CHECKS | {"quarter-not-three-eighths"}
-    monkeypatch.setattr(birkhoff, "_value", _lift_off_by_one)
-    clear_caches()
-    assert {r["name"] for r in run_suite("birkhoff") if not r["ok"]} == checks
-    with pytest.raises(AssertionError):
+def test_a_wrong_denominator_in_the_lift_is_caught():
+    check("lift-off-by-one")
+    with planted("lift-off-by-one"), pytest.raises(AssertionError):
         test_depth_two_matches_the_closed_form_below_40()
-    monkeypatch.undo()
-    clear_caches()
-    assert all(r["ok"] for r in run_suite("birkhoff"))
-    test_depth_two_matches_the_closed_form_below_40()
-
-
-def _bar_with(word, fault):
-    # birkhoff._bar with fault(P) added to psi's bar at one word
-    bar = birkhoff._bar
-
-    def wrapper(kind, w, P):
-        s = bar(kind, w, P)
-        return series_add(s, fault(P)) if (kind, w) == ("psi", word) else s
-
-    return wrapper
-
-
-def _lsum_with_one_at_dydy(lsum):
-    # psi(dydy) and qz_rational((1, 1)) gain 1 at the last coefficient
-    def wrapper(ks, atom, times):
-        s = lsum(ks, atom, times)
-        return series_add(s, constant(1, s.valid_through)) if ks == (1, 1) else s
-
-    return wrapper
-
-
-def _rows_doubled_at_depth_two(kind):
-    # birkhoff's binding of _build, which only the rows call (with a part)
-    # and no value and no character reads, doubled at depth two for one kind
-    build = birkhoff._build
-
-    def wrapper(k, w, P, part):
-        s = build(k, w, P, part)
-        return series_scale(s, 2) if (k, depth(w)) == (kind, 2) else s
-
-    return wrapper
 
 
 @pytest.mark.parametrize(
-    "module, name, fault, failing",
-    [
-        # a pole in the counterterm of dyy, a left leg of the spot ydyy
-        (birkhoff, "_bar", _bar_with("dyy", lambda P: monomial(-1, 1, P)), set()),
-        # a constant in the bar of the spot yy itself
-        (
-            birkhoff,
-            "_bar",
-            _bar_with("yy", lambda P: constant(1, P) if P >= 0 else zero_series(P)),
-            set(),
-        ),
-        (
-            realizations,
-            "_lsum",
-            _lsum_with_one_at_dydy(realizations._lsum),
-            # the psi rows run realizations' _lsum too: psi_minus(dydy)
-            # gains a constant, and the relations' rescaled limit a z^0 term
-            {
-                "convolution-reconstruction",
-                "minus-polar-plus-regular-and-bar",
-                "psi-multiplicative-on-shuffle-minus1",
-                "renormalized-relations-qzeta",
-            },
-        ),
-        (
-            birkhoff,
-            "_build",
-            _rows_doubled_at_depth_two("psi"),
-            {"convolution-reconstruction", "renormalized-relations-qzeta"},
-        ),
-    ],
-    ids=["bar-counterterm", "bar-top", "lsum", "psi-row"],
+    "fault",
+    ["bar-counterterm", "bar-top", pytest.param("lsum-one-at-dydy", id="lsum"), "psi-row"],
 )
-def test_a_q_side_fault_fails_the_spot_check(monkeypatch, module, name, fault, failing):
+def test_a_q_side_fault_fails_the_spot_check(fault):
     # the values never reach the recursion, psi or the rows: the spot check
     # reads the rescaled psi rows and, to weight 9, the recursion on psi
-    monkeypatch.setattr(module, name, fault)
-    clear_caches()
-    failed = {r["name"] for r in run_suite("birkhoff") if not r["ok"]}
-    assert failed == failing | {"qzeta-equals-zeta-spots"}
-    monkeypatch.undo()
-    clear_caches()
-    assert all(r["ok"] for r in run_suite("birkhoff"))
+    check(fault)
+    assert "birkhoff/qzeta-equals-zeta-spots" in FAULTS[fault].fails
 
 
-def test_a_phi_row_fault_fails_the_reconstruction(monkeypatch):
+def test_a_phi_row_fault_fails_the_reconstruction():
     # no value reads the phi rows: the convolution check and the recursion do
-    monkeypatch.setattr(birkhoff, "_build", _rows_doubled_at_depth_two("phi"))
-    clear_caches()
-    failed = {r["name"] for r in run_suite("birkhoff") if not r["ok"]}
-    assert failed == {"convolution-reconstruction"}
-    with pytest.raises(AssertionError):
+    check("phi-row")
+    with planted("phi-row"), pytest.raises(AssertionError):
         test_rows_factor_through_depth_one("phi")
-    monkeypatch.undo()
-    clear_caches()
-    assert all(r["ok"] for r in run_suite("birkhoff"))
 
 
 @pytest.mark.parametrize(

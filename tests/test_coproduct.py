@@ -13,6 +13,7 @@ from hopfmzv.coproduct import (
 from hopfmzv.errors import NotAdmissible
 from hopfmzv.shuffle import shuffle_lambda
 from hopfmzv.words import admissible_words, indices_to_word, word_to_indices
+from test_faults import check, planted
 
 Fr = Fraction
 
@@ -198,19 +199,10 @@ def test_a_word_is_counted_once_for_every_lambda():
         assert reduced_coproduct(w, lam) == t, lam
 
 
-def test_a_wrong_lambda_power_in_the_rescaling_is_caught(monkeypatch):
-    real = coproduct._scaled
-
-    def faulty(w, p, q):
-        # lambda^(j + 1) in place of lambda^j, at non-integral lambda only
-        coeffs = real(w, p, q)
-        return coeffs if q == 1 else tuple(c * Fraction(p, q) for c in coeffs)
-
-    monkeypatch.setattr(coproduct, "_scaled", faulty)
-    assert _rescaling_mismatches()
-    routes = dict(verify.SUITES["hopf"]())["coproduct-recursive-equals-combinatorial"]
-    ok, detail = routes()
-    assert not ok and "lambda=-1/2" in detail
+def test_a_wrong_lambda_power_in_the_rescaling_is_caught():
+    check("scaled-lambda-power")
+    with planted("scaled-lambda-power"):
+        assert _rescaling_mismatches()
 
 
 # each group spells one lambda in several ways: an int, an unreduced
@@ -240,20 +232,24 @@ def test_every_spelling_of_a_lambda_shares_one_memo_entry(spellings):
     assert _misses_hits(shuffle._shuffle)[0] == misses
 
 
-def test_a_misaligned_scaling_is_caught(monkeypatch):
-    real = coproduct._scaled
+_LAMBDA_ROUTES = {
+    "reduced": lambda lam: reduced_coproduct("dyy", lam),
+    "recursive": lambda lam: coproduct_recursive("dyy", lam),
+    "combinatorial": lambda lam: coproduct_combinatorial("dy", lam),
+    "shuffle": lambda lam: shuffle_lambda("dy", "y", lam),
+}
 
-    def rotated(w, p, q):
-        # the right coefficients, one key late
-        coeffs = real(w, p, q)
-        return coeffs[1:] + coeffs[:1]
 
-    monkeypatch.setattr(coproduct, "_scaled", rotated)
-    routes = dict(verify.SUITES["hopf"]())["coproduct-recursive-equals-combinatorial"]
-    ok, detail = routes()
-    assert not ok and "routes disagree" in detail
-    monkeypatch.undo()
-    assert routes() == (True, "")
+@pytest.mark.parametrize("lam", ["1/0", None, float("inf"), float("nan")], ids=repr)
+@pytest.mark.parametrize("route", _LAMBDA_ROUTES)
+def test_a_lambda_that_is_not_a_rational_number_is_a_value_error(route, lam):
+    # not a ZeroDivisionError, TypeError or OverflowError from Fraction()
+    with pytest.raises(ValueError, match=f"lambda must be a rational number, not {lam!r}"):
+        _LAMBDA_ROUTES[route](lam)
+
+
+def test_a_misaligned_scaling_is_caught():
+    check("scaled-misaligned")
 
 
 def _one_lambda_subset_formula(w, lam):

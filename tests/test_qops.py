@@ -1,14 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 from math import comb, factorial, gcd
-from operator import add
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hopfmzv import clear_caches, realizations, verify
+from hopfmzv import clear_caches, realizations
 from hopfmzv.birkhoff import CharacterTable
 from hopfmzv.errors import NonzeroConstantTerm, TruncationMismatch
 from hopfmzv.realizations import (
@@ -21,6 +20,8 @@ from hopfmzv.realizations import (
     op_J,
     op_Pq,
     op_delta,
+    phi,
+    psi,
     qchar_realization,
     qz_rational,
     qz_series,
@@ -28,6 +29,7 @@ from hopfmzv.realizations import (
     y_powerseries,
 )
 from hopfmzv.series import LaurentSeries, _make, convolve, series_mul
+from test_faults import FAULTS, check
 
 Fr = Fraction
 
@@ -98,6 +100,8 @@ def _chi_plus_dy(prec):
         (qz_series, ((1,), 2.0), ((1,), 2)),
         (qz_rational, ((1,), 2.5), ((1,), 2)),
         (_chi_plus_dy, (1.5,), (1,)),
+        (phi, ("dy", 2.0), ("dy", 2)),
+        (psi, ("dy", 2.0), ("dy", 2)),
     ],
 )
 def test_non_integer_indices_and_truncations_are_refused_cold_and_warm(
@@ -498,48 +502,15 @@ def test_the_running_sums_equal_the_generic_products():
     assert _running_sum_mismatches() == []
 
 
-def _times_y_with_current(s):
-    return _make(0, list(accumulate(s.nums)), s.den)
-
-
-def _times_y_rows_with_current(rows):
-    return tuple(accumulate(rows, lambda r, s: tuple(map(add, r, s))))
-
-
-def _times_qatom_with_current(L, s):
-    h = [0] * len(s.nums)
-    for i in range(len(h)):
-        h[i] = (h[i - L] if i >= L else 0) - s.nums[i]
-    return _make(0, h, s.den)
-
-
 @pytest.mark.parametrize(
-    "name, plant, suite, check",
+    "fault",
     [
-        ("_times_y", _times_y_with_current, "rota-baxter", "li-route-agreement"),
-        (
-            "_times_y_rows",
-            _times_y_rows_with_current,
-            "qseries",
-            "qz-operator-realization",
-        ),
-        (
-            "_times_qatom",
-            _times_qatom_with_current,
-            "qseries",
-            "qz-nested-equals-rational",
-        ),
+        pytest.param("times-y-with-current", id="t-side"),
+        pytest.param("times-y-rows-with-current", id="q-side"),
+        pytest.param("times-qatom-with-current", id="q-atom"),
     ],
-    ids=["t-side", "q-side", "q-atom"],
 )
-def test_a_running_sum_that_includes_the_current_term_is_caught(
-    monkeypatch, name, plant, suite, check
-):
-    assert _running_sum_mismatches(**{name[1:]: plant})
-    monkeypatch.setattr(realizations, name, plant)
-    clear_caches()
-    ok, detail = dict(verify.SUITES[suite]())[check]()
-    assert not ok and "k=" in detail
-    monkeypatch.undo()
-    clear_caches()
-    assert dict(verify.SUITES[suite]())[check]() == (True, "")
+def test_a_running_sum_that_includes_the_current_term_is_caught(fault):
+    check(fault)
+    (_, name), = FAULTS[fault].where
+    assert _running_sum_mismatches(**{name[1:]: FAULTS[fault].plant(None)})

@@ -149,7 +149,7 @@ def test_every_process_wide_memo_is_bounded():
     [
         ("psi_factor", (2.0, 2), (2, 2), ValueError),
         ("psi_factor", (Fraction(2), 2), (2, 2), ValueError),
-        ("phi", ("dy", 3.0), ("dy", 3), TypeError),
+        ("phi", ("dy", 3.0), ("dy", 3), ValueError),
     ],
 )
 def test_a_memo_hit_does_not_skip_the_argument_check(name, bad, good, error):
