@@ -21,10 +21,11 @@ whatever the read order.
 
 from __future__ import annotations
 
-import operator
 import threading
 from fractions import Fraction
 from math import factorial, gcd, isqrt, prod
+
+from .words import integer
 
 __all__ = ["bernoulli"]
 
@@ -64,12 +65,7 @@ def bernoulli(n: int) -> Fraction:
     >>> bernoulli(4)
     Fraction(-1, 30)
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"a Bernoulli index must be an integer, not {n!r}") from None
-    if n < 0:
-        raise ValueError("Bernoulli numbers are indexed by n >= 0")
+    n = integer(n, "Bernoulli index", 0)
     if n % 2:  # B_1, and B_n = 0 for odd n >= 3: the table holds the even ones
         return Fraction(1, 2) if n == 1 else Fraction(0)
     if n // 2 >= len(_cache):

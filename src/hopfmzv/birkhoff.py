@@ -38,7 +38,6 @@ builds no counterterms: the phi-realized product identity on constant terms.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import NamedTuple
@@ -48,7 +47,7 @@ from .errors import DepthOne, NonvanishingLowerTerm
 from .realizations import _GRADINGS, _build, mero_depth1, phi, psi
 from .series import LaurentSeries, pole_part, regular_part, series_mul
 from .series import series_pad, series_scale, series_sum
-from .words import depth, indices_to_word, memo, weight, word_to_indices
+from .words import depth, indices, indices_to_word, integer, memo, weight, word_to_indices
 
 __all__ = [
     "CharacterTable",
@@ -129,12 +128,8 @@ class CharacterTable:
     def __init__(self, kind: str, *, prec: int = 1):
         if kind not in _KINDS:
             raise ValueError(f"unknown character kind {kind!r}")
-        try:
-            operator.index(prec)  # no float, str or Fraction
-        except TypeError:
-            raise ValueError(f"prec must be an integer, not {prec!r}") from None
         self.kind = kind
-        self.prec = prec
+        self.prec = integer(prec, "prec")  # the int: prec=True and prec=1 share rows
 
     @property
     def lam(self) -> int:
@@ -187,7 +182,7 @@ def zeta_plus(k: tuple[int, ...]) -> RenormValue:
 
     The lambda = 0 placement sum of zeta(-a) at a = 0 and the odd a <= |k|:
     the trivial zeros zeta(-a), a >= 2 even, are skipped (see _value)."""
-    ks = word_to_indices(indices_to_word(k))
+    ks = indices(k)
     return RenormValue(ks, _value(ks), "phi-placement-dp")
 
 
@@ -202,7 +197,7 @@ def qzeta_plus(k: tuple[int, ...]) -> RenormValue:
     difference, is 0 when deg p < a and (-1)^a a! lead(p) when deg p = a.
     So each leading coefficient is -B_{a+1}/(a+1) = zeta(-a), as in zeta_plus:
     the same zeta(0) and odd zeta(-a) are read, the even trivial zeros skipped."""
-    ks = word_to_indices(indices_to_word(k))
+    ks = indices(k)
     return RenormValue(ks, _value(ks), "psi-placement-dp")
 
 

@@ -110,8 +110,6 @@ def _parse_kvec(text: str) -> tuple[int, ...]:
         k = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise SyntaxError(f"bad index vector {text!r}; expected e.g. 1,0,2") from exc
-    if not k:
-        raise SyntaxError("index vector must be nonempty")
     return k
 
 

@@ -96,7 +96,7 @@ from .series import (
     series_sum,
     zero_series,
 )
-from .words import depth, indices_to_word, is_admissible, memo, weight, word_to_indices
+from .words import depth, indices, integer, is_admissible, memo, weight, word_to_indices
 
 Fr = Fraction
 
@@ -132,18 +132,14 @@ __all__ = [
 
 @memo
 def psi_factor(level: int, valid_through: int) -> LaurentSeries:
-    """f(L z), L = level, with f(u) = sum_{m>=0} B_m/m! u^{m-1}; residue 1/L.
+    """f(L z), L = level >= 1, with f(u) = sum_{m>=0} B_m/m! u^{m-1}; residue
+    1/L; through z^V, V = valid_through >= -2 (at -2, empty below the pole).
 
     L f(L z) = sum_m B_m/m! L^m z^m, so the numerators b_m (V+1)!/m! L^m
     over D (V+1)! L, with b_m = D B_m, come from running products in ints.
     """
-    try:
-        L = operator.index(level)
-    except TypeError:
-        L = 0
-    if L < 1:
-        raise ValueError("level must be a positive integer")
-    bs = [bernoulli(m) for m in range(valid_through + 2)]  # B_0 .. B_{V+1}: z^-1 .. z^V
+    L, V = integer(level, "level", 1), integer(valid_through, "window", -2)
+    bs = [bernoulli(m) for m in range(V + 2)]  # B_0 .. B_{V+1}: z^-1 .. z^V
     D = lcm(*(B.denominator for B in bs))
     F = factorial(max(len(bs) - 1, 0))  # (V+1)!
     nums, f, p = [], F, 1
@@ -168,11 +164,7 @@ def _build(kind: str, w: str, P: int, part=None) -> LaurentSeries:
     (the pole or regular part), the same loop on part(atom)."""
     if not is_admissible(w):
         raise NotAdmissible(f"{kind} needs an admissible word, got {w!r}")
-    try:
-        P = operator.index(P)  # no float, str or Fraction
-    except TypeError:
-        raise ValueError(f"{kind} needs an integer precision, not {P!r}") from None
-    g = _GRADINGS[kind](w)
+    P, g = integer(P, "precision"), _GRADINGS[kind](w)
     if P < -g:  # below the leading pole z^{-g(w)}
         return zero_series(P)
     if w == "":
@@ -308,29 +300,12 @@ def op_delta(s: LaurentSeries) -> LaurentSeries:
     return _make(0, [m * x for m, x in enumerate(s.nums)], s.den)
 
 
-def _check_truncation(k: tuple[int, ...], T: int) -> None:
-    """The shared preconditions of the t- and q-side truncations below: the
-    entries of k and T are integers (operator.index: no float, str or
-    Fraction), k is nonempty and T >= 0."""
-    try:
-        for x in (*k, T):
-            operator.index(x)
-    except TypeError:
-        raise ValueError(
-            f"index entries and truncation must be integers: k={k!r}, T={T!r}"
-        ) from None
-    if not k:
-        raise ValueError("index vector must have length >= 1")
-    if T < 0:
-        raise ValueError(f"truncation must be >= 0, got {T}")
-
-
 def li_J(k: tuple[int, ...], T: int) -> LaurentSeries:
     """One-variable polylogarithm at integer indices of any sign, to t^T.
 
     J^{k_1}[ y * J^{k_2}[ ... J^{k_n}[y] ] ] with J^{-m} = delta^m.
     """
-    _check_truncation(k, T)
+    k, T = indices(k, None), integer(T, "truncation", 0)
     acc = None
     for e in reversed(k):
         acc = y_powerseries(T) if acc is None else _times_y(acc)
@@ -345,7 +320,7 @@ def li_nested(k: tuple[int, ...], T: int) -> LaurentSeries:
     Counted in ints over L^{sum of the positive k_i}, L = lcm(1..T), as
     1/m^e = (L/m)^e / L^e.
     """
-    _check_truncation(k, T)
+    k, T = indices(k, None), integer(T, "truncation", 0)
     L = lcm(*range(1, T + 1))
     layer, den = [1] + [0] * T, 1  # the empty tail, at m_{n+1} = 0
     for e in reversed(k):
@@ -429,8 +404,7 @@ def eval_t_eq_q(rows: _Rows) -> tuple[int, ...]:
 
 def qchar_realization(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     """D_q^{k_1}[ y * D_q^{k_2}[ ... ] ](t) at t = q, to q^Q."""
-    k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
-    _check_truncation(k, Q)
+    k, Q = indices(k), integer(Q, "truncation", 0)  # k_i >= 0: arguments -k_i
     times = lambda y, rows: _times_y_rows(rows)  # noqa: E731
     return eval_t_eq_q(_chain(k, y_bivariate(Q, Q), times, op_Dq))
 
@@ -441,8 +415,7 @@ def qz_series(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     sum_{m_1 > ... > m_n > 0} q^{m_1} prod_i (1 - q^{m_i})^{k_i};
     only the outermost index carries the factor q^{m_1}.
     """
-    k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
-    _check_truncation(k, Q)
+    k, Q = indices(k), integer(Q, "truncation", 0)  # k_i >= 0: arguments -k_i
 
     def times_binom(m: int, e: int, run: list[int]) -> list[int]:
         # (1 - q^m)^e * run, as long as run: one shifted add per nonzero term
@@ -475,8 +448,7 @@ def qz_rational(k: tuple[int, ...], Q: int) -> tuple[int, ...]:
     Every atom is an integer series over denominator 1, so the l-sum's
     numerators are the coefficients.
     """
-    k = word_to_indices(indices_to_word(k))  # k_i >= 0: arguments -k_i
-    _check_truncation(k, Q)
+    k, Q = indices(k), integer(Q, "truncation", 0)  # k_i >= 0: arguments -k_i
 
     def atom(L: int) -> LaurentSeries:
         nums = [0] * (Q + 1)
@@ -502,19 +474,14 @@ def _times_qatom(L: int, s: LaurentSeries) -> LaurentSeries:
 
 def mero_depth1(k: int) -> Fraction:
     """zeta(-k) = -B_{k+1}/(k+1)."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        k = -1  # no float, str or Fraction
-    if k < 0:
-        raise ValueError("depth-1 oracle takes an integer k >= 0")
+    k = integer(k, "k", 0)
     B = bernoulli(k + 1)
     return Fraction(-B.numerator, B.denominator * (k + 1))
 
 
 def mero_depth2(a: int, b: int) -> Fraction:
     """zeta(-a, -b) = (1/2)(1 + delta_0(b)) B_{a+b+1}/(a+b+1), a+b odd."""
-    a, b = word_to_indices(indices_to_word((a, b)))  # integers a, b >= 0
+    a, b = indices((a, b))  # integers a, b >= 0
     if (a + b) % 2 == 0:
         raise EvenWeight(f"(-{a}, -{b}) lies in the singular set (a+b even)")
     scale = Fr(1, 2) * (2 if b == 0 else 1)

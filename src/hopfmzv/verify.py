@@ -18,7 +18,8 @@ Four suites, each a list of named checks that return (ok, detail):
               weight 0 and -1), polylogarithm route agreement li_J = li_nested
   qseries     q-sum route agreement (nested sum vs rational closed form vs
               bivariate operator realization), psi vs the alternating-
-              binomial constant oracle, atom pins
+              binomial constant oracle, atom pins (with B_0 .. B_20
+              against sum_{j<N} C(N, j) B_j = N)
 
 Checks are deterministic: the only randomness is a fixed-seed RNG for the
 operator-identity sample series.  A check that raises reports FAIL with the
@@ -31,7 +32,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .bernoulli import bernoulli
 from .birkhoff import (
@@ -502,10 +503,10 @@ def _check_mero_compat():
 
 def _check_negative_control():
     v = zeta_plus((0, 0)).value
-    if v != Fr(1, 4):
-        return False, f"zeta_plus(0, 0) = {v} != 1/4"
     if v == Fr(3, 8):
         return False, "zeta_plus(0, 0) landed on the rejected value 3/8"
+    if v != Fr(1, 4):
+        return False, f"zeta_plus(0, 0) = {v} != 1/4"
     if zeta_plus_via_primitives((0, 0)).value != Fr(1, 4):
         return False, "primitive route disagrees at (0, 0)"
     return True, ""
@@ -741,8 +742,11 @@ def _check_atoms():
     for m in range(14):
         if f1.coefficient(m - 1) != bernoulli(m) / factorial(m):
             return False, f"f(z) coefficient at z^{m - 1} drifts"
-    if bernoulli(1) != Fr(1, 2):
-        return False, "wrong Bernoulli convention (need B_1 = +1/2)"
+    B = [bernoulli(j) for j in range(21)]  # B_0 .. B_20, every one the suites read
+    D = lcm(*(b.denominator for b in B))  # sum_{j<N} C(N, j) B_j = N, in ints over D
+    for N in (5, 13, 21):  # holds with B_1 = +1/2 only
+        if sum(comb(N, j) * b.numerator * D // b.denominator for j, b in enumerate(B[:N])) != N * D:
+            return False, f"B_0 .. B_{N - 1} break sum_(j<{N}) C({N}, j) B_j = {N} (B_1 = +1/2)"
     if not equal_on_window(x_series(10), series_scale(psi_factor(1, 10), -1)):
         return False, "x != -f"
     if not equal_on_window(phi("y", 8), psi("y", 8), 6):

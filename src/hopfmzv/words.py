@@ -12,6 +12,12 @@ zeros; scalar() makes every scalar an int when integral, and ratio() keys a
 lambda by its integer pair (p, q).  The canonical ordering for printing and
 JSON is graded lexicographic — weight first, then letterwise with d < y —
 which plain (len(w), w) delivers since 'd' < 'y' in ASCII.
+
+Every public entry that takes integer arguments decides them here, once:
+integer(x, what, least) for one integer (an index, level, window, precision
+or truncation) and indices(k, least) for an index vector.  Both go through
+operator.index, so no float, str or Fraction passes, and raise ValueError
+naming what they refuse; nothing below an entry checks again.
 """
 
 from __future__ import annotations
@@ -54,7 +60,9 @@ __all__ = [
     "admissible_words",
     "clear_caches",
     "depth",
+    "indices",
     "indices_to_word",
+    "integer",
     "is_admissible",
     "parse_word",
     "project_T",
@@ -95,23 +103,36 @@ def word_key(w: str):
     return (len(w), w)
 
 
-def indices_to_word(k: Iterable[int]) -> str:
-    """The word d^{k_1} y ... d^{k_n} y of an index vector.
-
-    This is the one check of an index vector (k_1, ..., k_n) standing for
-    the arguments (-k_1, ..., -k_n): it is nonempty and its entries are
-    integers (operator.index: no float, str or Fraction) with every
-    k_i >= 0.  Anything else raises ValueError.
-    """
+def integer(x, what: str, least: int | None = None) -> int:
+    """x as an int (operator.index: no float, str or Fraction), and at least
+    least unless that is None; anything else raises ValueError naming what."""
     try:
-        k = tuple(operator.index(ki) for ki in k)
+        n = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {x!r}") from None
+    if least is not None and n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
+    return n
+
+
+def indices(k: Iterable[int], least: int | None = 0) -> tuple[int, ...]:
+    """The index vector k as a nonempty tuple of ints, each k_i >= least:
+    k_i >= 0 (the default) for the arguments (-k_1, ..., -k_n), any sign
+    with least=None (the t-side).  Anything else raises ValueError."""
+    try:
+        k = tuple(map(operator.index, k))
     except TypeError:
         raise ValueError(f"index vector entries must be integers: {k!r}") from None
     if not k:
         raise ValueError("index vector must have length >= 1")
-    if any(ki < 0 for ki in k):
-        raise ValueError("index vector entries must be non-negative: k_i >= 0")
-    return "".join("d" * ki + "y" for ki in k)
+    if least is not None and min(k) < least:
+        raise ValueError(f"index vector entries must be non-negative: k_i >= {least}")
+    return k
+
+
+def indices_to_word(k: Iterable[int]) -> str:
+    """The word d^{k_1} y ... d^{k_n} y of an index vector (see indices)."""
+    return "".join("d" * ki + "y" for ki in indices(k))
 
 
 def word_to_indices(w: str) -> tuple[int, ...]:

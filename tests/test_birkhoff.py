@@ -182,6 +182,15 @@ def test_argument_validation():
                 route(k)
 
 
+def test_a_table_keys_its_rows_by_the_int_prec():
+    # prec=True is the int 1: both tables read the same memoized rows
+    clear_caches()
+    one, true = CharacterTable("phi", prec=1), CharacterTable("phi", prec=True)
+    assert type(true.prec) is int
+    assert true.chi_plus("dydy") is one.chi_plus("dydy")
+    assert birkhoff._rows.cache_info().currsize == 1
+
+
 def test_table_is_thread_safe():
     words = list(admissible_words(5))
     reference = {}

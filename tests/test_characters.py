@@ -81,8 +81,16 @@ def test_atoms_equal_the_fraction_series():
 
 @pytest.mark.parametrize("level", [2.5, Fr(3, 2), 0, -1, "2"])
 def test_atom_level_must_be_a_positive_integer(level):
-    with pytest.raises(ValueError, match="level must be a positive integer"):
+    with pytest.raises(ValueError, match="level must be (an integer|>= 1)"):
         psi_factor(level, 2)
+
+
+def test_atom_window_is_an_integer_from_minus_two():
+    # at -2 the atom is empty below its pole; a window further down is refused
+    assert psi_factor(3, -2).valid_through == -2 and not psi_factor(3, -2).nums
+    for V, message in [(-3, "window must be >= -2, got -3"), (2.0, "window must be an integer")]:
+        with pytest.raises(ValueError, match=message):
+            psi_factor(1, V)
 
 
 def test_psi_dydy_as_an_explicit_f_combination():

@@ -262,6 +262,14 @@ FAULTS = {
         lambda real: lambda ks: real(ks) * Fr(lift(ks)[1], lift(ks)[1] + 1),
         f"{_VALUE_CHECKS} birkhoff/closed-form-compatibility birkhoff/quarter-not-three-eighths",
     ),
+    "value-three-eighths": Fault(  # the value quarter-not-three-eighths names
+        ((birkhoff, "_value"),),
+        _changed(lambda v: Fr(3, 8), lambda ks: ks == (0, 0)),
+        "birkhoff/renormalized-relations-zeta birkhoff/renormalized-relations-qzeta "
+        "birkhoff/primitive-decomposition-agreement birkhoff/quarter-not-three-eighths "
+        "birkhoff/qzeta-equals-zeta-spots",
+        {"birkhoff/quarter-not-three-eighths": "rejected value 3/8"},
+    ),
     # the recursion on psi: a pole in the counterterm of dyy, a left leg of
     # the spot ydyy, and a constant in the bar of the spot yy itself
     "bar-counterterm": Fault(
@@ -340,6 +348,19 @@ FAULTS = {
         "birkhoff/kstar-primitive-identity birkhoff/closed-form-compatibility "
         "birkhoff/qzeta-equals-zeta-spots qseries/psi-vs-constant-oracle qseries/atom-pins",
         {"qseries/atom-pins": "von Staudt-Clausen"},
+    ),
+    # T_2 plus a multiple of every 4^j (4^j - 1), j <= 30: B_4 gains an integer,
+    # and so does each later entry through B_60 (every later T_m moves by a
+    # multiple of the same lcm), every denominator kept, so only the
+    # recurrence in atom-pins sees it
+    "bernoulli-shifted-by-integers": Fault(
+        ((bernoulli_module, "_step"),),
+        _changed(
+            lambda col: col[:-1] + [col[-1] + lcm(*(4**j * (4**j - 1) for j in range(1, 31)))],
+            lambda col: len(col) == 1,
+        ),
+        "qseries/atom-pins",
+        {"qseries/atom-pins": "B_0 .. B_4 break"},
     ),
     # ------------------------------------------------------ t-side, q-side
     "li-nested-off-by-one": Fault(

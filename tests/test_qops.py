@@ -22,9 +22,11 @@ from hopfmzv.realizations import (
     op_delta,
     phi,
     psi,
+    psi_factor,
     qchar_realization,
     qz_rational,
     qz_series,
+    x_series,
     y_bivariate,
     y_powerseries,
 )
@@ -102,6 +104,10 @@ def _chi_plus_dy(prec):
         (_chi_plus_dy, (1.5,), (1,)),
         (phi, ("dy", 2.0), ("dy", 2)),
         (psi, ("dy", 2.0), ("dy", 2)),
+        (_chi_plus_dy, (2.0,), (2,)),
+        (psi_factor, (2, 2.5), (2, 2)),
+        (psi_factor, (1, "3"), (1, 3)),
+        (x_series, (2.5,), (2,)),
     ],
 )
 def test_non_integer_indices_and_truncations_are_refused_cold_and_warm(

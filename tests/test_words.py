@@ -10,7 +10,9 @@ from hopfmzv.words import (
     MEMO_ENTRIES,
     admissible_words,
     depth,
+    indices,
     indices_to_word,
+    integer,
     is_admissible,
     parse_word,
     project_T,
@@ -72,6 +74,34 @@ def test_index_vector_round_trip():
     for k in [(1.5,), ("3",), (1, None)]:
         with pytest.raises(ValueError):
             indices_to_word(k)
+
+
+def test_integer_arguments_are_decided_in_one_place():
+    # an int comes back as a plain int, bool included, whatever its bound
+    assert integer(True, "prec") == 1 and type(integer(True, "prec")) is int
+    assert integer(-5, "prec") == -5 and integer(0, "truncation", 0) == 0
+    for bad, message in [
+        (2.0, "truncation must be an integer, not 2.0"),
+        ("3", "truncation must be an integer, not '3'"),
+        (Fraction(4), "truncation must be an integer, not Fraction(4, 1)"),
+        (-3, "truncation must be >= 0, got -3"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            integer(bad, "truncation", 0)
+        assert str(exc.value) == message
+    # index vectors: any iterable, a tuple of ints back; any sign with least=None
+    assert indices([2, True]) == (2, 1) and indices(iter((0, 3))) == (0, 3)
+    assert indices((-2, 1), None) == (-2, 1)
+    for bad, least, message in [
+        ((), 0, "index vector must have length >= 1"),
+        ((), None, "index vector must have length >= 1"),
+        ((1, -1), 0, "index vector entries must be non-negative: k_i >= 0"),
+        ((1, 0.5), None, "index vector entries must be integers: (1, 0.5)"),
+        (3, 0, "index vector entries must be integers: 3"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            indices(bad, least)
+        assert str(exc.value) == message
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4))
