@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, factorial, lcm
 
 from .bernoulli import bernoulli
@@ -238,21 +238,19 @@ def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:
     """
     if len(k) != len(m):
         raise ValueError("index vectors k and m must have equal length")
-    n = len(k)
+    # block i's row: (l, its sign and binomial, L^{m_i - 1} = L^up / L^down)
+    rows = [
+        [(l, (-1) ** (l + 1) * comb(ki, l), max(mi - 1, 0), max(1 - mi, 0)) for l in range(ki + 1)]
+        for ki, mi in zip(k, m)
+    ]
     sums: dict = {}  # denominator -> sum of numerators
-    exps = [(max(mi - 1, 0), max(1 - mi, 0)) for mi in m]  # L^{m_i - 1} = L^up / L^down
-
-    def descend(i: int, lsum: int, num: int, den: int):
-        if i == n:
-            sums[den] = sums.get(den, 0) + num
-            return
-        up, down = exps[i]
-        for l in range(k[i] + 1):
-            L = lsum + l + 1
-            c = num * comb(k[i], l) * (-1) ** (l + 1)
-            descend(i + 1, lsum + l, c * L**up, den * L**down)
-
-    descend(0, 0, 1, 1)
+    for leaf in product(*rows):
+        L = num = den = 1
+        for l, c, up, down in leaf:
+            L += l
+            num *= c * L**up
+            den *= L**down
+        sums[den] = sums.get(den, 0) + num
     D = lcm(*sums)
     return Fr(sum(num * (D // den) for den, num in sums.items()), D)
 
@@ -266,7 +264,7 @@ def psi_C(k: tuple[int, ...], m: tuple[int, ...]) -> Fraction:
 
 def y_powerseries(T: int) -> LaurentSeries:
     """y(t) = t/(1-t) = sum_{m>=1} t^m."""
-    return _make(0, (0,) + (1,) * T, 1)
+    return _make(0, (0,) + (1,) * integer(T, "truncation", 0), 1)
 
 
 def _times_y(s: LaurentSeries) -> LaurentSeries:
@@ -344,6 +342,7 @@ _Rows = tuple[tuple[int, ...], ...]
 
 def y_bivariate(A: int, Q: int) -> _Rows:
     """y(t) = sum_{m=1}^{A} t^m (no q-dependence)."""
+    A, Q = integer(A, "truncation", 0), integer(Q, "truncation", 0)
     return ((1,) + (0,) * Q,) * A
 
 

@@ -24,6 +24,15 @@ Four suites, each a list of named checks that return (ok, detail):
 Checks are deterministic: the only randomness is a fixed-seed RNG for the
 operator-identity sample series.  A check that raises reports FAIL with the
 exception rather than aborting the suite.
+
+The checks share what they build through the package's memos, so they read
+one window where they can: every Birkhoff row at _ROW_PREC = 8, except
+closed-form-compatibility (z^0) and qzeta-equals-zeta-spots (z^N), and phi
+at P = 14 in the hopf suite and in the multiplicativity checks.  At
+lambda = p/q the coassociativity and squaring checks scale their terms by
+powers of q so that they sum ints (but for the shuffle's powers of 1/2 at
+lambda = 2); each comparison is unchanged, every term at one key carrying
+the same power.
 """
 
 from __future__ import annotations
@@ -99,6 +108,8 @@ from .words import (
     depth,
     indices_to_word,
     project_T,
+    ratio,
+    scalar,
     weight,
     word_to_indices,
     ws_add,
@@ -179,10 +190,25 @@ def _check_cop_routes():
     return True, ""
 
 
+def _rescaled_cops(lam) -> dict:
+    """u -> the coproduct of u at lam = p/q, each coefficient times
+    q^(|a| + |b| - |u|), for every admissible word u to weight 6 (every leg
+    of one is itself one of these words).  A term N lam^j, j = |a| + |b| - |u|
+    the doubled d's, becomes the int N p^j."""
+    q = Fr(ratio(lam)[1])
+    cops = {}
+    for u in admissible_words(6, include_empty=True):
+        cop = coproduct_recursive(u, lam)
+        cops[u] = {(a, b): scalar(c * q ** (len(a) + len(b) - len(u))) for (a, b), c in cop.items()}
+    return cops
+
+
 def _check_coassoc():
+    # Rescaled, every term at the key (x, y, z) on either side carries the
+    # same factor q^(|x| + |y| + |z| - |w|), whatever the coefficients are:
+    # the comparison is the unscaled one, summed in ints.
     for lam in _LAMS_COP:
-        # every leg of a word to weight 6 is itself one of these words
-        cops = {u: coproduct_recursive(u, lam) for u in admissible_words(6, include_empty=True)}
+        cops = _rescaled_cops(lam)
         for w, cop in cops.items():
             left: dict = {}
             right: dict = {}
@@ -216,7 +242,7 @@ def _check_counit():
     return True, ""
 
 
-def _realize(char, s: dict, P: int = 12):
+def _realize(char, s: dict, P: int = 14):
     """A character applied linearly to a word sum (phi: ground truth modulo L_-)."""
     return _total(P, ((c, char(w, P)) for w, c in s.items()))
 
@@ -277,14 +303,20 @@ def _check_bialgebra():
 
 
 def _check_squaring():
-    # m o Delta(w) = 2^dpt(w) w, exactly, for every lambda != 0
+    # m o Delta(w) = 2^dpt(w) w, exactly, for every lambda != 0.  Both sides
+    # times q^(the d's of w), lambda = p/q: a coproduct term N lam^j, j <= the
+    # d's of w, becomes an int, and a shuffle coefficient lies in Z[q/p], ints
+    # at lambda = -1 and -1/3.  At lambda = 2 the shuffle's powers of 1/2 stay
+    # Fractions.
     for lam in _LAMS_SH:
+        q = ratio(lam)[1]
         for w in admissible_words(6):
-            acc: dict = {}
+            scale, acc = q ** w.count("d"), {}
             for (a, b), c in coproduct_recursive(w, lam).items():
+                c = scalar(c * scale)
                 for u, cu in shuffle_lambda(a, b, lam).items():
                     acc[u] = acc.get(u, 0) + c * cu
-            if {u: c for u, c in acc.items() if c} != {w: 2 ** depth(w)}:
+            if {u: c for u, c in acc.items() if c} != {w: 2 ** depth(w) * scale}:
                 return False, f"m o Delta != 2^dpt at w={w!r}, lambda={lam}"
     return True, ""
 
@@ -393,10 +425,18 @@ def _suite_hopf():
 # birkhoff suite
 # ---------------------------------------------------------------------------
 
+# The one window of the rows that the split, reconstruction and q-relation
+# checks read, so each (kind, word) row triple is built once.  It is the
+# reconstruction's need: two nonempty legs of a word to weight 6 have poles
+# of order at most 5, so rows through z^8 give their product through z^3,
+# the window it compares.  The q-relation reads z^0 .. z^N, N <= 4.  closed-form-compatibility (z^0) and
+# qzeta-equals-zeta-spots (z^N, up to 14) keep windows of their own.
+_ROW_PREC = 8
+
 
 def _check_split_shapes():
     for kind in ("phi", "psi"):
-        table = CharacterTable(kind, prec=6)
+        table = CharacterTable(kind, prec=_ROW_PREC)
         for w in admissible_words(6):
             minus = table.chi_minus(w)
             plus = table.chi_plus(w)
@@ -414,7 +454,7 @@ def _check_split_shapes():
 
 def _check_star_reconstruction():
     for kind in ("phi", "psi"):
-        table = CharacterTable(kind, prec=8)
+        table = CharacterTable(kind, prec=_ROW_PREC)
         for w in admissible_words(6):
             lhs = star(table.chi_minus, table.chi, w, table.lam)
             if not equal_on_window(lhs, table.chi_plus(w), 3):
@@ -443,9 +483,9 @@ def _check_renorm_relations_zeta():
 
 
 def _check_renorm_relations_qzeta():
+    table = CharacterTable("psi", prec=_ROW_PREC)
     for u, v in _unordered_pairs_total_weight(6):
         N = weight(u) + weight(v) - depth(u) - depth(v)
-        table = CharacterTable("psi", prec=N + 2)
         terms = project_T(shuffle_lambda(u, v, -1)).items()
         plus = series_sum((c, table.chi_plus(w)) for w, c in terms)
         lhs = _rescaled_limit(f"{u} * {v}", plus, N)

@@ -89,6 +89,14 @@ def test_negative_truncations_are_rejected(route):
     assert getattr(got, "coeffs", got) == (Fr(0),)
 
 
+def test_y_rejects_negative_truncations():
+    for route, args in [(y_powerseries, (-3,)), (y_bivariate, (3, -2)), (y_bivariate, (-1, 2))]:
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            route(*args)
+    assert y_powerseries(0).coeffs == (0,)
+    assert y_bivariate(0, 2) == () and y_bivariate(2, 0) == ((1,), (1,))
+
+
 def _chi_plus_dy(prec):
     return CharacterTable("phi", prec=prec).chi_plus("dy")
 
@@ -108,6 +116,9 @@ def _chi_plus_dy(prec):
         (psi_factor, (2, 2.5), (2, 2)),
         (psi_factor, (1, "3"), (1, 3)),
         (x_series, (2.5,), (2,)),
+        (y_powerseries, (2.5,), (2,)),
+        (y_bivariate, (2.5, 2), (2, 2)),
+        (y_bivariate, (2, 2.5), (2, 2)),
     ],
 )
 def test_non_integer_indices_and_truncations_are_refused_cold_and_warm(

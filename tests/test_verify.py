@@ -7,7 +7,7 @@ the catalogue's shared run.
 
 import pytest
 
-from hopfmzv import verify
+from hopfmzv import birkhoff, clear_caches, realizations, verify
 from test_faults import check
 
 
@@ -21,6 +21,26 @@ from test_faults import check
 )
 def test_unpatched_checks_pass(suite, name):
     assert dict(verify.SUITES[suite]())[name]() == (True, "")
+
+
+def test_the_suites_read_one_row_window_and_one_phi_window():
+    # birkhoff: the 63 words to weight 6 of both kinds at _ROW_PREC, the 13
+    # d^k y at prec 0 and the 8 spots at prec N; hopf: phi at P = 14 only,
+    # of the empty word and the 63 words to weight 6
+    clear_caches()
+    assert all(r["ok"] for r in verify.run_suite("birkhoff"))
+    assert birkhoff._rows.cache_info().currsize == 147
+    clear_caches()
+    assert all(r["ok"] for r in verify.run_suite("hopf"))
+    assert realizations.phi.cache_info().currsize == 64
+
+
+@pytest.mark.parametrize("lam", verify._LAMS_COP)
+def test_rescaled_coassociativity_coefficients_are_ints(lam):
+    cops = verify._rescaled_cops(lam)
+    assert len(cops) == 64  # the empty word and every admissible word to weight 6
+    for u, cop in cops.items():
+        assert cop and all(type(c) is int for c in cop.values()), u
 
 
 def test_a_wrong_lambda_power_in_the_subset_formula_is_caught():
