@@ -146,13 +146,13 @@ def _load_table_reference(path: str):
     source = fixture if path == "" else Path(path)
     try:
         entries = json.loads(source.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read reference table: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 JSON
+        raise ValueError(f"cannot read reference table {path!r}: {exc}") from exc
     if not isinstance(entries, list):
         raise ValueError(f"reference table {path!r} is not a JSON list")
     try:
         return {tuple(e["k"]): Fraction(e["value"]) for e in entries}
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValueError(
             f'reference table {path!r}: every entry needs "k" and a rational "value"'
         ) from exc

@@ -26,9 +26,9 @@ operator-identity sample series.  A check that raises reports FAIL with the
 exception rather than aborting the suite.
 
 The checks share what they build through the package's memos, so they read
-one window where they can: every Birkhoff row at _ROW_PREC = 8, except
-closed-form-compatibility (z^0) and qzeta-equals-zeta-spots (z^N), and phi
-at P = 14 in the hopf suite and in the multiplicativity checks.  At
+two windows: every phi and psi at _CHAR_PREC = 14 and every Birkhoff row at
+_ROW_PREC = 8, but for qzeta-equals-zeta-spots, whose rows are read at the
+spot's N.  At
 lambda = p/q the coassociativity and squaring checks scale their terms by
 powers of q so that they sum ints (but for the shuffle's powers of 1/2 at
 lambda = 2); each comparison is unchanged, every term at one key carrying
@@ -120,6 +120,24 @@ Fr = Fraction
 
 _SEED = 20260819
 
+# The one window of every phi and psi the checks read, so each character of
+# a word is built once.  equal_on_window compares through the lesser
+# valid_through, and a product of two characters through z^14 is valid
+# through 14 minus the larger pole order, z^9 at least for two nonempty legs
+# of a word to weight 6.  A wider read narrows no comparison; at 8 those
+# products would hold through z^3 only.
+_CHAR_PREC = 14
+
+# The one window of the Birkhoff rows, so each (kind, word) row triple is
+# built once; only qzeta-equals-zeta-spots reads its rows at the spot's N
+# (z^0 .. z^N, N up to 14).  Through z^8, convolution-reconstruction's terms
+# chi_minus(w') chi(w'') hold through z^2 at least (chi_minus(e) through
+# z^8 times a weight-6 pole), renormalized-relations-qzeta reads z^0 .. z^N,
+# N <= 4, and closed-form-compatibility z^0.  Rows through z^14 raise the
+# peak RSS of one process running the four suites by 0.2 - 0.3 MB (CPython
+# 3.11, x86-64 Linux).
+_ROW_PREC = 8
+
 __all__ = ["SUITES", "run_suite"]
 
 
@@ -133,9 +151,9 @@ def _linear(f, s: dict) -> dict:
     return ws_add(*(ws_scale(f(key), c) for key, c in s.items()))
 
 
-def _total(P: int, terms):
-    """sum c * s over (c, s) terms; an empty sum is zero_series(P)."""
-    return series_sum(chain([(1, zero_series(P))], terms))
+def _total(terms):
+    """sum c * s over (c, s) terms; an empty sum is zero_series(_CHAR_PREC)."""
+    return series_sum(chain([(1, zero_series(_CHAR_PREC))], terms))
 
 
 def _raises(exc: type, fn, *args) -> bool:
@@ -242,9 +260,9 @@ def _check_counit():
     return True, ""
 
 
-def _realize(char, s: dict, P: int = 14):
+def _realize(char, s: dict):
     """A character applied linearly to a word sum (phi: ground truth modulo L_-)."""
-    return _total(P, ((c, char(w, P)) for w, c in s.items()))
+    return _total((c, char(w, _CHAR_PREC)) for w, c in s.items())
 
 
 def _check_shuffle_comm():
@@ -323,7 +341,7 @@ def _check_squaring():
 
 def _check_squaring_zero():
     # at lambda = 0 the identity holds through the realization phi
-    char = lambda u: phi(u, 14)  # noqa: E731
+    char = CharacterTable("phi", prec=_CHAR_PREC).chi
     for w in admissible_words(6):
         lhs = star(char, char, w, 0)
         rhs = series_scale(char(w), 2 ** depth(w))
@@ -425,15 +443,6 @@ def _suite_hopf():
 # birkhoff suite
 # ---------------------------------------------------------------------------
 
-# The one window of the rows that the split, reconstruction and q-relation
-# checks read, so each (kind, word) row triple is built once.  It is the
-# reconstruction's need: two nonempty legs of a word to weight 6 have poles
-# of order at most 5, so rows through z^8 give their product through z^3,
-# the window it compares.  The q-relation reads z^0 .. z^N, N <= 4.  closed-form-compatibility (z^0) and
-# qzeta-equals-zeta-spots (z^N, up to 14) keep windows of their own.
-_ROW_PREC = 8
-
-
 def _check_split_shapes():
     for kind in ("phi", "psi"):
         table = CharacterTable(kind, prec=_ROW_PREC)
@@ -455,8 +464,9 @@ def _check_split_shapes():
 def _check_star_reconstruction():
     for kind in ("phi", "psi"):
         table = CharacterTable(kind, prec=_ROW_PREC)
+        chi = CharacterTable(kind, prec=_CHAR_PREC).chi
         for w in admissible_words(6):
-            lhs = star(table.chi_minus, table.chi, w, table.lam)
+            lhs = star(table.chi_minus, chi, w, table.lam)
             if not equal_on_window(lhs, table.chi_plus(w), 3):
                 return False, f"{kind}: chi_minus * chi != chi_plus at {w!r}"
     return True, ""
@@ -465,8 +475,8 @@ def _check_star_reconstruction():
 def _check_character(char, product):
     # char(u) char(v) = char(u x v) for the product matching the character
     for u, v in _unordered_pairs_total_weight(6):
-        lhs = series_mul(char(u, 14), char(v, 14))
-        if not equal_on_window(lhs, _realize(char, product(u, v), 14), 6):
+        lhs = series_mul(char(u, _CHAR_PREC), char(v, _CHAR_PREC))
+        if not equal_on_window(lhs, _realize(char, product(u, v)), 6):
             return False, f"{char.__name__} not multiplicative at u={u!r}, v={v!r}"
     return True, ""
 
@@ -496,15 +506,10 @@ def _check_renorm_relations_qzeta():
 
 
 def _check_kstar_primitive():
-    char = lambda u: phi(u, 14)  # noqa: E731
+    char = CharacterTable("phi", prec=_CHAR_PREC).chi
     for w in admissible_words(6):
-        acc = _total(
-            8,
-            (
-                (c, series_mul(char(w1), char(w2)))
-                for (w1, w2), c in reduced_coproduct(w, 0).items()
-            ),
-        )
+        terms = reduced_coproduct(w, 0).items()
+        acc = _total((c, series_mul(char(w1), char(w2))) for (w1, w2), c in terms)
         rhs = series_scale(char(w), 2 ** depth(w) - 2)
         if not equal_on_window(acc, rhs, 6):
             return False, f"K * K identity fails at w={w!r}"
@@ -526,7 +531,7 @@ def _check_primitive_decomposition():
 def _check_mero_compat():
     # depth 1 against phi: zeta_plus((k,)) is mero_depth1(k) by construction,
     # and chi_plus(d^k y) is the regular part of phi(d^k y), built from x(z)
-    table = CharacterTable("phi", prec=0)
+    table = CharacterTable("phi", prec=_ROW_PREC)
     for k in range(13):
         if table.chi_plus("d" * k + "y").coefficient(0) != mero_depth1(k):
             return False, f"depth-1 mismatch at k={k}"
@@ -767,7 +772,7 @@ def _check_psi_vs_constants():
                 vectors.append(k)
     for k in vectors:
         w = indices_to_word(k)
-        s = psi(w, 4)
+        s = psi(w, _CHAR_PREC)
         for e in range(-len(k), 5):
             if s.coefficient(e) != _psi_coeff_oracle(k, e):
                 return False, f"psi coefficient z^{e} off at k={k}"
@@ -789,7 +794,7 @@ def _check_atoms():
             return False, f"B_0 .. B_{N - 1} break sum_(j<{N}) C({N}, j) B_j = {N} (B_1 = +1/2)"
     if not equal_on_window(x_series(10), series_scale(psi_factor(1, 10), -1)):
         return False, "x != -f"
-    if not equal_on_window(phi("y", 8), psi("y", 8), 6):
+    if not equal_on_window(phi("y", _CHAR_PREC), psi("y", _CHAR_PREC), 6):
         return False, "phi(y) != psi(y)"
     if mero_depth1(0) != Fr(-1, 2):
         return False, "zeta(0) != -1/2"

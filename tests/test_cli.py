@@ -6,6 +6,7 @@ transcripts run many commands through cli.main in this process.
 
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -44,6 +45,46 @@ def transcript(argvs) -> str:
 def assert_golden(name: str, argvs) -> None:
     golden = Path(__file__).with_name("golden") / f"{name}.txt"
     assert transcript(argvs) == golden.read_text()
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first ```lang block of README.md's `## heading` section."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index(f"\n## {heading}\n") :]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_command_line_tour_replays():
+    # the tour without blank lines or its commands' "# ..." comments; a
+    # "..." line stands for any lines
+    lines = [
+        re.sub(r"\s+#.*", "", line) if line.startswith("$ ") else line
+        for line in readme_block("Command-line tour", "text").splitlines()
+        if line
+    ]
+    argvs = [shlex.split(line)[2:] for line in lines if line.startswith("$ hopfmzv ")]
+    pattern = "".join("(?:.*\n)*?" if line == "..." else re.escape(line) + "\n" for line in lines)
+    out = transcript(argvs)
+    assert re.fullmatch(pattern, out), out
+
+
+def test_the_readme_library_sketch_gives_its_results():
+    # every "code  # result" line whose result is a Python value; the one
+    # result in words, qzeta_plus's, is skipped
+    namespace: dict = {}
+    checked = 0
+    for line in readme_block("Library sketch", "python").splitlines():
+        code, _, result = line.partition("#")
+        if not result:
+            exec(code, namespace)
+            continue
+        try:
+            expected = eval(result, namespace)
+        except SyntaxError:
+            continue
+        assert eval(code, namespace) == expected, line
+        checked += 1
+    assert checked == 5
 
 
 def test_zeta_plus_value():
@@ -123,10 +164,14 @@ def test_table_check_flags_a_corrupt_reference(tmp_path):
     assert "1 fail" in r.stdout
 
 
-def _write(directory, doc):
+def _write_text(directory, text):
     path = directory / "ref.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     return path
+
+
+def _write(directory, doc):
+    return _write_text(directory, json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -137,14 +182,28 @@ def _write(directory, doc):
         (lambda d: _write(d, {"k": [0, 0], "value": "1/4"}), "is not a JSON list"),
         (lambda d: _write(d, [{"value": "1/4"}]), 'every entry needs "k"'),
         (lambda d: _write(d, [{"k": [0, 0], "value": "1/0"}]), 'a rational "value"'),
+        (lambda d: _write(d, [{"k": [0, 0], "value": "abc"}]), 'a rational "value"'),
+        (lambda d: _write(d, [{"k": [0, 0], "value": float("inf")}]), 'a rational "value"'),
+        (lambda d: _write_text(d, "not json"), "cannot read reference table"),
     ],
-    ids=["missing", "directory", "object", "entry-without-k", "zero-denominator"],
+    ids=[
+        "missing",
+        "directory",
+        "object",
+        "entry-without-k",
+        "zero-denominator",
+        "non-rational-value",
+        "infinite-value",
+        "not-json",
+    ],
 )
 def test_table_check_rejects_an_unreadable_reference(tmp_path, make, message):
-    r = run_cli("table", "--check", str(make(tmp_path)))
+    path = make(tmp_path)
+    r = run_cli("table", "--check", str(path))
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and message in r.stderr
+    assert str(path) in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -143,6 +143,14 @@ def _lsum_sign(real):
     return faulty
 
 
+def _times_y_with_current(s):
+    return _make(0, list(accumulate(s.nums)), s.den)
+
+
+def _times_y_rows_with_current(rows):
+    return tuple(accumulate(rows, lambda r, s: tuple(map(add, r, s))))
+
+
 def _times_qatom_with_current(L, s):
     h = [0] * len(s.nums)
     for i in range(len(h)):
@@ -388,15 +396,28 @@ FAULTS = {
     # the three running sums, each adding the current term as well
     "times-y-with-current": Fault(
         ((realizations, "_times_y"),),
-        lambda real: lambda s: _make(0, list(accumulate(s.nums)), s.den),
+        lambda real: _times_y_with_current,
         "rota-baxter/li-route-agreement rota-baxter/li-closed-forms",
         {"rota-baxter/li-route-agreement": "k="},
     ),
     "times-y-rows-with-current": Fault(
         ((realizations, "_times_y_rows"),),
-        lambda real: lambda rows: tuple(accumulate(rows, lambda r, s: tuple(map(add, r, s)))),
+        lambda real: _times_y_rows_with_current,
         "qseries/qz-operator-realization",
         {"qseries/qz-operator-realization": "k="},
+    ),
+    # verify imports the first two itself, to compare them with the product
+    "times-y-with-current-in-verify": Fault(
+        ((verify, "_times_y"),),
+        lambda real: _times_y_with_current,
+        "rota-baxter/J-weight0-rota-baxter",
+        {"rota-baxter/J-weight0-rota-baxter": "running sum"},
+    ),
+    "times-y-rows-with-current-in-verify": Fault(
+        ((verify, "_times_y_rows"),),
+        lambda real: _times_y_rows_with_current,
+        "rota-baxter/q-operator-identities",
+        {"rota-baxter/q-operator-identities": "running sum"},
     ),
     "times-qatom-with-current": Fault(
         ((realizations, "_times_qatom"),),

@@ -24,15 +24,17 @@ def test_unpatched_checks_pass(suite, name):
 
 
 def test_the_suites_read_one_row_window_and_one_phi_window():
-    # birkhoff: the 63 words to weight 6 of both kinds at _ROW_PREC, the 13
-    # d^k y at prec 0 and the 8 spots at prec N; hopf: phi at P = 14 only,
-    # of the empty word and the 63 words to weight 6
+    # all four suites in one process.  phi: the empty word and the 63 words
+    # to weight 6 at _CHAR_PREC, and the empty word's row at _ROW_PREC (a row
+    # of e is chi(e)); psi: the same 65 and the 73 windows the recursion in
+    # qzeta-equals-zeta-spots plans itself; _rows: the 63 words of both kinds
+    # at _ROW_PREC, the 7 d^k y, k = 6 .. 12, of closed-form-compatibility at
+    # _ROW_PREC and the 8 spots at their N
     clear_caches()
-    assert all(r["ok"] for r in verify.run_suite("birkhoff"))
-    assert birkhoff._rows.cache_info().currsize == 147
-    clear_caches()
-    assert all(r["ok"] for r in verify.run_suite("hopf"))
-    assert realizations.phi.cache_info().currsize == 64
+    assert all(r["ok"] for suite in verify.SUITES for r in verify.run_suite(suite))
+    assert realizations.phi.cache_info().currsize == 65
+    assert realizations.psi.cache_info().currsize == 138
+    assert birkhoff._rows.cache_info().currsize == 141
 
 
 @pytest.mark.parametrize("lam", verify._LAMS_COP)
